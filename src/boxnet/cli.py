@@ -62,7 +62,7 @@ def _fixtures_root() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path) -> object:
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -90,45 +90,72 @@ def _parse_transcript_key(key: str) -> tuple:
     return tuple(int(x) for x in key.split(","))
 
 
-def load_scenario(arg: str) -> Network:
-    """Build a Network from a scenario file or shipped fixture name."""
-    path = _resolve_scenario(arg)
-    base = path.parent
-    data = _load_json(path)
+def _from_json(make, data, source) -> object:
+    """``make(data)`` for a JSON object read from ``source``.
+
+    A wrong JSON type, a missing field or an unparsable value is an input
+    error (exit 2).  A well-formed table that is not a valid box
+    (``TableError``, ``SignalingError``) stays a domain failure (exit 1).
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{source}: expected a JSON object, got "
+                         f"{type(data).__name__}")
     try:
-        parties = tuple(data["parties"])
-        settings = {p: Alphabet(tuple(data["settings"][p])) for p in parties}
-        resources = []
-        for entry in data["resources"]:
-            if isinstance(entry, str):
-                entry = _load_json(base / entry)
-            resources.append(NonsignalingResource.from_json_dict(entry))
-        trees = {}
-        for p in parties:
-            entry = data["trees"][p]
-            if isinstance(entry, str):
-                entry = _load_json(base / entry)
-            trees[p] = tree_from_json_dict(entry, party=p)
+        return make(data)
+    except (TableError, SignalingError):
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as e:
+        raise InputError(f"{source}: malformed input: {e!r}") from e
+
+
+def _load_entry(entry, scenario: Path, make) -> object:
+    """An inline JSON object of the scenario, or the file that a string
+    entry names relative to it, built with ``make``."""
+    source = scenario
+    if isinstance(entry, str):
+        source = scenario.parent / entry
+        entry = _load_json(source)
+    return _from_json(make, entry, source)
+
+
+def _read_scenario(arg: str) -> tuple[dict, dict]:
+    """The scenario's JSON object and the arguments of its Network, with
+    every resource and tree file loaded once."""
+    path = _resolve_scenario(arg)
+    data = _load_json(path)
+
+    def fields(d):
+        parties = tuple(d["parties"])
+        settings = {p: Alphabet(tuple(d["settings"][p])) for p in parties}
+        resources = [_load_entry(e, path, NonsignalingResource.from_json_dict)
+                     for e in d["resources"]]
+        trees = {p: _load_entry(d["trees"][p], path,
+                                lambda t, p=p: tree_from_json_dict(t, party=p))
+                 for p in parties}
         bins = None
-        if data.get("bins"):
+        if d.get("bins"):
             bins = {p: {_parse_transcript_key(k): int(v)
                         for k, v in mapping.items()}
-                    for p, mapping in data["bins"].items()}
-    except (KeyError, TypeError) as e:
-        raise InputError(f"{path}: missing or malformed scenario field: "
-                         f"{e!r}") from e
-    return Network(parties, resources, trees, settings, bins,
-                   name=data.get("name", path.parent.name))
+                    for p, mapping in d["bins"].items()}
+        return {"parties": parties, "resources": resources, "trees": trees,
+                "settings_alphabets": settings, "bins": bins,
+                "name": d.get("name", path.parent.name)}
+
+    return data, _from_json(fields, data, path)
+
+
+def load_scenario(arg: str) -> Network:
+    """Build a Network from a scenario file or shipped fixture name."""
+    return Network(**_read_scenario(arg)[1])
 
 
 def load_behavior_file(arg: str) -> Union[NonsignalingResource, FloatBehavior]:
-    data = _load_json(Path(arg))
-    try:
-        if data.get("float"):
-            return FloatBehavior.from_json_dict(data)
-        return NonsignalingResource.from_json_dict(data)
-    except (KeyError, TypeError) as e:
-        raise InputError(f"{arg}: malformed behavior file: {e!r}") from e
+    def make(d):
+        kind = FloatBehavior if d.get("float") else NonsignalingResource
+        return kind.from_json_dict(d)
+
+    return _from_json(make, _load_json(Path(arg)), arg)
 
 
 def _emit(payload: dict, pretty_lines, args) -> None:
@@ -144,22 +171,11 @@ def _emit(payload: dict, pretty_lines, args) -> None:
 
 
 def cmd_validate(args) -> int:
-    path = _resolve_scenario(args.scenario)
-    base = path.parent
-    data = _load_json(path)
+    data, network_args = _read_scenario(args.scenario)
     report: dict = {"scenario": data.get("name", args.scenario),
                     "resources": {}, "network": None}
     failed = False
-    resources = []
-    try:
-        entries = list(data["resources"])
-    except (KeyError, TypeError) as e:
-        raise InputError(f"{path}: missing resources list: {e!r}") from e
-    for entry in entries:
-        if isinstance(entry, str):
-            entry = _load_json(base / entry)
-        r = NonsignalingResource.from_json_dict(entry)
-        resources.append(r)
+    for r in network_args["resources"]:
         if args.allow_signaling and not r.nonsignaling_checked:
             report["resources"][r.id] = "skipped (marked unchecked)"
             continue
@@ -170,7 +186,7 @@ def cmd_validate(args) -> int:
             failed = True
             report["resources"][r.id] = "; ".join(check.errors)
     try:
-        net = load_scenario(args.scenario)
+        net = Network(**network_args)
         report["network"] = f"ok: parties {list(net.parties)}, " \
                             f"{len(net.resources)} resources"
     except NetworkError as e:
@@ -238,17 +254,18 @@ def _vertex_set_for(r: NonsignalingResource, kind: str, base: Path) -> VertexSet
                                             r.output_alphabets)
     if kind == "ns222":
         return ns_vertices_222()
-    data = _load_json(base / kind if not Path(kind).exists() else Path(kind))
-    try:
-        vertices = [NonsignalingResource.from_json_dict(d) for d in data]
-    except (KeyError, TypeError) as e:
-        raise InputError(f"{kind}: malformed vertex list: {e!r}") from e
+    source = base / kind if not Path(kind).exists() else Path(kind)
+    data = _load_json(source)
+    if not isinstance(data, list) or not data:
+        raise InputError(f"{source}: expected a non-empty JSON list of vertices")
+    vertices = [_from_json(NonsignalingResource.from_json_dict, d, source)
+                for d in data]
     return VertexSet(vertices, [f"file:{i}" for i in range(len(vertices))])
 
 
 def cmd_decompose(args) -> int:
-    data = _load_json(Path(args.resource))
-    r = NonsignalingResource.from_json_dict(data)
+    r = _from_json(NonsignalingResource.from_json_dict,
+                   _load_json(Path(args.resource)), args.resource)
     vs = _vertex_set_for(r, args.vertices, Path(args.resource).parent)
     result = decompose_extremal(r, vs)
     if isinstance(result, Mixture):

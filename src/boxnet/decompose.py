@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -26,6 +27,7 @@ from boxnet.resource import (
     NonsignalingResource,
     Party,
     Symbol,
+    _align,
     make_local_deterministic,
     make_pr_box,
     validate_nonsignaling,
@@ -125,10 +127,8 @@ def local_deterministic_vertices(
     the extreme points of the local polytope for the signature.  Refuses
     to enumerate past the cap (env NONSIG_VERTEX_CAP, default 10^6)."""
     parties = tuple(parties)
-    in_alphas = [a if isinstance(a, Alphabet) else Alphabet(tuple(a))
-                 for a in input_alphabets]
-    out_alphas = [a if isinstance(a, Alphabet) else Alphabet(tuple(a))
-                  for a in output_alphabets]
+    in_alphas = _align(parties, input_alphabets)
+    out_alphas = _align(parties, output_alphabets)
     count = 1
     for a_in, a_out in zip(in_alphas, out_alphas):
         count *= len(a_out) ** len(a_in)
@@ -152,17 +152,12 @@ def local_deterministic_vertices(
     return VertexSet(vertices, ["deterministic"] * count)
 
 
-_NS222_CACHE: VertexSet | None = None
-
-
+@cache
 def ns_vertices_222() -> VertexSet:
     """The 24 extreme points of the bipartite binary nonsignaling polytope:
     16 deterministic vertices plus the 8 PR-class boxes.  Each PR-class
     member is certified extremal on first construction by LP
     non-membership in the hull of the other 23."""
-    global _NS222_CACHE
-    if _NS222_CACHE is not None:
-        return _NS222_CACHE
     bits = Alphabet((0, 1))
     det = local_deterministic_vertices(("A", "B"), [bits, bits], [bits, bits])
     pr = [make_pr_box(alpha=a, beta=b, gamma=g)
@@ -176,7 +171,6 @@ def ns_vertices_222() -> VertexSet:
                            ["x"] * (len(vs.vertices) - 1))
         if not isinstance(decompose_extremal(target, others), Infeasible):
             raise AssertionError(f"{target.id} is not extremal — vertex set is wrong")
-    _NS222_CACHE = vs
     return vs
 
 

@@ -19,9 +19,15 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .inequality import InequalityError, LinearInequality
-from .resource import Alphabet, SignalingError
+from .resource import Alphabet, SignalingError, TableError, _one_party_witness
 
 GHZ_PARTIES = ("A", "B", "C")
+
+#: Per-entry and per-column tolerance of a float behavior's normalization.
+ATOL_NORM = 1e-12
+#: Largest difference of two marginals a float behavior may show and
+#: still count as nonsignaling.
+ATOL_NS = 1e-10
 
 _GHZ = np.zeros(8)
 _GHZ[0] = _GHZ[7] = 1 / math.sqrt(2)
@@ -79,8 +85,7 @@ class FloatBehavior:
     def __init__(self, id: str, parties: Sequence[str],
                  input_alphabets: Sequence[Alphabet],
                  output_alphabets: Sequence[Alphabet],
-                 table: Mapping[tuple, Mapping[tuple, float]],
-                 *, atol_norm: float = 1e-12, atol_ns: float = 1e-10) -> None:
+                 table: Mapping[tuple, Mapping[tuple, float]]) -> None:
         self.id = str(id)
         self.parties = tuple(parties)
         self.input_alphabets = tuple(input_alphabets)
@@ -91,39 +96,18 @@ class FloatBehavior:
             col = table[ctx]
             full[ctx] = {o: float(col.get(o, 0.0)) for o in outs_space}
             for o, v in full[ctx].items():
-                if v < -atol_norm or v > 1 + atol_norm:
-                    raise ValueError(f"probability {v} out of range at {ctx} {o}")
+                if v < -ATOL_NORM or v > 1 + ATOL_NORM:
+                    raise TableError(f"probability {v} out of range at {ctx} {o}")
             s = sum(full[ctx].values())
-            if abs(s - 1) > atol_norm:
-                raise ValueError(f"column {ctx} sums to {s}, not 1")
+            if abs(s - 1) > ATOL_NORM:
+                raise TableError(f"column {ctx} sums to {s}, not 1")
         self.table = full
-        self._check_nonsignaling(atol_ns)
+        witness = _one_party_witness(self.parties, self.input_alphabets,
+                                     self.table, ATOL_NS)
+        if witness is not None:
+            raise SignalingError(
+                f"float behavior {self.id!r} is signaling: {witness}")
         self.nonsignaling_checked = True
-
-    def _check_nonsignaling(self, atol: float) -> None:
-        n = len(self.parties)
-        for j in range(n):
-            others_in = [a.values for k, a in enumerate(self.input_alphabets)
-                         if k != j]
-            outs_rest = list(product(*(a.values for k, a in
-                                       enumerate(self.output_alphabets) if k != j)))
-            for rest in product(*others_in):
-                reference = None
-                for xj in self.input_alphabets[j].values:
-                    ctx = rest[:j] + (xj,) + rest[j:]
-                    marg = {o: 0.0 for o in outs_rest}
-                    for outs, v in self.table[ctx].items():
-                        marg[outs[:j] + outs[j + 1:]] += v
-                    if reference is None:
-                        reference = marg
-                    else:
-                        for o in outs_rest:
-                            if abs(marg[o] - reference[o]) > atol:
-                                raise SignalingError(
-                                    f"float behavior {self.id!r} signals to "
-                                    f"party {self.parties[j]!r} at context "
-                                    f"{rest}: marginal differs by "
-                                    f"{abs(marg[o] - reference[o])}")
 
     def party_index(self, party: str) -> int:
         try:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Sequence, Union
 
-from .resource import Alphabet, NonsignalingResource, frac, make_local_deterministic
+from .decompose import local_deterministic_vertices
+from .resource import Alphabet, NonsignalingResource, frac
 
 Behavior = NonsignalingResource
 
@@ -411,18 +411,9 @@ def deterministic_behaviors(settings_counts: Mapping[str, int]) -> list[Behavior
     span the behavior space, so two linear functionals that agree on all
     of them agree everywhere."""
     parties = tuple(sorted(settings_counts))
-    bits = Alphabet((0, 1))
-    in_alphas = [Alphabet(tuple(range(settings_counts[p]))) for p in parties]
-    spaces = [list(product((0, 1), repeat=settings_counts[p])) for p in parties]
-    behaviors = []
-    for combo in product(*spaces):
-        functions = {p: dict(enumerate(bits_for_p))
-                     for p, bits_for_p in zip(parties, combo)}
-        label = ",".join(f"{p}:" + "".join(map(str, c))
-                         for p, c in zip(parties, combo))
-        behaviors.append(make_local_deterministic(
-            parties, in_alphas, [bits] * len(parties), functions, id=label))
-    return behaviors
+    return local_deterministic_vertices(
+        parties, [Alphabet.of_size(settings_counts[p]) for p in parties],
+        [Alphabet((0, 1))] * len(parties)).vertices
 
 
 @dataclass(frozen=True)

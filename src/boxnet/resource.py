@@ -106,6 +106,11 @@ class SignalingWitness:
     outputs: tuple[Symbol, ...]
     values: tuple[Fraction, Fraction]
 
+    def __str__(self) -> str:
+        return (f"party {self.party!r} signals: at context {self.context}, "
+                f"inputs {self.inputs[0]} vs {self.inputs[1]} give marginal "
+                f"{self.values[0]} vs {self.values[1]} on outputs {self.outputs}")
+
 
 @dataclass
 class ValidationReport:
@@ -127,6 +132,95 @@ class ValidationReport:
 
 def _key_tuple(values: Sequence[Symbol]) -> tuple[Symbol, ...]:
     return tuple(int(v) for v in values)
+
+
+def _align(parties: Sequence[Party], alphabets) -> tuple[Alphabet, ...]:
+    """One Alphabet per party, from a per-party mapping or a sequence in
+    party order."""
+    if isinstance(alphabets, Mapping):
+        missing = [p for p in parties if p not in alphabets]
+        if missing:
+            raise ValueError(f"no alphabet for parties {missing}")
+        seq = [alphabets[p] for p in parties]
+    else:
+        seq = list(alphabets)
+        if len(seq) != len(parties):
+            raise ValueError(f"{len(seq)} alphabets for {len(parties)} parties")
+    return tuple(a if isinstance(a, Alphabet) else Alphabet(tuple(a)) for a in seq)
+
+
+def _project(column: Mapping[tuple, object], idx: Sequence[int]) -> dict[tuple, object]:
+    """Marginal of one table column on the output positions ``idx``.
+
+    Keys keep the order in which they first occur in the column; zero
+    entries add nothing, so an exact column costs no Fraction addition for
+    them.
+    """
+    marg = {}
+    for a, v in column.items():
+        key = tuple([a[i] for i in idx])
+        if key in marg:
+            if v:
+                marg[key] += v
+        else:
+            marg[key] = v
+    return marg
+
+
+def _first_signal(table, input_alphabets, movers, watched, atol=0):
+    """First place where the ``watched`` positions' output marginal changes
+    with the ``movers``' inputs, every other input held fixed.
+
+    ``input_alphabets`` lists the symbols each input position ranges over.
+    Contexts of the other positions run in ``product`` order and, within a
+    context, every choice of the movers' inputs is compared with the first.
+    Returns ``(x0, x1, outputs, (v0, v1))``: two full input tuples that
+    differ only at the movers, and the watched outputs whose marginal is
+    ``v0`` at ``x0`` and ``v1`` at ``x1``; or None.  Exact values are
+    compared with ``!=``; with ``atol`` > 0 two values differ when they are
+    more than ``atol`` apart.
+    """
+    mover_space = list(product(*(input_alphabets[i] for i in movers)))
+    if len(mover_space) < 2:
+        return None
+    fixed = [i for i in range(len(input_alphabets)) if i not in movers]
+    x = [0] * len(input_alphabets)
+    for ctx in product(*(input_alphabets[i] for i in fixed)):
+        for i, xi in zip(fixed, ctx):
+            x[i] = xi
+        base = None
+        for xm in mover_space:
+            for i, xi in zip(movers, xm):
+                x[i] = xi
+            marg = _project(table[tuple(x)], watched)
+            if base is None:
+                x0, base = tuple(x), marg
+                continue
+            for key, v in base.items():
+                w = marg[key]
+                if abs(w - v) > atol if atol else w != v:
+                    return x0, tuple(x), key, (v, w)
+    return None
+
+
+def _one_party_witness(parties, input_alphabets, table, atol=0) -> SignalingWitness | None:
+    """First violation of the one-party condition: for each party j in
+    order, party j's input moves and the other parties' outputs are
+    watched."""
+    alphabets = [a.values for a in input_alphabets]
+    for j, party in enumerate(parties):
+        others = [i for i in range(len(parties)) if i != j]
+        hit = _first_signal(table, alphabets, [j], others, atol)
+        if hit is not None:
+            x0, x1, outputs, values = hit
+            return SignalingWitness(
+                party=party,
+                context={parties[i]: x0[i] for i in others},
+                inputs=(x0[j], x1[j]),
+                outputs=outputs,
+                values=values,
+            )
+    return None
 
 
 class NonsignalingResource:
@@ -163,20 +257,12 @@ class NonsignalingResource:
             raise ValueError("resource must have at least one party")
         if len(set(self.parties)) != len(self.parties):
             raise ValueError(f"duplicate parties: {self.parties}")
-        self.input_alphabets = self._align(input_alphabets)
-        self.output_alphabets = self._align(output_alphabets)
+        self.input_alphabets = _align(self.parties, input_alphabets)
+        self.output_alphabets = _align(self.parties, output_alphabets)
         self.table = self._normalize_table(table)
         self.nonsignaling_checked = False
         if check_nonsignaling:
-            witness = self._find_signaling_witness()
-            if witness is not None:
-                raise SignalingError(
-                    f"resource {self.id!r} is signaling: party {witness.party!r} "
-                    f"switching input {witness.inputs[0]}->{witness.inputs[1]} at context "
-                    f"{witness.context} changes the marginal of outputs {witness.outputs} "
-                    f"from {witness.values[0]} to {witness.values[1]}"
-                )
-            self.nonsignaling_checked = True
+            self.require_nonsignaling("construction")
 
     @classmethod
     def make(cls, id, parties, input_alphabets, output_alphabets, table) -> "NonsignalingResource":
@@ -192,24 +278,6 @@ class NonsignalingResource:
                    check_nonsignaling=False)
 
     # -- construction helpers -------------------------------------------------
-
-    def _align(self, alphabets) -> tuple[Alphabet, ...]:
-        if isinstance(alphabets, Mapping):
-            missing = [p for p in self.parties if p not in alphabets]
-            if missing:
-                raise ValueError(f"no alphabet for parties {missing}")
-            seq = [alphabets[p] for p in self.parties]
-        else:
-            seq = list(alphabets)
-            if len(seq) != len(self.parties):
-                raise ValueError(
-                    f"{len(seq)} alphabets for {len(self.parties)} parties")
-        out = []
-        for a in seq:
-            if not isinstance(a, Alphabet):
-                a = Alphabet(tuple(a))
-            out.append(a)
-        return tuple(out)
 
     def input_space(self) -> Iterable[tuple[Symbol, ...]]:
         return product(*(a.values for a in self.input_alphabets))
@@ -293,38 +361,7 @@ class NonsignalingResource:
         (party j's output summed out) must be identical across all of
         party j's input choices, for every fixed input context.
         """
-        n = len(self.parties)
-        for j in range(n):
-            others = [i for i in range(n) if i != j]
-            in_j = self.input_alphabets[j].values
-            if len(in_j) < 2:
-                continue  # vacuous for a single input value
-            contexts = product(*(self.input_alphabets[i].values for i in others))
-            for ctx in contexts:
-                marginals = []
-                for xj in in_j:
-                    x = [0] * n
-                    for pos, i in enumerate(others):
-                        x[i] = ctx[pos]
-                    x[j] = xj
-                    column = self.table[tuple(x)]
-                    marg: dict[tuple[Symbol, ...], Fraction] = {}
-                    for a, v in column.items():
-                        rest = tuple(a[i] for i in others)
-                        marg[rest] = marg.get(rest, Fraction(0)) + v
-                    marginals.append((xj, marg))
-                x0, base = marginals[0]
-                for xj, marg in marginals[1:]:
-                    for rest, v in base.items():
-                        if marg[rest] != v:
-                            return SignalingWitness(
-                                party=self.parties[j],
-                                context={self.parties[i]: ctx[pos] for pos, i in enumerate(others)},
-                                inputs=(x0, xj),
-                                outputs=rest,
-                                values=(v, marg[rest]),
-                            )
-        return None
+        return _one_party_witness(self.parties, self.input_alphabets, self.table)
 
     def require_nonsignaling(self, operation: str) -> None:
         """Raise unless this resource is known (or now verified) to be
@@ -334,8 +371,7 @@ class NonsignalingResource:
         witness = self._find_signaling_witness()
         if witness is not None:
             raise SignalingError(
-                f"{operation}: resource {self.id!r} is signaling "
-                f"(party {witness.party!r}, inputs {witness.inputs})")
+                f"{operation}: resource {self.id!r} is signaling: {witness}")
         self.nonsignaling_checked = True
 
     # -- serialization --------------------------------------------------------
@@ -395,14 +431,7 @@ def validate_nonsignaling(r: NonsignalingResource) -> ValidationReport:
                 return ValidationReport.fail([f"entry at input {x}, output {a} is {v}"])
     witness = r._find_signaling_witness()
     if witness is not None:
-        return ValidationReport.fail(
-            [
-                f"party {witness.party!r} signals: at context {witness.context}, "
-                f"inputs {witness.inputs[0]} vs {witness.inputs[1]} give marginal "
-                f"{witness.values[0]} vs {witness.values[1]} on outputs {witness.outputs}"
-            ],
-            witness=witness,
-        )
+        return ValidationReport.fail([str(witness)], witness=witness)
     r.nonsignaling_checked = True
     return ValidationReport.ok()
 
@@ -424,44 +453,31 @@ def check_subset_nonsignaling(
     receivers = tuple(receivers)
     if set(signalers) & set(receivers):
         raise ValueError("signalers and receivers must be disjoint")
-    for p in (*signalers, *receivers):
-        r.party_index(p)
-
-    n = len(r.parties)
     sig_idx = [r.party_index(p) for p in signalers]
     recv_idx = [r.party_index(p) for p in receivers]
-    rest_idx = [i for i in range(n) if i not in sig_idx and i not in recv_idx]
-
-    def receiver_marginal(x_recv, x_sig) -> dict[tuple[Symbol, ...], Fraction]:
-        x = [0] * n
-        for i, xi in zip(recv_idx, x_recv):
-            x[i] = xi
-        for i, xi in zip(sig_idx, x_sig):
-            x[i] = xi
-        for i in rest_idx:
-            x[i] = r.input_alphabets[i].first
-        marg: dict[tuple[Symbol, ...], Fraction] = {}
-        for a, v in r.table[tuple(x)].items():
-            key = tuple(a[i] for i in recv_idx)
-            marg[key] = marg.get(key, Fraction(0)) + v
-        return marg
-
-    sig_space = list(product(*(r.input_alphabets[i].values for i in sig_idx)))
-    for x_recv in product(*(r.input_alphabets[i].values for i in recv_idx)):
-        base = receiver_marginal(x_recv, sig_space[0])
-        for x_sig in sig_space[1:]:
-            marg = receiver_marginal(x_recv, x_sig)
-            if marg != base:
-                bad = next(k for k in base if base[k] != marg[k])
-                return ValidationReport.fail([
-                    f"signalers {list(signalers)} switching {sig_space[0]}->{x_sig} "
-                    f"changes receivers' marginal at outputs {bad} "
-                    f"from {base[bad]} to {marg[bad]} (receiver inputs {x_recv})"
-                ])
-    return ValidationReport.ok()
+    alphabets = [a.values if i in sig_idx or i in recv_idx else (a.first,)
+                 for i, a in enumerate(r.input_alphabets)]
+    hit = _first_signal(r.table, alphabets, sig_idx, recv_idx)
+    if hit is None:
+        return ValidationReport.ok()
+    x0, x1, bad, (v0, v1) = hit
+    return ValidationReport.fail([
+        f"signalers {list(signalers)} switching {tuple(x0[i] for i in sig_idx)}->"
+        f"{tuple(x1[i] for i in sig_idx)} changes receivers' marginal at outputs "
+        f"{bad} from {v0} to {v1} (receiver inputs {tuple(x0[i] for i in recv_idx)})"
+    ])
 
 
 # -- derived resources -----------------------------------------------------------
+
+
+def _full_input(idx: Sequence[int], values: Sequence[Symbol],
+                fixed: Mapping[int, Symbol]) -> tuple[Symbol, ...]:
+    """The input tuple with ``values`` at positions ``idx`` and the
+    remaining positions taken from ``fixed``."""
+    x = dict(fixed)
+    x.update(zip(idx, values))
+    return tuple(x[i] for i in range(len(x)))
 
 
 def marginal(
@@ -506,18 +522,8 @@ def marginal(
     if not drop_idx and (id is None or id == r.id):
         return r
 
-    table: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
-    for x_keep in product(*(r.input_alphabets[i].values for i in keep_idx)):
-        x = [0] * len(r.parties)
-        for i, xi in zip(keep_idx, x_keep):
-            x[i] = xi
-        for i, xi in fixed.items():
-            x[i] = xi
-        column: dict[tuple[Symbol, ...], Fraction] = {}
-        for a, v in r.table[tuple(x)].items():
-            key = tuple(a[i] for i in keep_idx)
-            column[key] = column.get(key, Fraction(0)) + v
-        table[x_keep] = column
+    table = {x_keep: _project(r.table[_full_input(keep_idx, x_keep, fixed)], keep_idx)
+             for x_keep in product(*(r.input_alphabets[i].values for i in keep_idx))}
 
     return NonsignalingResource.make(
         id if id is not None else f"{r.id}[{','.join(keep_parties)}]",
@@ -568,19 +574,13 @@ def condition(
             f"conditioning event has probability zero: parties "
             f"{[r.parties[i] for i in obs_idx]} outputs {outputs} at inputs {inputs}")
 
-    table: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
+    table = {}
     for x_keep in product(*(r.input_alphabets[i].values for i in keep_idx)):
-        x = [0] * len(r.parties)
-        for i, xi in zip(keep_idx, x_keep):
-            x[i] = xi
-        for i, xi in obs_in.items():
-            x[i] = xi
-        column: dict[tuple[Symbol, ...], Fraction] = {}
-        for a, v in r.table[tuple(x)].items():
-            if all(a[i] == obs_out[i] for i in obs_idx):
-                key = tuple(a[i] for i in keep_idx)
-                column[key] = column.get(key, Fraction(0)) + v / denom
-        table[x_keep] = column
+        column = r.table[_full_input(keep_idx, x_keep, obs_in)]
+        observed_event = {a: v for a, v in column.items()
+                          if all(a[i] == obs_out[i] for i in obs_idx)}
+        table[x_keep] = {key: v / denom
+                         for key, v in _project(observed_event, keep_idx).items()}
 
     keep_parties = tuple(r.parties[i] for i in keep_idx)
     return NonsignalingResource.make(
@@ -607,16 +607,8 @@ def make_local_deterministic(
     of its own input.  Each per-party function must be total on the input
     alphabet and land in the output alphabet."""
     parties = tuple(parties)
-    if isinstance(input_alphabets, Mapping):
-        in_alphas = [input_alphabets[p] for p in parties]
-    else:
-        in_alphas = list(input_alphabets)
-    if isinstance(output_alphabets, Mapping):
-        out_alphas = [output_alphabets[p] for p in parties]
-    else:
-        out_alphas = list(output_alphabets)
-    in_alphas = [a if isinstance(a, Alphabet) else Alphabet(tuple(a)) for a in in_alphas]
-    out_alphas = [a if isinstance(a, Alphabet) else Alphabet(tuple(a)) for a in out_alphas]
+    in_alphas = _align(parties, input_alphabets)
+    out_alphas = _align(parties, output_alphabets)
 
     fns = []
     for p, ain, aout in zip(parties, in_alphas, out_alphas):

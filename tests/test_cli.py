@@ -211,6 +211,58 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert main(["ineq", "eval", "--ineq", "mao", "--behavior", str(bad)]) == 2
 
 
+def _pr_ab():
+    return json.loads((FIXTURES / "wired-pr" / "pr_ab.json").read_text())
+
+
+def _bad_fraction(tmp_path):
+    r = _pr_ab()
+    r["table"]["0,0"]["0,0"] = "1/0"
+    return ["decompose", _write(tmp_path / "r.json", r)]
+
+
+def _top_level_list(tmp_path):
+    return ["decompose", _write(tmp_path / "r.json", [_pr_ab()])]
+
+
+def _non_integer_key(tmp_path):
+    r = _pr_ab()
+    r["table"]["x,0"] = r["table"].pop("0,0")
+    return ["decompose", _write(tmp_path / "r.json", r)]
+
+
+def _list_behavior(tmp_path):
+    return ["ineq", "eval", "--ineq", "mao", "--behavior",
+            _write(tmp_path / "b.json", [_pr_ab()])]
+
+
+def _non_integer_outcome(tmp_path):
+    scenario = {
+        "parties": ["A"], "settings": {"A": [0]},
+        "resources": [{"id": "coin", "parties": ["A"], "inputs": {"A": [0]},
+                       "outputs": {"A": [0, 1]},
+                       "table": {"0": {"0": "1/2", "1": "1/2"}}}],
+        "trees": {"A": {"settings": {"0": {"resource": "coin", "input": 0,
+                                           "children": {"0": {"outcome": "x"},
+                                                        "1": {"outcome": 1}}}}}},
+    }
+    return ["validate", _write(tmp_path / "scenario.json", scenario)]
+
+
+def _write(path, data) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("make_argv", [
+    _bad_fraction, _top_level_list, _non_integer_key, _list_behavior,
+    _non_integer_outcome,
+])
+def test_malformed_input_exits_two(tmp_path, capsys, make_argv):
+    assert main(make_argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_pretty_output_is_text(capsys):
     rc, out = run(capsys, "--pretty", "validate", "worked")
     assert rc == 0
