@@ -10,17 +10,31 @@ assumed, each time a distribution is built — for well-formed networks of
 nonsignaling resources it always holds, and a deliberately signaling
 counterexample shows up as a total different from one.
 
-The induced behavior regroups transcripts by party and optionally bins
-them into coarser outcomes; it is itself a nonsignaling resource over the
-parties' settings, and is validated as such on construction.
+That product is a tensor network.  Each resource is an integer tensor
+R_r[x_r, a_r] (numerators over the table's common denominator), each
+party a 0/1 wiring tensor W_p[s_p, o_p, x_p, a_p] that is 1 where p's tree,
+at setting s_p and with outputs a_p, hands the inputs x_p to its
+resources and yields the outcome o_p.  The joint distribution and the
+induced behavior are both contractions of these tensors, done pairwise
+in exact integer arithmetic; their cost follows the widest intermediate
+tensor, not the number of transcripts.  ``joint_probability`` evaluates
+one transcript directly.
+
+The induced behavior is itself a nonsignaling resource over the parties'
+settings, and is validated as such on construction.
 """
 
 from __future__ import annotations
 
+import string
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from boxnet.resource import (
     Alphabet,
@@ -175,6 +189,8 @@ class Network:
             p: self._compute_outcome_alphabet(p) for p in self.parties
         }
         self._trace_cache: dict[tuple[Party, Symbol, Transcript], PathTrace] = {}
+        self._wirings: dict[Party, np.ndarray] = {}
+        self._numerators: dict[str, tuple[list[int], int]] = {}
 
     @staticmethod
     def _tree_is_labeled(t: DecisionTree) -> bool:
@@ -215,6 +231,47 @@ class Network:
             outs = dict(zip(self._scope_sorted[p], transcript))
             hit = trace_path(self.trees[p], setting, outs)
             self._trace_cache[key] = hit
+        return hit
+
+    def _wiring(self, p: Party) -> np.ndarray:
+        """Party p's 0/1 wiring tensor W[s, o, x_r..., a_r...], with r over
+        p's scope in sorted-id order and every axis indexed by position in
+        its alphabet: 1 where p's tree, at setting s and with outputs a,
+        hands input x_r to each resource r and yields outcome o."""
+        w = self._wirings.get(p)
+        if w is None:
+            rids = self._scope_sorted[p]
+            ins = [self.resources_by_id[rid].input_alphabet(p).values for rid in rids]
+            outs = [self.resources_by_id[rid].output_alphabet(p).values for rid in rids]
+            settings = self.settings_alphabets[p].values
+            outcomes = self._outcome_alphabets[p].values
+            w = np.zeros((len(settings), len(outcomes), *map(len, ins), *map(len, outs)),
+                         dtype=np.int64)
+            for si, s in enumerate(settings):
+                for ai in product(*(range(len(o)) for o in outs)):
+                    transcript = tuple(o[i] for o, i in zip(outs, ai))
+                    tr = self._trace(p, s, transcript)
+                    xi = tuple(x.index(tr.inputs[rid]) for x, rid in zip(ins, rids))
+                    oi = outcomes.index(self.outcome_of(p, s, transcript))
+                    w[(si, oi, *xi, *ai)] = 1
+            self._wirings[p] = w
+        return w
+
+    def _wiring_labels(self, p: Party) -> tuple:
+        rids = self._scope_sorted[p]
+        return (("s", p), ("o", p), *(("x", rid, p) for rid in rids),
+                *(("a", rid, p) for rid in rids))
+
+    def _table_numerators(self, r: NonsignalingResource) -> tuple[list[int], int]:
+        """r's table as integer numerators in C order over [x..., a...]
+        (alphabet positions) and their common denominator."""
+        hit = self._numerators.get(r.id)
+        if hit is None:
+            out_space = list(r.output_space())
+            cells = [r.table[x][a] for x in r.input_space() for a in out_space]
+            den = lcm(*(v.denominator for v in cells))
+            hit = [v.numerator * (den // v.denominator) for v in cells], den
+            self._numerators[r.id] = hit
         return hit
 
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
@@ -273,15 +330,116 @@ def joint_probability(
     return prob
 
 
+def _einsum(operands: Sequence[tuple[np.ndarray, tuple]], output: tuple) -> np.ndarray:
+    """``np.einsum`` over labelled operands, the labels renamed to letters
+    for this call only."""
+    letter: dict = {}
+    for _, labels in operands:
+        for label in labels:
+            letter.setdefault(label, string.ascii_letters[len(letter)])
+    spec = ",".join("".join(letter[l] for l in labels) for _, labels in operands)
+    return np.einsum(spec + "->" + "".join(letter[l] for l in output),
+                     *(arr for arr, _ in operands))
+
+
+def _contract(operands: Sequence[tuple[np.ndarray, tuple]], output: Sequence) -> np.ndarray:
+    """Sum over every label not in ``output`` of the product of the
+    operands, as an array with one axis per ``output`` label.
+
+    Each operand is an array with one hashable label per axis; a label
+    shared by several operands is one index.  Axes of size one are dropped
+    first.  Operands are then contracted two at a time, greedily as in
+    ``np.einsum_path``'s "greedy" order: among the pairs that share a
+    label, the one whose result is smallest relative to its inputs.  Each
+    step is one ``np.einsum`` over the labels of two operands, so the
+    network may use any number of labels.
+    """
+    sizes = {l: n for arr, labels in operands for l, n in zip(labels, arr.shape)}
+    ops = []
+    for arr, labels in operands:
+        labels = tuple(l for l in labels if sizes[l] > 1)
+        ops.append((arr.reshape([sizes[l] for l in labels]), labels))
+    out = tuple(l for l in output if sizes[l] > 1)
+    while len(ops) > 1:
+        uses = Counter(out)
+        for _, labels in ops:
+            uses.update(labels)
+        pairs = list(combinations(range(len(ops)), 2))
+        pairs = [(i, j) for i, j in pairs
+                 if not set(ops[i][1]).isdisjoint(ops[j][1])] or pairs
+        best = None
+        for i, j in pairs:
+            (a, la), (b, lb) = ops[i], ops[j]
+            kept = tuple(l for l in dict.fromkeys(la + lb)
+                         if uses[l] > (l in la) + (l in lb))
+            cost = prod(sizes[l] for l in kept) - a.size - b.size
+            if best is None or cost < best[0]:
+                best = cost, i, j, kept
+        _, i, j, kept = best
+        pair = [ops[i], ops[j]]
+        ops = [op for k, op in enumerate(ops) if k not in (i, j)]
+        ops.append((_einsum(pair, kept), kept))
+    return _einsum(ops, out).reshape([sizes[l] for l in output])
+
+
+def _contract_network(
+    net: Network,
+    wirings: Sequence[tuple[np.ndarray, tuple]],
+    output: Sequence,
+) -> tuple[list[int], int]:
+    """Sum over every label not in ``output`` of the product of all
+    resource tables and the given wiring tensors: exact integer
+    numerators in C order over ``output``, and their denominator, the
+    product of the tables' denominators.
+
+    Resource r's axes are labelled ("x", r.id, q) and ("a", r.id, q) for
+    its members q.  No entry of any intermediate exceeds the product of
+    the denominators times the product of the summed labels' sizes; int64
+    is used when that bound is below 2**63, exact Python ints otherwise.
+    """
+    tables = []
+    den = 1
+    for r in net.resources:
+        nums, d = net._table_numerators(r)
+        tables.append((nums, [len(a) for a in r.input_alphabets + r.output_alphabets],
+                       (*(("x", r.id, q) for q in r.parties),
+                        *(("a", r.id, q) for q in r.parties))))
+        den *= d
+    sizes = {l: n for _, shape, labels in tables for l, n in zip(labels, shape)}
+    sizes.update((l, n) for w, labels in wirings for l, n in zip(labels, w.shape))
+    kept = set(output)
+    bound = den * prod(n for l, n in sizes.items() if l not in kept)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    operands = [(np.array(nums, dtype=dtype).reshape(shape), labels)
+                for nums, shape, labels in tables]
+    operands += [(w.astype(dtype, copy=False), labels) for w, labels in wirings]
+    return _contract(operands, output).reshape(-1).tolist(), den
+
+
+def _refuse_unchecked(net: Network) -> None:
+    unchecked = [r.id for r in net.resources if not r.nonsignaling_checked]
+    if unchecked:
+        raise NetworkError(
+            f"resources {unchecked} are not verified nonsignaling; pass "
+            f"allow_unnormalized=True to evaluate anyway")
+
+
+def _require_normalized(settings: tuple[Symbol, ...], num: int, den: int) -> None:
+    if num != den:
+        raise NetworkError(
+            f"transcript distribution at settings {settings} sums to "
+            f"{Fraction(num, den)}, not 1 — the wiring is inconsistent")
+
+
 def joint_distribution(
     net: Network,
     settings: Sequence[Symbol],
     *,
     allow_unnormalized: bool = False,
 ) -> JointDistribution:
-    """Full transcript distribution at one settings tuple, by enumeration
-    over every resource's output space (exponential in m; intended for
-    desk-scale networks).
+    """Full transcript distribution at one settings tuple: the network's
+    contraction with the settings fixed, every resource output kept and
+    the outcomes summed out.
 
     Verifies the total is exactly 1.  Networks containing a resource that
     has not passed the nonsignaling check are refused unless
@@ -290,50 +448,47 @@ def joint_distribution(
     wirings, whose "distributions" can sum to something else.
     """
     settings = net._check_settings(settings)
-    unchecked = [r.id for r in net.resources if not r.nonsignaling_checked]
-    if unchecked and not allow_unnormalized:
-        raise NetworkError(
-            f"resources {unchecked} are not verified nonsignaling; pass "
-            f"allow_unnormalized=True to evaluate anyway")
-    table: dict[OutputAssignment, Fraction] = {}
-    total = Fraction(0)
-    for outputs in net.output_assignments():
-        v = joint_probability(net, settings, outputs)
-        table[outputs] = v
-        total += v
-    if not allow_unnormalized and total != 1:
-        raise NetworkError(
-            f"transcript distribution at settings {settings} sums to {total}, "
-            f"not 1 — the wiring is inconsistent")
-    return JointDistribution(settings=settings, table=table, total=total)
+    if not allow_unnormalized:
+        _refuse_unchecked(net)
+    wirings = [(net._wiring(p)[net.settings_alphabets[p].values.index(s)].sum(axis=0),
+                net._wiring_labels(p)[2:])
+               for p, s in zip(net.parties, settings)]
+    output = [("a", r.id, q) for r in net.resources for q in r.parties]
+    nums, den = _contract_network(net, wirings, output)
+    total = sum(nums)
+    if not allow_unnormalized:
+        _require_normalized(settings, total, den)
+    zero = Fraction(0)
+    table = {outputs: Fraction(v, den) if v else zero
+             for outputs, v in zip(net.output_assignments(), nums)}
+    return JointDistribution(settings=settings, table=table, total=Fraction(total, den))
 
 
 def induced_behavior(net: Network) -> Behavior:
     """The network as seen from outside: settings in, binned outcomes out.
 
-    Enumerates every settings tuple, regroups each transcript by party,
-    then bins.  The result is constructed as a full resource over the
+    One contraction keeps every party's setting and outcome open; each
+    settings tuple's column is asserted to sum to exactly 1, in settings
+    order.  The result is constructed as a full resource over the
     parties, which re-runs the nonsignaling validator — so the theorem
     that wired nonsignaling resources stay nonsignaling is checked, not
     trusted, on every call.
     """
-    in_alphas = [net.settings_alphabets[p] for p in net.parties]
-    out_alphas = [net.outcome_alphabet(p) for p in net.parties]
+    _refuse_unchecked(net)
+    wirings = [(net._wiring(p), net._wiring_labels(p)) for p in net.parties]
+    output = [("s", p) for p in net.parties] + [("o", p) for p in net.parties]
+    nums, den = _contract_network(net, wirings, output)
+    outcomes = list(product(*(net.outcome_alphabet(p).values for p in net.parties)))
+    width = len(outcomes)
     table: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
-    for settings in net.settings_space():
-        jd = joint_distribution(net, settings)
-        column: dict[tuple[Symbol, ...], Fraction] = {}
-        for outputs, v in jd.table.items():
-            if v == 0:
-                continue
-            outcome = tuple(
-                net.outcome_of(p, settings[i], net._party_transcript(p, outputs))
-                for i, p in enumerate(net.parties)
-            )
-            column[outcome] = column.get(outcome, Fraction(0)) + v
-        table[settings] = column
+    for i, settings in enumerate(net.settings_space()):
+        row = nums[i * width:(i + 1) * width]
+        _require_normalized(settings, sum(row), den)
+        table[settings] = {o: Fraction(v, den) for o, v in zip(outcomes, row) if v}
     return NonsignalingResource.make(
-        f"behavior({net.name})", net.parties, in_alphas, out_alphas, table)
+        f"behavior({net.name})", net.parties,
+        [net.settings_alphabets[p] for p in net.parties],
+        [net.outcome_alphabet(p) for p in net.parties], table)
 
 
 def marginal_without_party(net: Network, p: Party) -> Behavior:

@@ -15,6 +15,7 @@ a signaling table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -47,7 +48,7 @@ def frac(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def as_probability(value: int | str | Fraction) -> Fraction:
@@ -58,14 +59,28 @@ def as_probability(value: int | str | Fraction) -> Fraction:
     return f
 
 
+def _symbol(value) -> Symbol:
+    """An alphabet symbol as an ``int``: anything ``operator.index``
+    accepts except ``bool``."""
+    if not isinstance(value, bool):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise ValueError(f"alphabet symbol {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered finite set of symbols (small non-negative integers)."""
+    """An ordered finite set of symbols (small non-negative integers).
+
+    Each symbol is stored as an ``int``; a value that is not an integer,
+    or is a ``bool``, raises ``ValueError``."""
 
     values: tuple[Symbol, ...]
 
     def __post_init__(self):
-        vals = tuple(self.values)
+        vals = tuple(_symbol(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("alphabet must be non-empty")
@@ -288,12 +303,13 @@ class NonsignalingResource:
     def _normalize_table(self, table) -> dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]]:
         out_space = list(self.output_space())
         out_set = set(out_space)
+        zero = Fraction(0)
         raw = {_key_tuple(x): entries for x, entries in table.items()}
         normalized: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
         for x in self.input_space():
             if x not in raw:
                 raise TableError(f"resource {self.id!r}: missing input tuple {x}")
-            column: dict[tuple[Symbol, ...], Fraction] = {a: Fraction(0) for a in out_space}
+            entries: dict[tuple[Symbol, ...], Fraction] = {}
             for a, value in raw[x].items():
                 a = _key_tuple(a)
                 if a not in out_set:
@@ -301,15 +317,17 @@ class NonsignalingResource:
                         f"resource {self.id!r}: output tuple {a} at input {x} "
                         f"is outside the output alphabets")
                 try:
-                    column[a] = as_probability(value)
+                    entries[a] = as_probability(value)
                 except (ValueError, TypeError) as exc:
                     raise TableError(
                         f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
                     ) from exc
-            total = sum(column.values())
+            total = sum(v for v in entries.values() if v)
             if total != 1:
                 raise TableError(
                     f"resource {self.id!r}: column at input {x} sums to {total}, not 1")
+            column = dict.fromkeys(out_space, zero)
+            column.update(entries)
             normalized[x] = column
         extra = set(raw) - set(normalized)
         if extra:
@@ -423,7 +441,7 @@ def validate_nonsignaling(r: NonsignalingResource) -> ValidationReport:
     for x in r.input_space():
         if x not in r.table:
             return ValidationReport.fail([f"missing input tuple {x}"])
-        total = sum(r.table[x].values())
+        total = sum(v for v in r.table[x].values() if v)
         if total != 1:
             return ValidationReport.fail([f"column at input {x} sums to {total}, not 1"])
         for a, v in r.table[x].items():

@@ -231,6 +231,12 @@ def _non_integer_key(tmp_path):
     return ["decompose", _write(tmp_path / "r.json", r)]
 
 
+def _non_integer_symbol(tmp_path):
+    r = _pr_ab()
+    r["inputs"][r["parties"][0]] = [0, 1.5]
+    return ["decompose", _write(tmp_path / "r.json", r)]
+
+
 def _list_behavior(tmp_path):
     return ["ineq", "eval", "--ineq", "mao", "--behavior",
             _write(tmp_path / "b.json", [_pr_ab()])]
@@ -255,8 +261,8 @@ def _write(path, data) -> str:
 
 
 @pytest.mark.parametrize("make_argv", [
-    _bad_fraction, _top_level_list, _non_integer_key, _list_behavior,
-    _non_integer_outcome,
+    _bad_fraction, _top_level_list, _non_integer_key, _non_integer_symbol,
+    _list_behavior, _non_integer_outcome,
 ])
 def test_malformed_input_exits_two(tmp_path, capsys, make_argv):
     assert main(make_argv(tmp_path)) == 2

@@ -1,0 +1,302 @@
+"""Differential tests of the tensor contraction against the transcript
+enumerator it replaced.
+
+The reference functions below are the earlier implementations of
+``joint_distribution`` (one ``joint_probability`` per complete output
+assignment) and ``induced_behavior`` (that enumeration at every settings
+tuple, regrouped by party and binned).  On seeded networks from the
+``netgen`` corpora, binned and unbinned, with labeled and default-labeled
+trees, on PR-box chains and on the paradox, the contraction must give the
+same behavior tables, the same joint tables in the same key order, the
+same totals and the same error text.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from boxnet.network import (
+    JointDistribution,
+    Network,
+    NetworkError,
+    induced_behavior,
+    joint_distribution,
+    joint_probability,
+)
+from boxnet.resource import (
+    Alphabet,
+    NonsignalingResource,
+    make_pr_box,
+    make_shared_randomness,
+)
+from boxnet.wiring import DecisionTree, Internal, Node, Terminal
+
+from netgen import (
+    BITS,
+    paradox_network,
+    random_mixture_resource,
+    random_network,
+    random_small_network,
+    random_tree,
+    random_wired_pairwise_network,
+    worked_network,
+)
+
+CASES = 20
+
+
+# -- reference enumerator ---------------------------------------------------------
+
+
+def reference_joint(net: Network, settings, *, allow_unnormalized=False) -> JointDistribution:
+    settings = net._check_settings(settings)
+    unchecked = [r.id for r in net.resources if not r.nonsignaling_checked]
+    if unchecked and not allow_unnormalized:
+        raise NetworkError(
+            f"resources {unchecked} are not verified nonsignaling; pass "
+            f"allow_unnormalized=True to evaluate anyway")
+    table = {}
+    total = Fraction(0)
+    for outputs in net.output_assignments():
+        v = joint_probability(net, settings, outputs)
+        table[outputs] = v
+        total += v
+    if not allow_unnormalized and total != 1:
+        raise NetworkError(
+            f"transcript distribution at settings {settings} sums to {total}, "
+            f"not 1 — the wiring is inconsistent")
+    return JointDistribution(settings=settings, table=table, total=total)
+
+
+def reference_behavior(net: Network) -> NonsignalingResource:
+    table = {}
+    for settings in net.settings_space():
+        jd = reference_joint(net, settings)
+        column = {}
+        for outputs, v in jd.table.items():
+            if v == 0:
+                continue
+            outcome = tuple(
+                net.outcome_of(p, settings[i], net._party_transcript(p, outputs))
+                for i, p in enumerate(net.parties))
+            column[outcome] = column.get(outcome, Fraction(0)) + v
+        table[settings] = column
+    return NonsignalingResource.make(
+        f"behavior({net.name})", net.parties,
+        [net.settings_alphabets[p] for p in net.parties],
+        [net.outcome_alphabet(p) for p in net.parties], table)
+
+
+def assert_same_joint(net: Network, settings, **kw) -> None:
+    got = joint_distribution(net, settings, **kw)
+    ref = reference_joint(net, settings, **kw)
+    assert got.settings == ref.settings
+    assert list(got.table.items()) == list(ref.table.items())
+    assert got.total == ref.total
+
+
+def assert_same_behavior(net: Network) -> None:
+    got = induced_behavior(net)
+    ref = reference_behavior(net)
+    assert got.id == ref.id and got.parties == ref.parties
+    assert got.same_table(ref)
+
+
+def assert_agrees(net: Network) -> None:
+    for settings in net.settings_space():
+        assert_same_joint(net, settings)
+    assert_same_behavior(net)
+
+
+def fresh(net: Network, **changes) -> Network:
+    """The same network rebuilt (no caches), with some fields replaced."""
+    fields = dict(parties=net.parties, resources=net.resources, trees=net.trees,
+                  settings_alphabets=net.settings_alphabets, bins=net.bins or None,
+                  name=net.name)
+    fields.update(changes)
+    return Network(**fields)
+
+
+def labeled(tree: DecisionTree, rng: random.Random) -> DecisionTree:
+    """The tree with a random label from {0, 2, 5} on every terminal, so
+    the outcome alphabet can have gaps and labels depend on the setting."""
+    def walk(node: Node) -> Node:
+        if isinstance(node, Terminal):
+            return Terminal(rng.choice((0, 2, 5)))
+        return Internal(node.resource_choice, node.input_choice,
+                        {o: walk(c) for o, c in node.children.items()})
+
+    return DecisionTree(tree.party, {s: walk(n) for s, n in tree.root.items()},
+                        tree.resource_scope)
+
+
+def pr_chain(k: int, rng: random.Random) -> Network:
+    """k PR-class boxes on a line of k + 1 parties; each inner party feeds
+    its left box's output into its right box."""
+    parties = [f"P{i}" for i in range(k + 1)]
+    boxes = [make_pr_box(id=f"B{i}", parties=(parties[i], parties[i + 1]),
+                         alpha=rng.randint(0, 1), beta=rng.randint(0, 1),
+                         gamma=rng.randint(0, 1)) for i in range(k)]
+
+    def consult(rid, inp, then):
+        return Internal(rid, inp, {o: then(o) for o in (0, 1)})
+
+    trees = {}
+    for i, p in enumerate(parties):
+        left, right = f"B{i - 1}", f"B{i}"
+        if 0 < i < k:
+            root = {s: consult(left, s, lambda o: consult(right, o, lambda _: Terminal()))
+                    for s in (0, 1)}
+        else:
+            root = {s: consult(right if i == 0 else left, s, lambda _: Terminal())
+                    for s in (0, 1)}
+        trees[p] = DecisionTree(p, root, frozenset({left, right} & {b.id for b in boxes}))
+    return Network(parties, boxes, trees, {p: BITS for p in parties}, name=f"chain{k}")
+
+
+# -- corpora ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_random_networks_binned_and_unbinned(case):
+    net = random_network(random.Random(9100 + case), f"rnd{case}")
+    assert_agrees(net)
+    if net.bins:
+        assert_agrees(fresh(net, bins=None))
+
+
+def test_small_and_pairwise_networks():
+    for case in range(CASES):
+        assert_agrees(random_small_network(random.Random(9200 + case), f"small{case}"))
+    for case in range(CASES // 2):
+        pair = random_wired_pairwise_network(random.Random(9300 + case), f"pair{case}")
+        assert_same_joint(pair, (case % 2, 1, 0))
+        assert_same_behavior(pair)
+
+
+def test_labeled_and_default_labeled_trees():
+    rng = random.Random(9400)
+    worked = worked_network()
+    assert_agrees(worked)
+    assert_agrees(fresh(worked, trees={p: labeled(t, rng) for p, t in worked.trees.items()}))
+    for case in range(CASES):
+        net = random_network(random.Random(9500 + case), f"lab{case}", with_bins=False)
+        assert_agrees(fresh(net, trees={p: labeled(t, rng) for p, t in net.trees.items()}))
+
+
+def test_alphabets_with_gaps():
+    rng = random.Random(9600)
+    g = random_mixture_resource(rng, "g", ("A", "B"), in_sizes=[2, 2], out_sizes=[3, 2])
+    shifted = {(2 * x + 1, y): {(3 * a, b + 4): v for (a, b), v in col.items()}
+               for (x, y), col in g.table.items()}
+    g = NonsignalingResource.make(
+        "g", ("A", "B"), [Alphabet((1, 3)), Alphabet((0, 1))],
+        [Alphabet((0, 3, 6)), Alphabet((4, 5))], shifted)
+    coin = make_shared_randomness(("A",), {(7,): "1/3", (9,): "2/3"}, id="c")
+    resources = {"g": g, "c": coin}
+    settings = {"A": Alphabet((2, 5)), "B": Alphabet((0, 8))}
+    trees = {p: random_tree(rng, p, {rid for rid, r in resources.items() if p in r.parties},
+                            settings[p].values, resources) for p in ("A", "B")}
+    assert_agrees(Network(("A", "B"), [g, coin], trees, settings, name="gaps"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pr_chains(k):
+    net = pr_chain(k, random.Random(9700 + k))
+    assert_same_behavior(net)
+    assert_same_joint(net, (1,) * (k + 1))
+
+
+# -- paradox and inconsistent wiring ------------------------------------------------
+
+
+def test_paradox_joint_unnormalized():
+    net = paradox_network()
+    assert_same_joint(net, (0, 0), allow_unnormalized=True)
+    for run in (joint_distribution, reference_joint):
+        with pytest.raises(NetworkError, match="allow_unnormalized"):
+            run(net, (0, 0))
+    with pytest.raises(NetworkError, match="allow_unnormalized"):
+        induced_behavior(net)
+
+
+def forged_paradox() -> Network:
+    """The paradox's signaling boxes flagged as checked, and a setting 1
+    for A that consults them in a fixed order: settings (0, 0) are
+    normalized, (1, 0) are the first that are not."""
+    net = paradox_network()
+    for r in net.resources:
+        r.nonsignaling_checked = True
+    alice = net.trees["A"]
+    fixed = Internal("W1", 0, {o: Internal("W2", 0, {0: Terminal(), 1: Terminal()})
+                               for o in (0, 1)})
+    trees = {**net.trees, "A": DecisionTree("A", {0: fixed, 1: alice.root[0]},
+                                            alice.resource_scope)}
+    return fresh(net, trees=trees, settings_alphabets={"A": BITS, "B": Alphabet((0,))})
+
+
+def test_inconsistent_wiring_error_text():
+    net = forged_paradox()
+    assert_same_joint(net, (0, 0))
+    assert_same_joint(net, (1, 0), allow_unnormalized=True)
+    messages = []
+    for run in (joint_distribution, reference_joint, lambda n, _: induced_behavior(n),
+                lambda n, _: reference_behavior(n)):
+        with pytest.raises(NetworkError) as err:
+            run(fresh(net), (1, 0))
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    assert "at settings (1, 0) sums to 0" in messages[0]
+
+
+# -- no label cap, exact big integers ------------------------------------------------
+
+
+def test_more_labels_than_einsum_letters():
+    """11 parties share a coin; each feeds its coin output into three
+    private boxes.  With the three inputs, the coin output and the outcome
+    of every party, the network has 55 indices of size 2, beyond the 52
+    that one ``np.einsum`` call can name."""
+    parties = [f"P{i:02d}" for i in range(11)]
+    one, bits = Alphabet((0,)), BITS
+    coin = NonsignalingResource.make(
+        "coin", parties, [one] * 11, [bits] * 11,
+        {(0,) * 11: {(0,) * 11: Fraction(1, 3), (1,) * 11: Fraction(2, 3)}})
+    resources = [coin]
+    trees = {}
+    for p in parties:
+        u, v, w = (NonsignalingResource.make(f"{p}{k}", [p], [bits], [one],
+                                             {(0,): {(0,): 1}, (1,): {(0,): 1}})
+                   for k in "uvw")
+        resources += [u, v, w]
+        trees[p] = DecisionTree(p, {0: Internal("coin", 0, {
+            o: Internal(u.id, o, {0: Internal(v.id, 1 - o, {0: Internal(w.id, o, {
+                0: Terminal()})})}) for o in (0, 1)})},
+            frozenset({"coin", u.id, v.id, w.id}))
+    net = Network(parties, resources, trees, {p: one for p in parties}, name="wide")
+    labels = {lab for p in parties for lab, n in zip(net._wiring_labels(p), net._wiring(p).shape)
+              if n > 1}
+    assert len(labels) == 55
+    assert_agrees(net)
+
+
+def test_denominators_beyond_int64():
+    """Coins with prime denominators 2**31 - 1 and 2**61 - 1: products of
+    their numerators leave int64, so the contraction runs on Python ints."""
+    p31, p61 = 2 ** 31 - 1, 2 ** 61 - 1
+    a = make_shared_randomness(("A",), {(0,): Fraction(1, p31), (1,): 1 - Fraction(1, p31)},
+                               id="a")
+    b = make_shared_randomness(("A", "B"), {(0, 0): Fraction(5, p61),
+                                            (1, 1): 1 - Fraction(5, p61)}, id="b")
+    g = make_pr_box(id="g", parties=("A", "B"))
+    resources = {"a": a, "b": b, "g": g}
+    rng = random.Random(9800)
+    trees = {p: random_tree(rng, p, {rid for rid, r in resources.items() if p in r.parties},
+                            (0, 1), resources) for p in ("A", "B")}
+    net = Network(("A", "B"), [a, b, g], trees, {"A": BITS, "B": BITS}, name="primes")
+    assert p31 * p61 * 2 > 2 ** 63
+    assert_agrees(net)
+    beh = induced_behavior(net)
+    assert any(v.denominator % (p31 * p61) == 0 for col in beh.table.values() for v in col.values())

@@ -45,6 +45,18 @@ def test_frac_rejects_floats():
     assert frac(2) == 2
 
 
+def test_alphabet_symbols_are_integers():
+    class Index:
+        def __index__(self):
+            return 3
+
+    assert Alphabet((0, Index())).values == (0, 3)
+    assert type(Alphabet((Index(),)).values[0]) is int
+    for bad in (1.5, 1.0, "1", True, None):
+        with pytest.raises(ValueError, match="not an integer"):
+            Alphabet((0, bad))
+
+
 def test_pr_box_is_nonsignaling_by_direct_summation():
     pr = make_pr_box()
     report = validate_nonsignaling(pr)
