@@ -20,6 +20,8 @@ from functools import cache
 from itertools import product
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from boxnet.linprog import FarkasInfeasible, Feasible, solve_feasibility
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
@@ -28,6 +30,7 @@ from boxnet.resource import (
     Party,
     Symbol,
     _align,
+    _Tensor,
     make_local_deterministic,
     make_pr_box,
     validate_nonsignaling,
@@ -80,7 +83,7 @@ class VertexSet:
     def check_distinct(self) -> None:
         for i, v in enumerate(self.vertices):
             for w in self.vertices[i + 1:]:
-                if v.table == w.table:
+                if v.same_table(w):
                     raise ValueError(f"vertices {v.id!r} and {w.id!r} have equal tables")
 
     def __len__(self) -> int:
@@ -198,9 +201,7 @@ def decompose_extremal(
         if r.same_table(v):
             return Mixture([(Fraction(1), v)])
 
-    inputs = list(r.input_space())
-    outputs = list(r.output_space())
-    row_keys = [(x, a) for x in inputs for a in outputs]
+    row_keys = [(x, a) for x in r.input_space() for a in r.output_space()]
     rows = [[v.table[x][a] for v in vs.vertices] for (x, a) in row_keys]
     rhs = [r.table[x][a] for (x, a) in row_keys]
     rows.append([Fraction(1)] * len(vs.vertices))
@@ -209,12 +210,11 @@ def decompose_extremal(
     res = solve_feasibility(rows, rhs)
     if isinstance(res, Feasible):
         components = [(w, v) for w, v in zip(res.solution, vs.vertices) if w > 0]
-        for x in inputs:
-            for a in outputs:
-                got = sum(w * v.table[x][a] for w, v in components)
-                if got != r.table[x][a]:
-                    raise AssertionError(
-                        f"reconstruction mismatch at {x},{a}: {got} != {r.table[x][a]}")
+        for x, a in row_keys:
+            got = sum(w * v.table[x][a] for w, v in components)
+            if got != r.table[x][a]:
+                raise AssertionError(
+                    f"reconstruction mismatch at {x},{a}: {got} != {r.table[x][a]}")
         return Mixture(components)
 
     y = res.certificate
@@ -256,13 +256,10 @@ def _assert_mixture_matches(net: Network, mix: Mixture) -> None:
     target = _behavior_support(induced_behavior(net))
     got: dict = {x: {} for x in target}
     for w, comp in mix:
-        beh = induced_behavior(comp)
-        for x, col in beh.table.items():
+        for x, col in _behavior_support(induced_behavior(comp)).items():
             for a, v in col.items():
-                if v != 0:
-                    got[x][a] = got[x].get(a, Fraction(0)) + w * v
-    cleaned = {x: {a: v for a, v in col.items() if v != 0} for x, col in got.items()}
-    if cleaned != target:
+                got[x][a] = got[x].get(a, 0) + w * v
+    if got != target:
         raise AssertionError("mixture behavior differs from the original network")
 
 
@@ -349,8 +346,8 @@ def expand_to_extremal_mixture(
                 f"(separated by a functional with gap "
                 f"{res.value - res.threshold})") from None
         per_resource.append([
-            (w, NonsignalingResource.make(r.id, r.parties, v.input_alphabets,
-                                          v.output_alphabets, v.table))
+            (w, NonsignalingResource.make(r.id, r.parties, v.input_alphabets, v.output_alphabets,
+                                          _Tensor(v.numerators, v.denominator)))
             for w, v in res
         ])
 
@@ -374,19 +371,18 @@ def expand_to_extremal_mixture(
 
 
 def _deterministic_functions(r: NonsignalingResource) -> dict[Party, dict[Symbol, Symbol]] | None:
-    """For a resource whose every column is a point mass, the per-party
-    functions input -> output (a nonsignaling deterministic table is
-    always such a product).  None if the table is not deterministic."""
+    """For a resource whose every column is a point mass (exactly the
+    tables with denominator 1), the per-party functions input -> output
+    (a nonsignaling deterministic table is always such a product).  None
+    if the table is not deterministic."""
+    if r.denominator != 1:
+        return None
+    n = len(r.parties)
     fns: dict[Party, dict[Symbol, Symbol]] = {p: {} for p in r.parties}
-    for x in r.input_space():
-        hits = [a for a, v in r.table[x].items() if v != 0]
-        if len(hits) != 1 or r.table[x][hits[0]] != 1:
-            return None
+    for hit in np.argwhere(r.numerators).tolist():
         for i, p in enumerate(r.parties):
-            seen = fns[p].get(x[i])
-            if seen is None:
-                fns[p][x[i]] = hits[0][i]
-            elif seen != hits[0][i]:
+            out = r.output_alphabets[i].values[hit[n + i]]
+            if fns[p].setdefault(r.input_alphabets[i].values[hit[i]], out) != out:
                 # Output depends on someone else's input: signaling table.
                 return None
     return fns

@@ -102,8 +102,10 @@ class FloatBehavior:
             if abs(s - 1) > ATOL_NORM:
                 raise TableError(f"column {ctx} sums to {s}, not 1")
         self.table = full
+        probs = np.array([list(col.values()) for col in full.values()]).reshape(
+            [len(a) for a in self.input_alphabets + self.output_alphabets])
         witness = _one_party_witness(self.parties, self.input_alphabets,
-                                     self.table, ATOL_NS)
+                                     self.output_alphabets, probs, float, ATOL_NS)
         if witness is not None:
             raise SignalingError(
                 f"float behavior {self.id!r} is signaling: {witness}")

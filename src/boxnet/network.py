@@ -11,7 +11,7 @@ nonsignaling resources it always holds, and a deliberately signaling
 counterexample shows up as a total different from one.
 
 That product is a tensor network.  Each resource is an integer tensor
-R_r[x_r, a_r] (numerators over the table's common denominator), each
+R_r[x_r, a_r] (its stored numerators over its denominator), each
 party a 0/1 wiring tensor W_p[s_p, o_p, x_p, a_p] that is 1 where p's tree,
 at setting s_p and with outputs a_p, hands the inputs x_p to its
 resources and yields the outcome o_p.  The joint distribution and the
@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
+    _Tensor,
 )
 from boxnet.resource import marginal as resource_marginal
 from boxnet.wiring import (
@@ -190,7 +191,6 @@ class Network:
         }
         self._trace_cache: dict[tuple[Party, Symbol, Transcript], PathTrace] = {}
         self._wirings: dict[Party, np.ndarray] = {}
-        self._numerators: dict[str, tuple[list[int], int]] = {}
 
     @staticmethod
     def _tree_is_labeled(t: DecisionTree) -> bool:
@@ -261,18 +261,6 @@ class Network:
         rids = self._scope_sorted[p]
         return (("s", p), ("o", p), *(("x", rid, p) for rid in rids),
                 *(("a", rid, p) for rid in rids))
-
-    def _table_numerators(self, r: NonsignalingResource) -> tuple[list[int], int]:
-        """r's table as integer numerators in C order over [x..., a...]
-        (alphabet positions) and their common denominator."""
-        hit = self._numerators.get(r.id)
-        if hit is None:
-            out_space = list(r.output_space())
-            cells = [r.table[x][a] for x in r.input_space() for a in out_space]
-            den = lcm(*(v.denominator for v in cells))
-            hit = [v.numerator * (den // v.denominator) for v in cells], den
-            self._numerators[r.id] = hit
-        return hit
 
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
         """The party's final outcome for a transcript: the bin when one is
@@ -386,34 +374,28 @@ def _contract_network(
     net: Network,
     wirings: Sequence[tuple[np.ndarray, tuple]],
     output: Sequence,
-) -> tuple[list[int], int]:
+) -> _Tensor:
     """Sum over every label not in ``output`` of the product of all
     resource tables and the given wiring tensors: exact integer
-    numerators in C order over ``output``, and their denominator, the
-    product of the tables' denominators.
+    numerators with one axis per ``output`` label, and their denominator,
+    the product of the tables' denominators.
 
     Resource r's axes are labelled ("x", r.id, q) and ("a", r.id, q) for
     its members q.  No entry of any intermediate exceeds the product of
     the denominators times the product of the summed labels' sizes; int64
     is used when that bound is below 2**63, exact Python ints otherwise.
     """
-    tables = []
-    den = 1
-    for r in net.resources:
-        nums, d = net._table_numerators(r)
-        tables.append((nums, [len(a) for a in r.input_alphabets + r.output_alphabets],
-                       (*(("x", r.id, q) for q in r.parties),
-                        *(("a", r.id, q) for q in r.parties))))
-        den *= d
-    sizes = {l: n for _, shape, labels in tables for l, n in zip(labels, shape)}
-    sizes.update((l, n) for w, labels in wirings for l, n in zip(labels, w.shape))
+    operands = [(r.numerators, (*(("x", r.id, q) for q in r.parties),
+                                *(("a", r.id, q) for q in r.parties)))
+                for r in net.resources]
+    operands += wirings
+    den = prod(r.denominator for r in net.resources)
+    sizes = {l: n for arr, labels in operands for l, n in zip(labels, arr.shape)}
     kept = set(output)
     bound = den * prod(n for l, n in sizes.items() if l not in kept)
     dtype = np.int64 if bound < 2 ** 63 else object
-    operands = [(np.array(nums, dtype=dtype).reshape(shape), labels)
-                for nums, shape, labels in tables]
-    operands += [(w.astype(dtype, copy=False), labels) for w, labels in wirings]
-    return _contract(operands, output).reshape(-1).tolist(), den
+    operands = [(arr.astype(dtype, copy=False), labels) for arr, labels in operands]
+    return _Tensor(_contract(operands, output), den)
 
 
 def _refuse_unchecked(net: Network) -> None:
@@ -455,6 +437,7 @@ def joint_distribution(
                for p, s in zip(net.parties, settings)]
     output = [("a", r.id, q) for r in net.resources for q in r.parties]
     nums, den = _contract_network(net, wirings, output)
+    nums = nums.reshape(-1).tolist()
     total = sum(nums)
     if not allow_unnormalized:
         _require_normalized(settings, total, den)
@@ -477,18 +460,15 @@ def induced_behavior(net: Network) -> Behavior:
     _refuse_unchecked(net)
     wirings = [(net._wiring(p), net._wiring_labels(p)) for p in net.parties]
     output = [("s", p) for p in net.parties] + [("o", p) for p in net.parties]
-    nums, den = _contract_network(net, wirings, output)
-    outcomes = list(product(*(net.outcome_alphabet(p).values for p in net.parties)))
-    width = len(outcomes)
-    table: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
-    for i, settings in enumerate(net.settings_space()):
-        row = nums[i * width:(i + 1) * width]
-        _require_normalized(settings, sum(row), den)
-        table[settings] = {o: Fraction(v, den) for o, v in zip(outcomes, row) if v}
+    behavior = _contract_network(net, wirings, output)
+    width = prod(len(net.outcome_alphabet(p)) for p in net.parties)
+    totals = behavior.numerators.reshape(-1, width).sum(axis=1).tolist()
+    for settings, total in zip(net.settings_space(), totals):
+        _require_normalized(settings, total, behavior.denominator)
     return NonsignalingResource.make(
         f"behavior({net.name})", net.parties,
         [net.settings_alphabets[p] for p in net.parties],
-        [net.outcome_alphabet(p) for p in net.parties], table)
+        [net.outcome_alphabet(p) for p in net.parties], behavior)
 
 
 def marginal_without_party(net: Network, p: Party) -> Behavior:
@@ -566,10 +546,8 @@ def check_disjoint_factorization(net_a: Network, net_b: Network) -> ValidationRe
     part_b = induced_behavior(net_b)
     na = len(net_a.parties)
     for x, column in whole.table.items():
-        xa, xb = x[:na], x[na:]
         for outcome, v in column.items():
-            oa, ob = outcome[:na], outcome[na:]
-            expected = part_a.prob(xa, oa) * part_b.prob(xb, ob)
+            expected = part_a.prob(x[:na], outcome[:na]) * part_b.prob(x[na:], outcome[na:])
             if v != expected:
                 return ValidationReport.fail([
                     f"joint {v} != product {expected} at settings {x}, "
@@ -629,8 +607,8 @@ def relabel_network(
     for r in net.resources:
         ctor = (NonsignalingResource.make if r.nonsignaling_checked
                 else NonsignalingResource.new_unchecked)
-        resources.append(ctor(rr(r.id), [rp(q) for q in r.parties],
-                              r.input_alphabets, r.output_alphabets, r.table))
+        resources.append(ctor(rr(r.id), [rp(q) for q in r.parties], r.input_alphabets,
+                              r.output_alphabets, _Tensor(r.numerators, r.denominator)))
 
     def rebuild(node: Node) -> Node:
         if isinstance(node, Terminal):

@@ -1,8 +1,10 @@
 """Exact multiparty conditional probability tables ("boxes").
 
 A resource is a family of output distributions R(a_1..a_n | x_1..x_n)
-indexed by the parties' inputs, stored with exact rational probabilities
-(`fractions.Fraction` end to end; no floats ever enter this module).
+indexed by the parties' inputs, with exact rational probabilities (no
+floats ever enter this module).  It is stored as one integer array of
+numerators, indexed [x_1..x_n, a_1..a_n] by alphabet position, over one
+common denominator; every scan, marginal and contraction reads that array.
 
 The load-bearing property is the one-party nonsignaling condition: for
 every party j, summing out party j's output must give the same result no
@@ -18,11 +20,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, islice, product
+from math import gcd, lcm, prod
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 Symbol = int
 Party = str
+
+_INT64 = 2 ** 63
 
 
 class TableError(ValueError):
@@ -164,88 +171,113 @@ def _align(parties: Sequence[Party], alphabets) -> tuple[Alphabet, ...]:
     return tuple(a if isinstance(a, Alphabet) else Alphabet(tuple(a)) for a in seq)
 
 
-def _project(column: Mapping[tuple, object], idx: Sequence[int]) -> dict[tuple, object]:
-    """Marginal of one table column on the output positions ``idx``.
+class _Tensor(NamedTuple):
+    """A table as integer numerators, indexed [x_1..x_n, a_1..a_n] by
+    alphabet position, over one denominator."""
 
-    Keys keep the order in which they first occur in the column; zero
-    entries add nothing, so an exact column costs no Fraction addition for
-    them.
-    """
-    marg = {}
-    for a, v in column.items():
-        key = tuple([a[i] for i in idx])
-        if key in marg:
-            if v:
-                marg[key] += v
-        else:
-            marg[key] = v
-    return marg
+    numerators: np.ndarray
+    denominator: int
 
 
-def _first_signal(table, input_alphabets, movers, watched, atol=0):
+def _symbols(alphabets: Sequence[Alphabet], idx: Sequence[int],
+             positions: Sequence[int]) -> tuple[Symbol, ...]:
+    """The symbols of the parties ``idx`` at their entries of the full
+    alphabet-position tuple ``positions``."""
+    return tuple(alphabets[i].values[positions[i]] for i in idx)
+
+
+def _first_signal(arr: np.ndarray, movers: Sequence[int], watched: Sequence[int], atol=0):
     """First place where the ``watched`` positions' output marginal changes
     with the ``movers``' inputs, every other input held fixed.
 
-    ``input_alphabets`` lists the symbols each input position ranges over.
-    Contexts of the other positions run in ``product`` order and, within a
-    context, every choice of the movers' inputs is compared with the first.
-    Returns ``(x0, x1, outputs, (v0, v1))``: two full input tuples that
-    differ only at the movers, and the watched outputs whose marginal is
-    ``v0`` at ``x0`` and ``v1`` at ``x1``; or None.  Exact values are
-    compared with ``!=``; with ``atol`` > 0 two values differ when they are
-    more than ``atol`` apart.
+    ``arr`` has axes [x_1..x_n, a_1..a_n] by alphabet position.  The
+    unwatched outputs are summed out, the mover axes moved after the other
+    (context) inputs, and each choice of the movers' inputs compared with
+    the first; the first difference in C order wins.  Returns ``(x0, x1,
+    outputs, (v0, v1))`` as full alphabet-position tuples (unwatched
+    outputs at 0), or None.  Values differ by ``!=``, or by more than
+    ``atol``.
     """
-    mover_space = list(product(*(input_alphabets[i] for i in movers)))
-    if len(mover_space) < 2:
+    n = arr.ndim // 2
+    unwatched = tuple(n + i for i in range(n) if i not in watched)
+    marg = arr.sum(axis=unwatched) if unwatched else arr
+    fixed = [i for i in range(n) if i not in movers]
+    marg = marg.transpose(fixed + list(movers) + list(range(n, marg.ndim)))
+    ctx_shape, mover_shape, out_shape = (marg.shape[:len(fixed)], marg.shape[len(fixed):n],
+                                         marg.shape[n:])
+    marg = marg.reshape(prod(ctx_shape), prod(mover_shape), prod(out_shape))
+    if marg.shape[1] < 2:
         return None
-    fixed = [i for i in range(len(input_alphabets)) if i not in movers]
-    x = [0] * len(input_alphabets)
-    for ctx in product(*(input_alphabets[i] for i in fixed)):
-        for i, xi in zip(fixed, ctx):
-            x[i] = xi
-        base = None
-        for xm in mover_space:
-            for i, xi in zip(movers, xm):
-                x[i] = xi
-            marg = _project(table[tuple(x)], watched)
-            if base is None:
-                x0, base = tuple(x), marg
-                continue
-            for key, v in base.items():
-                w = marg[key]
-                if abs(w - v) > atol if atol else w != v:
-                    return x0, tuple(x), key, (v, w)
-    return None
+    base, rest = marg[:, :1], marg[:, 1:]
+    diff = (np.abs(rest - base) > atol if atol else rest != base).reshape(-1)
+    hit = int(diff.argmax())
+    if not diff[hit]:
+        return None
+    c, m, o = np.unravel_index(hit, rest.shape)
+    x0, outputs = [0] * n, [0] * n
+    for i, k in zip(fixed, np.unravel_index(c, ctx_shape)):
+        x0[i] = int(k)
+    x1 = list(x0)
+    for i, k in zip(movers, np.unravel_index(m + 1, mover_shape)):
+        x1[i] = int(k)
+    for i, k in zip(sorted(watched), np.unravel_index(o, out_shape)):
+        outputs[i] = int(k)
+    return x0, x1, outputs, (base[c, 0, o], rest[c, m, o])
 
 
-def _one_party_witness(parties, input_alphabets, table, atol=0) -> SignalingWitness | None:
-    """First violation of the one-party condition: for each party j in
-    order, party j's input moves and the other parties' outputs are
-    watched."""
-    alphabets = [a.values for a in input_alphabets]
+def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
+                       atol=0) -> SignalingWitness | None:
+    """First violation of the one-party condition in the table ``arr``: for
+    each party j in order, party j's input moves and the other parties'
+    outputs are watched.  ``value`` turns a scanned marginal into the
+    witness's value."""
     for j, party in enumerate(parties):
         others = [i for i in range(len(parties)) if i != j]
-        hit = _first_signal(table, alphabets, [j], others, atol)
+        hit = _first_signal(arr, [j], others, atol)
         if hit is not None:
-            x0, x1, outputs, values = hit
+            x0, x1, outputs, (v0, v1) = hit
             return SignalingWitness(
                 party=party,
-                context={parties[i]: x0[i] for i in others},
-                inputs=(x0[j], x1[j]),
-                outputs=outputs,
-                values=values,
+                context=dict(zip([parties[i] for i in others],
+                                 _symbols(input_alphabets, others, x0))),
+                inputs=(input_alphabets[j].values[x0[j]], input_alphabets[j].values[x1[j]]),
+                outputs=_symbols(output_alphabets, others, outputs),
+                values=(value(v0), value(v1)),
             )
     return None
+
+
+def _structure_problem(r: "NonsignalingResource") -> str | None:
+    """The first structural fault of r's numerators, columns in input order:
+    a column whose sum is not the denominator (checked first), else an
+    entry outside [0, denominator]."""
+    den = r.denominator
+    width = prod(len(a) for a in r.output_alphabets)
+    nums = r.numerators.reshape(-1, width)
+    sums = nums.sum(axis=1, dtype=object if den * width >= _INT64 else None)
+    bad_sum = sums != den
+    bad_entry = (nums < 0) | (nums > den)
+    bad = bad_sum | bad_entry.any(axis=1)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    x = next(islice(r.input_space(), i, None))
+    if bad_sum[i]:
+        return f"column at input {x} sums to {Fraction(int(sums[i]), den)}, not 1"
+    j = int(bad_entry[i].argmax())
+    a = next(islice(r.output_space(), j, None))
+    return f"entry at input {x}, output {a} is {Fraction(int(nums[i, j]), den)}"
 
 
 class NonsignalingResource:
     """An exact conditional probability table over an ordered party list.
 
-    ``table`` maps each full input tuple (aligned with ``parties``) to a
-    map from full output tuples to probabilities.  Tables are stored
-    *total*: at construction every output tuple of the product alphabet is
-    present, with absent outcomes padded to probability zero, so lookups
-    never need a default.
+    Stored as ``numerators``, one integer array indexed [x_1..x_n,
+    a_1..a_n] by alphabet position, over ``denominator``, the lcm of the
+    entries' denominators, so equal tables have equal arrays.  The array is
+    int64 when the denominator is below 2**63 (every marginal is a partial
+    column sum, at most the denominator), else Python ints.  ``table`` is
+    a derived read-only view: input tuple -> output tuple -> Fraction.
 
     Construction always verifies structure (totality, range, exact unit
     column sums) and, by default, the nonsignaling condition; use
@@ -253,8 +285,8 @@ class NonsignalingResource:
     (needed for grandfather-paradox counterexamples).
     """
 
-    __slots__ = ("id", "parties", "input_alphabets", "output_alphabets", "table",
-                 "nonsignaling_checked")
+    __slots__ = ("id", "parties", "input_alphabets", "output_alphabets", "numerators",
+                 "denominator", "_table", "nonsignaling_checked")
 
     def __init__(
         self,
@@ -274,7 +306,18 @@ class NonsignalingResource:
             raise ValueError(f"duplicate parties: {self.parties}")
         self.input_alphabets = _align(self.parties, input_alphabets)
         self.output_alphabets = _align(self.parties, output_alphabets)
-        self.table = self._normalize_table(table)
+        # Library-derived resources pass a _Tensor; reduce to the canonical denominator.
+        nums, den = table if isinstance(table, _Tensor) else self._parse_table(table)
+        nums = nums.reshape([len(a) for a in self.input_alphabets + self.output_alphabets])
+        g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
+        if g > 1:
+            nums, den = nums // g, den // g
+        nums = nums.astype(np.int64 if den < _INT64 else object, copy=False)
+        nums.flags.writeable = False
+        self.numerators, self.denominator, self._table = nums, den, None
+        problem = _structure_problem(self)
+        if problem is not None:
+            raise TableError(f"resource {self.id!r}: {problem}")
         self.nonsignaling_checked = False
         if check_nonsignaling:
             self.require_nonsignaling("construction")
@@ -300,24 +343,24 @@ class NonsignalingResource:
     def output_space(self) -> Iterable[tuple[Symbol, ...]]:
         return product(*(a.values for a in self.output_alphabets))
 
-    def _normalize_table(self, table) -> dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]]:
-        out_space = list(self.output_space())
-        out_set = set(out_space)
-        zero = Fraction(0)
+    def _parse_table(self, table) -> _Tensor:
+        """A mapping table, checked column by column for totality, range
+        and a unit sum, as numerators over the lcm of its denominators."""
+        out_index = {a: i for i, a in enumerate(self.output_space())}
         raw = {_key_tuple(x): entries for x, entries in table.items()}
-        normalized: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
-        for x in self.input_space():
+        cells: dict[int, Fraction] = {}   # flat position -> entry
+        for row, x in enumerate(self.input_space()):
             if x not in raw:
                 raise TableError(f"resource {self.id!r}: missing input tuple {x}")
-            entries: dict[tuple[Symbol, ...], Fraction] = {}
+            entries: dict[int, Fraction] = {}
             for a, value in raw[x].items():
                 a = _key_tuple(a)
-                if a not in out_set:
+                if a not in out_index:
                     raise TableError(
                         f"resource {self.id!r}: output tuple {a} at input {x} "
                         f"is outside the output alphabets")
                 try:
-                    entries[a] = as_probability(value)
+                    entries[row * len(out_index) + out_index[a]] = as_probability(value)
                 except (ValueError, TypeError) as exc:
                     raise TableError(
                         f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
@@ -326,14 +369,28 @@ class NonsignalingResource:
             if total != 1:
                 raise TableError(
                     f"resource {self.id!r}: column at input {x} sums to {total}, not 1")
-            column = dict.fromkeys(out_space, zero)
-            column.update(entries)
-            normalized[x] = column
-        extra = set(raw) - set(normalized)
+            cells.update(entries)
+        extra = set(raw).difference(self.input_space())
         if extra:
             raise TableError(
                 f"resource {self.id!r}: input tuples outside the input alphabets: {sorted(extra)}")
-        return normalized
+        den = lcm(*(v.denominator for v in cells.values()))
+        nums = np.zeros(len(raw) * len(out_index), dtype=np.int64 if den < _INT64 else object)
+        for i, v in cells.items():
+            nums[i] = v.numerator * (den // v.denominator)
+        return _Tensor(nums, den)
+
+    @property
+    def table(self) -> dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]]:
+        """Every input tuple -> every output tuple -> Fraction, in product
+        order; built on first access, one shared Fraction per value."""
+        if self._table is None:
+            out_space = list(self.output_space())
+            rows = self.numerators.reshape(-1, len(out_space)).tolist()
+            values = {n: Fraction(n, self.denominator) for n in set(chain.from_iterable(rows))}
+            self._table = {x: dict(zip(out_space, map(values.__getitem__, row)))
+                           for x, row in zip(self.input_space(), rows)}
+        return self._table
 
     # -- basic access ---------------------------------------------------------
 
@@ -363,7 +420,8 @@ class NonsignalingResource:
                 and self.output_alphabets == other.output_alphabets)
 
     def same_table(self, other: "NonsignalingResource") -> bool:
-        return self.same_signature(other) and self.table == other.table
+        return (self.same_signature(other) and self.denominator == other.denominator
+                and np.array_equal(self.numerators, other.numerators))
 
     def __repr__(self) -> str:
         ins = "x".join(str(len(a)) for a in self.input_alphabets)
@@ -379,7 +437,9 @@ class NonsignalingResource:
         (party j's output summed out) must be identical across all of
         party j's input choices, for every fixed input context.
         """
-        return _one_party_witness(self.parties, self.input_alphabets, self.table)
+        den = self.denominator
+        return _one_party_witness(self.parties, self.input_alphabets, self.output_alphabets,
+                                  self.numerators, lambda v: Fraction(int(v), den))
 
     def require_nonsignaling(self, operation: str) -> None:
         """Raise unless this resource is known (or now verified) to be
@@ -436,17 +496,13 @@ def validate_nonsignaling(r: NonsignalingResource) -> ValidationReport:
     every fixed context of the other parties' inputs, and every input pair.
 
     Structural problems (the constructor normally rules these out) are
-    reported separately from signaling violations.
+    reported separately from signaling violations: every entry is
+    re-checked to lie in [0, 1] and every column to sum to exactly 1, on
+    the integer numerators.
     """
-    for x in r.input_space():
-        if x not in r.table:
-            return ValidationReport.fail([f"missing input tuple {x}"])
-        total = sum(v for v in r.table[x].values() if v)
-        if total != 1:
-            return ValidationReport.fail([f"column at input {x} sums to {total}, not 1"])
-        for a, v in r.table[x].items():
-            if not 0 <= v <= 1:
-                return ValidationReport.fail([f"entry at input {x}, output {a} is {v}"])
+    problem = _structure_problem(r)
+    if problem is not None:
+        return ValidationReport.fail([problem])
     witness = r._find_signaling_witness()
     if witness is not None:
         return ValidationReport.fail([str(witness)], witness=witness)
@@ -473,29 +529,22 @@ def check_subset_nonsignaling(
         raise ValueError("signalers and receivers must be disjoint")
     sig_idx = [r.party_index(p) for p in signalers]
     recv_idx = [r.party_index(p) for p in receivers]
-    alphabets = [a.values if i in sig_idx or i in recv_idx else (a.first,)
-                 for i, a in enumerate(r.input_alphabets)]
-    hit = _first_signal(r.table, alphabets, sig_idx, recv_idx)
+    held = tuple(slice(None) if i in sig_idx or i in recv_idx else slice(0, 1)
+                 for i in range(len(r.parties)))
+    hit = _first_signal(r.numerators[held], sig_idx, recv_idx)
     if hit is None:
         return ValidationReport.ok()
     x0, x1, bad, (v0, v1) = hit
+    ins, den = r.input_alphabets, r.denominator
     return ValidationReport.fail([
-        f"signalers {list(signalers)} switching {tuple(x0[i] for i in sig_idx)}->"
-        f"{tuple(x1[i] for i in sig_idx)} changes receivers' marginal at outputs "
-        f"{bad} from {v0} to {v1} (receiver inputs {tuple(x0[i] for i in recv_idx)})"
+        f"signalers {list(signalers)} switching {_symbols(ins, sig_idx, x0)}->"
+        f"{_symbols(ins, sig_idx, x1)} changes receivers' marginal at outputs "
+        f"{_symbols(r.output_alphabets, recv_idx, bad)} from {Fraction(int(v0), den)} to "
+        f"{Fraction(int(v1), den)} (receiver inputs {_symbols(ins, recv_idx, x0)})"
     ])
 
 
 # -- derived resources -----------------------------------------------------------
-
-
-def _full_input(idx: Sequence[int], values: Sequence[Symbol],
-                fixed: Mapping[int, Symbol]) -> tuple[Symbol, ...]:
-    """The input tuple with ``values`` at positions ``idx`` and the
-    remaining positions taken from ``fixed``."""
-    x = dict(fixed)
-    x.update(zip(idx, values))
-    return tuple(x[i] for i in range(len(x)))
 
 
 def marginal(
@@ -529,26 +578,26 @@ def marginal(
     for p in fixed_inputs:
         if p not in (r.parties[i] for i in drop_idx):
             raise ValueError(f"fixed_inputs names {p!r}, which is not a dropped party")
-    fixed = {}
+    pick: list = [slice(None)] * len(r.parties)
     for i in drop_idx:
         p = r.parties[i]
         xi = fixed_inputs.get(p, r.input_alphabets[i].first)
         if xi not in r.input_alphabets[i]:
             raise ValueError(f"fixed input {xi} outside alphabet of party {p!r}")
-        fixed[i] = xi
+        pick[i] = r.input_alphabets[i].values.index(xi)
 
     if not drop_idx and (id is None or id == r.id):
         return r
 
-    table = {x_keep: _project(r.table[_full_input(keep_idx, x_keep, fixed)], keep_idx)
-             for x_keep in product(*(r.input_alphabets[i].values for i in keep_idx))}
-
+    nums = r.numerators[tuple(pick)]
+    if drop_idx:
+        nums = nums.sum(axis=tuple(len(keep_idx) + i for i in drop_idx))
     return NonsignalingResource.make(
         id if id is not None else f"{r.id}[{','.join(keep_parties)}]",
         keep_parties,
         [r.input_alphabets[i] for i in keep_idx],
         [r.output_alphabets[i] for i in keep_idx],
-        table,
+        _Tensor(nums, r.denominator),
     )
 
 
@@ -567,6 +616,8 @@ def condition(
     zero.
     """
     observed = tuple(observed)
+    if not observed:
+        raise ValueError("observed must be non-empty")
     if len(observed) != len(set(observed)):
         raise ValueError(f"duplicate parties in observed: {observed}")
     if len(outputs) != len(observed) or len(inputs) != len(observed):
@@ -585,20 +636,19 @@ def condition(
         if obs_out[i] not in r.output_alphabets[i]:
             raise ValueError(f"output {obs_out[i]} outside alphabet of {r.parties[i]!r}")
 
-    marg = marginal(r, [r.parties[i] for i in obs_idx])
-    denom = marg.prob([obs_in[i] for i in obs_idx], [obs_out[i] for i in obs_idx])
-    if denom == 0:
+    # The observed event's numerators over the kept parties' inputs and
+    # outputs; its mass (the same at every kept input) is the denominator.
+    n = len(r.parties)
+    pick = [slice(None)] * (2 * n)
+    for i in obs_idx:
+        pick[i] = r.input_alphabets[i].values.index(obs_in[i])
+        pick[n + i] = r.output_alphabets[i].values.index(obs_out[i])
+    event = r.numerators[tuple(pick)]
+    mass = int(event[(0,) * len(keep_idx)].sum())
+    if mass == 0:
         raise ZeroConditioningError(
             f"conditioning event has probability zero: parties "
             f"{[r.parties[i] for i in obs_idx]} outputs {outputs} at inputs {inputs}")
-
-    table = {}
-    for x_keep in product(*(r.input_alphabets[i].values for i in keep_idx)):
-        column = r.table[_full_input(keep_idx, x_keep, obs_in)]
-        observed_event = {a: v for a, v in column.items()
-                          if all(a[i] == obs_out[i] for i in obs_idx)}
-        table[x_keep] = {key: v / denom
-                         for key, v in _project(observed_event, keep_idx).items()}
 
     keep_parties = tuple(r.parties[i] for i in keep_idx)
     return NonsignalingResource.make(
@@ -606,7 +656,7 @@ def condition(
         keep_parties,
         [r.input_alphabets[i] for i in keep_idx],
         [r.output_alphabets[i] for i in keep_idx],
-        table,
+        _Tensor(event, mass),
     )
 
 
@@ -639,10 +689,8 @@ def make_local_deterministic(
             raise ValueError(f"function for {p!r} maps {bad} outside the output alphabet")
         fns.append(f)
 
-    table = {}
-    for x in product(*(a.values for a in in_alphas)):
-        target = tuple(fns[i][xi] for i, xi in enumerate(x))
-        table[x] = {target: Fraction(1)}
+    table = {x: {tuple(f[xi] for f, xi in zip(fns, x)): 1}
+             for x in product(*(a.values for a in in_alphas))}
 
     if id is None:
         id = "det:" + ";".join(
@@ -696,14 +744,9 @@ def make_pr_box(
     if len(parties) != 2:
         raise ValueError("a PR box has exactly two parties")
     alpha, beta, gamma = alpha & 1, beta & 1, gamma & 1
-    half = Fraction(1, 2)
-    table = {}
-    for x, y in product((0, 1), repeat=2):
-        rhs = (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
-        table[(x, y)] = {
-            (a, b): (half if (a ^ b) == rhs else Fraction(0))
-            for a, b in product((0, 1), repeat=2)
-        }
+    table = {(x, y): {(a, a ^ rhs): Fraction(1, 2) for a in (0, 1)}
+             for x, y in product((0, 1), repeat=2)
+             for rhs in [(x & y) ^ (alpha & x) ^ (beta & y) ^ gamma]}
     if id is None:
         id = "PR" if (alpha, beta, gamma) == (0, 0, 0) else f"PR{alpha}{beta}{gamma}"
     bits = Alphabet((0, 1))

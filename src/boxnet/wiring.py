@@ -19,9 +19,10 @@ during validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from boxnet.resource import (
     Alphabet,
@@ -29,6 +30,7 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
+    _Tensor,
 )
 
 
@@ -294,42 +296,18 @@ def bottom_encode(r: NonsignalingResource) -> NonsignalingResource:
     """
     r.require_nonsignaling("bottom_encode")
     n = len(r.parties)
-    bot_in = [max(a.values) + 1 for a in r.input_alphabets]
-    bot_out = [max(a.values) + 1 for a in r.output_alphabets]
-    in_alphas = [Alphabet(a.values + (bot_in[i],)) for i, a in enumerate(r.input_alphabets)]
-    out_alphas = [Alphabet(a.values + (bot_out[i],)) for i, a in enumerate(r.output_alphabets)]
-
-    from boxnet.resource import marginal as resource_marginal
-
-    table: dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]] = {}
+    in_alphas = [Alphabet(a.values + (max(a.values) + 1,)) for a in r.input_alphabets]
+    out_alphas = [Alphabet(a.values + (max(a.values) + 1,)) for a in r.output_alphabets]
+    nums = np.zeros([len(a) for a in in_alphas + out_alphas], dtype=r.numerators.dtype)
     for opted_out in product((False, True), repeat=n):
-        active = [i for i in range(n) if not opted_out[i]]
-        if active:
-            m = (r if len(active) == n
-                 else resource_marginal(r, [r.parties[i] for i in active]))
-        for x_active in product(*(r.input_alphabets[i].values for i in active)):
-            x = [0] * n
-            for i in range(n):
-                if opted_out[i]:
-                    x[i] = bot_in[i]
-            for pos, i in enumerate(active):
-                x[i] = x_active[pos]
-            column: dict[tuple[Symbol, ...], Fraction] = {}
-            if active:
-                for a_active, v in m.table[x_active].items():
-                    a = [0] * n
-                    for i in range(n):
-                        if opted_out[i]:
-                            a[i] = bot_out[i]
-                    for pos, i in enumerate(active):
-                        a[i] = a_active[pos]
-                    column[tuple(a)] = v
-            else:
-                column[tuple(bot_out)] = Fraction(1)
-            table[tuple(x)] = column
-
+        # Opted-out parties sit at their new last symbols; the others get r's
+        # marginal with the opted-out inputs at their first symbol.
+        block = r.numerators[tuple(0 if o else slice(None) for o in opted_out)]
+        active = n - sum(opted_out)
+        block = block.sum(axis=tuple(active + i for i in range(n) if opted_out[i]))
+        nums[tuple(-1 if o else slice(-1) for o in opted_out * 2)] = block
     return NonsignalingResource.make(f"{r.id}+optout", r.parties, in_alphas,
-                                     out_alphas, table)
+                                     out_alphas, _Tensor(nums, r.denominator))
 
 
 # -- serialization ----------------------------------------------------------------
