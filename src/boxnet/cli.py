@@ -253,14 +253,22 @@ def _vertex_set_for(r: NonsignalingResource, kind: str, base: Path) -> VertexSet
         return local_deterministic_vertices(r.parties, r.input_alphabets,
                                             r.output_alphabets)
     if kind == "ns222":
-        return ns_vertices_222()
-    source = base / kind if not Path(kind).exists() else Path(kind)
-    data = _load_json(source)
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{source}: expected a non-empty JSON list of vertices")
-    vertices = [_from_json(NonsignalingResource.from_json_dict, d, source)
-                for d in data]
-    return VertexSet(vertices, [f"file:{i}" for i in range(len(vertices))])
+        vs = ns_vertices_222()
+    else:
+        source = base / kind if not Path(kind).exists() else Path(kind)
+        data = _load_json(source)
+        if not isinstance(data, list) or not data:
+            raise InputError(f"{source}: expected a non-empty JSON list of vertices")
+        vertices = [_from_json(NonsignalingResource.from_json_dict, d, source)
+                    for d in data]
+        try:
+            vs = VertexSet(vertices, [f"file:{i}" for i in range(len(vertices))])
+        except ValueError as e:
+            raise InputError(f"{source}: {e}") from e
+    if not r.same_signature(vs.vertices[0]):
+        raise InputError(f"signature mismatch: {r.id!r} vs vertex set over "
+                         f"{len(vs.vertices[0].parties)} parties")
+    return vs
 
 
 def cmd_decompose(args) -> int:

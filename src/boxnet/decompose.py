@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,6 +76,8 @@ class VertexSet:
     def __post_init__(self):
         if len(self.vertices) != len(self.provenance):
             raise ValueError("one provenance tag per vertex")
+        if not self.vertices:
+            raise ValueError("empty vertex set")
         first = self.vertices[0]
         for v in self.vertices[1:]:
             if not v.same_signature(first):
@@ -201,34 +204,64 @@ def decompose_extremal(
         if r.same_table(v):
             return Mixture([(Fraction(1), v)])
 
-    row_keys = [(x, a) for x in r.input_space() for a in r.output_space()]
-    rows = [[v.table[x][a] for v in vs.vertices] for (x, a) in row_keys]
-    rhs = [r.table[x][a] for (x, a) in row_keys]
-    rows.append([Fraction(1)] * len(vs.vertices))
-    rhs.append(Fraction(1))
+    # One row per entry of the numerator tensors in C order, which is
+    # input_space() x output_space() order, plus normalization.
+    columns = [_probabilities(v) for v in vs.vertices]
+    rows = [list(row) for row in zip(*columns)]
+    rows.append([1] * len(columns))
+    rhs = _probabilities(r) + [1]
 
     res = solve_feasibility(rows, rhs)
     if isinstance(res, Feasible):
         components = [(w, v) for w, v in zip(res.solution, vs.vertices) if w > 0]
-        for x, a in row_keys:
-            got = sum(w * v.table[x][a] for w, v in components)
-            if got != r.table[x][a]:
-                raise AssertionError(
-                    f"reconstruction mismatch at {x},{a}: {got} != {r.table[x][a]}")
+        # Every entry in integers: sum_v w_v N_v / d_v == N_r / d_r, all
+        # over the common denominator den.
+        den = lcm(r.denominator, *(w.denominator * v.denominator for w, v in components))
+        got = sum(v.numerators.ravel().astype(object)
+                  * (w.numerator * (den // (w.denominator * v.denominator)))
+                  for w, v in components)
+        want = r.numerators.ravel().astype(object) * (den // r.denominator)
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            k = bad[0]
+            x, a = _entry_keys(r)[k]
+            raise AssertionError(
+                f"reconstruction mismatch at {x},{a}: "
+                f"{Fraction(got[k], den)} != {Fraction(want[k], den)}")
         return Mixture(components)
 
     y = res.certificate
-    coeffs = {key: yi for key, yi in zip(row_keys, y[:-1]) if yi != 0}
+    coeffs = {key: yi for key, yi in zip(_entry_keys(r), y[:-1]) if yi != 0}
     threshold = -y[-1]
+    # In integers: y = ys / den, so G(q) <= threshold reads
+    # ys . N_q <= -ys[-1] * d_q for a table q = N_q / d_q.
+    den = lcm(*(yi.denominator for yi in y))
+    ys = np.array([yi.numerator * (den // yi.denominator) for yi in y], dtype=object)
+    functional, bound = ys[:-1], -ys[-1]
     cert = Infeasible(coefficients=coeffs, threshold=threshold,
-                      value=sum(c * r.table[x][a] for (x, a), c in coeffs.items()))
-    for v in vs.vertices:
-        on_v = sum(c * v.table[x][a] for (x, a), c in coeffs.items())
-        if on_v > threshold:
+                      value=Fraction(functional @ r.numerators.ravel().astype(object),
+                                     den * r.denominator))
+    scores = np.stack([v.numerators.ravel() for v in vs.vertices]).astype(object) @ functional
+    for v, score in zip(vs.vertices, scores):
+        if score > bound * v.denominator:
             raise AssertionError(f"certificate fails on vertex {v.id!r}")
     if not cert.value > threshold:
         raise AssertionError("certificate does not separate the target")
     return cert
+
+
+def _probabilities(q: NonsignalingResource) -> list:
+    """q's entries in C order of its numerator tensor: ints when its
+    denominator is 1, Fractions otherwise."""
+    flat = q.numerators.ravel().tolist()
+    if q.denominator == 1:
+        return flat
+    return [Fraction(k, q.denominator) for k in flat]
+
+
+def _entry_keys(q: NonsignalingResource) -> list[tuple[tuple[Symbol, ...], tuple[Symbol, ...]]]:
+    """The (input tuple, output tuple) of each entry, in C order."""
+    return list(product(q.input_space(), q.output_space()))
 
 
 def is_local(r: NonsignalingResource) -> LocalityResult:

@@ -1,21 +1,33 @@
-"""Exact rational linear feasibility via phase-1 simplex.
+"""Exact rational linear feasibility via phase-1 simplex on integer rows.
 
-Solves: find x >= 0 with A x = b, all entries Fractions.  Either a basic
-feasible solution or a Farkas certificate y (y^T A <= 0 componentwise
-while y^T b > 0, proving no solution exists) is returned — never neither,
-and both are verified against the input before being handed back.
+Solves: find x >= 0 with A x = b, entries anything ``Fraction`` accepts.
+Either a basic feasible solution or a Farkas certificate y (y^T A <= 0
+componentwise while y^T b > 0, proving no solution exists) is returned —
+never neither, and both are verified against the input, in integers,
+before being handed back as ``Fraction``s.
 
 Dense tableau, artificial variable on every row, Bland's rule (always the
-lowest eligible index) so cycling cannot occur.  Intended for the small
-systems that arise from polytope-membership questions (tens of rows and
-columns); no sparsity, no scaling, no floats.
+lowest eligible index) so cycling cannot occur.  Every tableau row, the
+phase-1 cost row with its objective value included, is held as integers
+that are a positive multiple of the rational row: a pivot replaces a row
+by ``row * p - row[e] * pivot_row`` (fraction-free elimination, Edmonds
+1967; Bareiss 1968) and divides it by the gcd of its entries.  Bland's
+choices read only the signs of the reduced costs and the ratios within
+rows, which positive row scaling leaves alone, so the pivots — and the
+returned solution or certificate — are exactly those of the same tableau
+kept in Fractions.  Intended for the systems that arise from
+polytope-membership questions (up to hundreds of rows and columns); no
+sparsity, no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -36,6 +48,17 @@ class FarkasInfeasible:
         return False
 
 
+def _integer_row(values) -> tuple[list[int], int]:
+    """Integers k and a scale s > 0 with values[j] == k[j] / s."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    s = lcm(*(v.denominator for v in exact))
+    return [v.numerator * (s // v.denominator) for v in exact], s
+
+
+# Entries below this bound keep row * p - f * pivot_row inside int64.
+_INT64_SAFE = 2**31
+
+
 def solve_feasibility(
     a_rows: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
@@ -44,84 +67,116 @@ def solve_feasibility(
     if m == 0:
         return Feasible([])
     n = len(a_rows[0])
-    rows = [[Fraction(v) for v in row] for row in a_rows]
-    rhs = [Fraction(v) for v in b]
-    if any(len(r) != n for r in rows):
+    if any(len(r) != n for r in a_rows):
         raise ValueError("ragged constraint matrix")
-    if len(rhs) != m:
-        raise ValueError(f"{len(rhs)} rhs entries for {m} rows")
+    if len(b) != m:
+        raise ValueError(f"{len(b)} rhs entries for {m} rows")
+    # Row i of [A | b] is system[i][0] / system[i][1].
+    system = [_integer_row([*row, bi]) for row, bi in zip(a_rows, b)]
+    flipped = [ints[n] < 0 for ints, _ in system]
 
-    flipped = [False] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            flipped[i] = True
-
-    # Tableau columns: n structural, m artificial.  Basis starts artificial.
+    # Tableau rows 0..m-1: n structural columns, m artificial, the
+    # right-hand side, and a 0.  Basis starts artificial; a negative rhs
+    # flips its row but not the row's artificial column.
     width = n + m
-    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-           + [rhs[i]] for i in range(m)]
+    rows = []
+    for i, (ints, s) in enumerate(system):
+        row = [-v for v in ints] if flipped[i] else list(ints)
+        row[n:n] = [s if j == i else 0 for j in range(m)]
+        rows.append(row + [0])
+    # Row m, the phase-1 cost row minimizing the sum of artificials, with
+    # its scale in the last column: row[j] / scale is the reduced cost of
+    # column j and -row[width] / scale the objective value.  A pivot
+    # updates it like any other row.  Artificial columns start at 1 - 1.
+    common = lcm(*(s for _, s in system))
+    cost = [0] * (width + 2)
+    for row, (_, s) in zip(rows, system):
+        k = common // s
+        cost = [c - k * v for c, v in zip(cost, row)]
+    cost[n:width] = [0] * m
+    cost[-1] = common
+    g = gcd(*cost)
+    rows.append([c // g for c in cost])
+    bound = max(max(map(max, rows)), -min(map(min, rows)))
+    tab = np.array(rows, dtype=np.int64 if bound < _INT64_SAFE else object)
     basis = list(range(n, n + m))
 
-    # Phase-1 cost row: minimize sum of artificials.  cost[j] holds the
-    # reduced cost of column j; obj holds the current objective value.
-    cost = [Fraction(0)] * width
-    obj = Fraction(0)
-    for j in range(width):
-        cost[j] = (Fraction(1) if j >= n else Fraction(0)) - sum(tab[i][j] for i in range(m))
-    obj = sum(rhs)
-
     while True:
-        enter = next((j for j in range(width) if cost[j] < 0), None)
-        if enter is None:
+        negative = np.flatnonzero(tab[m, :width] < 0)
+        if not negative.size:
             break
-        # Ratio test; ties broken by smallest basis variable (Bland).
-        leave, best = None, None
+        enter = int(negative[0])
+        col = tab[:, enter].tolist()
+        rhs = tab[:m, width].tolist()
+        # Ratio test by cross-multiplication; ties broken by smallest
+        # basis variable (Bland).
+        leave = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+            t = col[i]
+            if t > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                here, best = rhs[i] * col[leave], rhs[leave] * t
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             # Unbounded phase-1 objective is impossible (bounded below by 0);
             # a negative-cost column with no positive entry cannot occur.
             raise RuntimeError("phase-1 simplex lost boundedness — numeric bug")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [vi - f * vl for vi, vl in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            for j in range(width):
-                cost[j] -= f * tab[leave][j]
-            obj += f * tab[leave][width]
+        # Rows with a zero in the entering column keep their values.  No
+        # updated row is all zero (its artificial part is a row of an
+        # invertible matrix; the cost row keeps its positive scale).
+        touched = [i for i, t in enumerate(col) if t and i != leave]
+        block = tab[touched]
+        block *= col[leave]
+        block -= np.outer([col[i] for i in touched], tab[leave])
+        g = np.gcd.reduce(block, axis=1)
+        if (g > 1).any():
+            block //= g[:, None]
+        tab[touched] = block
         basis[leave] = enter
+        if tab.dtype != object:
+            bound = max(bound, int(block.max()), -int(block.min()))
+            if bound >= _INT64_SAFE:
+                tab = tab.astype(object)
 
-    if obj == 0:
+    *rows, cost = tab.tolist()
+    scale = cost[width + 1]
+    if cost[width] == 0:
         x = [Fraction(0)] * n
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = tab[i][width]
-        for i in range(m):
-            got = sum(ai * xi for ai, xi in zip(a_rows[i], x))
-            if got != b[i]:
-                raise RuntimeError(f"solution fails row {i}: {got} != {b[i]}")
+                x[bv] = Fraction(rows[i][width], rows[i][bv])
+        # Re-check every row in integers: x = xs / d, row i = ints / s.
+        d = lcm(*(v.denominator for v in x))
+        xs = [v.numerator * (d // v.denominator) for v in x]
+        for i, (ints, s) in enumerate(system):
+            got = sum(a * v for a, v in zip(ints, xs) if a)
+            if got != ints[n] * d:
+                raise RuntimeError(
+                    f"solution fails row {i}: {Fraction(got, d * s)} != {b[i]}")
         if any(v < 0 for v in x):
             raise RuntimeError("negative component in basic solution")
         return Feasible(x)
 
     # Infeasible: read the dual prices off the artificial columns.  The
     # artificial for row i entered with cost 1, so y_i = 1 - cost[n + i].
-    y = [Fraction(1) - cost[n + i] for i in range(m)]
-    y = [-yi if flipped[i] else yi for i, yi in enumerate(y)]
+    num = [scale - cost[n + i] for i in range(m)]
+    num = [-v if flipped[i] else v for i, v in enumerate(num)]
+    y = [Fraction(v, scale) for v in num]
+    # Re-check in integers: y_i * (row i) == u_i * ints_i / (scale * common)
+    # with u_i = num_i * (common / s_i).
+    u = [v * (common // s) for v, (_, s) in zip(num, system)]
+    dots = [0] * (n + 1)
+    for ui, (ints, _) in zip(u, system):
+        if ui:
+            dots = [acc + ui * a for acc, a in zip(dots, ints)]
     for j in range(n):
-        dot = sum(y[i] * a_rows[i][j] for i in range(m))
-        if dot > 0:
-            raise RuntimeError(f"certificate fails on column {j}: {dot} > 0")
-    gap = sum(y[i] * b[i] for i in range(m))
-    if gap <= 0:
-        raise RuntimeError(f"certificate has nonpositive gap {gap}")
+        if dots[j] > 0:
+            raise RuntimeError(
+                f"certificate fails on column {j}: {Fraction(dots[j], scale * common)} > 0")
+    if dots[n] <= 0:
+        raise RuntimeError(
+            f"certificate has nonpositive gap {Fraction(dots[n], scale * common)}")
     return FarkasInfeasible(y)

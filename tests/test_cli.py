@@ -113,8 +113,18 @@ def test_decompose_pr_box_not_local(capsys):
                         "--vertices", "local")
     assert rc == 1
     assert data["feasible"] is False
-    cert = data["certificate"]
-    assert Fraction(cert["value"]) > Fraction(cert["threshold"])
+    # The exact functional the pivot rule reaches, in output order; a
+    # different pivot sequence gives a different (equally valid) one.
+    assert json.dumps(data["certificate"]) == json.dumps({
+        "coefficients": {
+            "0,0|0,0": "1", "0,0|0,1": "-4", "0,0|1,0": "-4", "0,0|1,1": "1",
+            "0,1|0,0": "1", "0,1|0,1": "-4", "0,1|1,0": "-4", "0,1|1,1": "1",
+            "1,0|0,0": "1", "1,0|0,1": "-4", "1,0|1,0": "-4", "1,0|1,1": "1",
+            "1,1|0,0": "-4", "1,1|0,1": "1", "1,1|1,0": "1", "1,1|1,1": "-4",
+        },
+        "threshold": "-1",
+        "value": "4",
+    })
 
 
 def test_decompose_pr_box_is_ns_vertex(capsys):
@@ -255,6 +265,16 @@ def _non_integer_outcome(tmp_path):
     return ["validate", _write(tmp_path / "scenario.json", scenario)]
 
 
+def _signature_mismatch(tmp_path):
+    return ["decompose", str(FIXTURES / "worked" / "r1.json"), "--vertices", "ns222"]
+
+
+def _mixed_vertex_file(tmp_path):
+    vertices = [_pr_ab(), json.loads((FIXTURES / "worked" / "r1.json").read_text())]
+    return ["decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"),
+            "--vertices", _write(tmp_path / "v.json", vertices)]
+
+
 def _write(path, data) -> str:
     path.write_text(json.dumps(data))
     return str(path)
@@ -262,7 +282,7 @@ def _write(path, data) -> str:
 
 @pytest.mark.parametrize("make_argv", [
     _bad_fraction, _top_level_list, _non_integer_key, _non_integer_symbol,
-    _list_behavior, _non_integer_outcome,
+    _list_behavior, _non_integer_outcome, _signature_mismatch, _mixed_vertex_file,
 ])
 def test_malformed_input_exits_two(tmp_path, capsys, make_argv):
     assert main(make_argv(tmp_path)) == 2

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import boxnet.decompose as decompose
 from boxnet.decompose import (
     Infeasible,
     Mixture,
@@ -20,6 +22,7 @@ from boxnet.decompose import (
     local_deterministic_vertices,
     ns_vertices_222,
 )
+from boxnet.linprog import FarkasInfeasible, Feasible
 from boxnet.network import Network, induced_behavior
 from boxnet.resource import (
     Alphabet,
@@ -61,6 +64,11 @@ def test_local_vertex_counts():
     assert len(one) == 2
     vs.check_distinct()
     one.check_distinct()
+
+
+def test_empty_vertex_set_is_refused():
+    with pytest.raises(ValueError, match="empty vertex set"):
+        VertexSet([], [])
 
 
 def test_vertex_cap(monkeypatch):
@@ -132,6 +140,40 @@ def test_noisy_pr_local_iff_half():
         v = F(k, 8)
         res = is_local(noisy_pr(v))
         assert res.local == (v <= F(1, 2)), f"v={v}"
+
+
+def _answer_with(monkeypatch, result):
+    """Make decompose_extremal's LP return ``result``, right or wrong."""
+    monkeypatch.setattr(decompose, "solve_feasibility", lambda rows, rhs: result)
+
+
+def test_reconstruction_guard_checks_every_entry(monkeypatch):
+    box = noisy_pr(F(1, 4))
+    vs = local_deterministic_vertices(("A", "B"), [BITS, BITS], [BITS, BITS])
+    weights = [w for w, _ in is_local(box).mixture]
+    wrong = [F(0)] * (len(vs) - len(weights)) + weights[::-1]
+    _answer_with(monkeypatch, Feasible(wrong))
+    first = next((x, a) for x in box.input_space() for a in box.output_space()
+                 if sum(w * v.table[x][a] for w, v in zip(wrong, vs.vertices))
+                 != box.table[x][a])
+    with pytest.raises(AssertionError, match=re.escape(f"mismatch at {first[0]},{first[1]}:")):
+        decompose_extremal(box, vs)
+
+
+def test_certificate_guard_scores_every_vertex_exactly(monkeypatch):
+    # G = the PR box's support; G(PR) = 4, G(deterministic) <= 3, and the
+    # PR box's entries are halves, so the vertex check must use them exactly.
+    vs = ns_vertices_222()
+    pr = make_pr_box()
+    support = [F(1) if pr.table[x][a] else F(0)
+               for x in pr.input_space() for a in pr.output_space()]
+    box = noisy_pr(F(9, 10))
+    _answer_with(monkeypatch, FarkasInfeasible(support + [F(-7, 2)]))
+    with pytest.raises(AssertionError, match="certificate fails on vertex 'PR'"):
+        decompose_extremal(box, vs)
+    _answer_with(monkeypatch, FarkasInfeasible(support + [F(-4)]))
+    with pytest.raises(AssertionError, match="does not separate the target"):
+        decompose_extremal(box, vs)
 
 
 def test_noisy_pr_above_half_still_nonsignaling_mixture():
