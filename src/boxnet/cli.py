@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Union
 
 from .decompose import (
     Infeasible,
@@ -317,6 +317,8 @@ def cmd_ineq(args) -> int:
 
     if not args.behavior:
         raise InputError("ineq eval needs --behavior FILE")
+    if args.atol is not None and not (math.isfinite(args.atol) and args.atol >= 0):
+        raise InputError(f"--atol must be a finite number >= 0, got {args.atol}")
     b = load_behavior_file(args.behavior)
     atol = args.atol if args.atol is not None else \
         (1e-9 if isinstance(b, FloatBehavior) else 0)
@@ -339,6 +341,10 @@ def cmd_ineq(args) -> int:
 
 def cmd_ghz(args) -> int:
     if args.action == "search":
+        if args.grid < 1:
+            raise InputError(f"--grid must be at least 1, got {args.grid}")
+        if not (math.isfinite(args.refine) and args.refine > 0):
+            raise InputError(f"--refine must be a finite number > 0, got {args.refine}")
         ineq = _named_inequality(args.ineq)
         res = search_max_violation(ineq, grid=args.grid,
                                    step_floor=args.refine)
@@ -361,6 +367,8 @@ def cmd_ghz(args) -> int:
         raise InputError(f"--angles must be comma-separated numbers: {e}") from e
     if len(flat) != 6:
         raise InputError("--angles needs 6 values: a0,a1,b0,b1,c0,c1")
+    if not all(math.isfinite(a) for a in flat):
+        raise InputError(f"--angles must be finite, got {args.angles}")
     strategy = QuantumStrategy.from_angles(
         {"A": flat[0:2], "B": flat[2:4], "C": flat[4:6]})
     beh = ghz_behavior(strategy)

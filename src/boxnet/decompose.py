@@ -14,16 +14,16 @@ before returning.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from boxnet.linprog import FarkasInfeasible, Feasible, solve_feasibility
+from boxnet.linprog import Feasible, solve_feasibility
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
     Alphabet,
@@ -32,9 +32,7 @@ from boxnet.resource import (
     Symbol,
     _align,
     _Tensor,
-    make_local_deterministic,
     make_pr_box,
-    validate_nonsignaling,
 )
 from boxnet.wiring import excise_input_free
 
@@ -144,16 +142,21 @@ def local_deterministic_vertices(
             f"{count} deterministic vertices exceed the cap {cap} "
             f"(raise {VERTEX_CAP_ENV} to override)")
 
+    # Per party, the 0/1 matrix [x, a] of each function input -> output, in
+    # product order of the outputs chosen for its inputs.
     per_party_functions = [
-        [dict(zip(a_in.values, choice))
-         for choice in product(a_out.values, repeat=len(a_in))]
+        [np.eye(len(a_out), dtype=np.int64)[list(choice)]
+         for choice in product(range(len(a_out)), repeat=len(a_in))]
         for a_in, a_out in zip(in_alphas, out_alphas)
     ]
-    vertices = []
-    for i, combo in enumerate(product(*per_party_functions)):
-        vertices.append(make_local_deterministic(
-            parties, in_alphas, out_alphas,
-            {p: combo[j] for j, p in enumerate(parties)}, id=f"det{i}"))
+    # The outer product has axes [x_1, a_1, .., x_n, a_n]; put inputs first.
+    n = len(parties)
+    axes = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    vertices = [
+        NonsignalingResource.make(
+            f"det{i}", parties, in_alphas, out_alphas,
+            _Tensor(np.ascontiguousarray(reduce(np.multiply.outer, combo).transpose(axes)), 1))
+        for i, combo in enumerate(product(*per_party_functions))]
     assert len(vertices) == count
     return VertexSet(vertices, ["deterministic"] * count)
 
@@ -281,17 +284,20 @@ def is_local(r: NonsignalingResource) -> LocalityResult:
 
 
 def _behavior_support(beh: NonsignalingResource) -> dict:
-    return {x: {a: v for a, v in col.items() if v != 0}
-            for x, col in beh.table.items()}
+    """The nonzero entries, (input symbols, output symbols) -> Fraction:
+    keyed by symbol, behaviors whose outcome alphabets differ (excision
+    drops unreachable labels) still compare and add."""
+    hit = np.nonzero(beh.numerators)
+    return {beh._symbols_at(pos): Fraction(v, beh.denominator)
+            for pos, v in zip(np.transpose(hit).tolist(), beh.numerators[hit].tolist())}
 
 
 def _assert_mixture_matches(net: Network, mix: Mixture) -> None:
     target = _behavior_support(induced_behavior(net))
-    got: dict = {x: {} for x in target}
+    got: dict = {}
     for w, comp in mix:
-        for x, col in _behavior_support(induced_behavior(comp)).items():
-            for a, v in col.items():
-                got[x][a] = got[x].get(a, 0) + w * v
+        for key, v in _behavior_support(induced_behavior(comp)).items():
+            got[key] = got.get(key, 0) + w * v
     if got != target:
         raise AssertionError("mixture behavior differs from the original network")
 
@@ -410,12 +416,10 @@ def _deterministic_functions(r: NonsignalingResource) -> dict[Party, dict[Symbol
     if the table is not deterministic."""
     if r.denominator != 1:
         return None
-    n = len(r.parties)
     fns: dict[Party, dict[Symbol, Symbol]] = {p: {} for p in r.parties}
     for hit in np.argwhere(r.numerators).tolist():
-        for i, p in enumerate(r.parties):
-            out = r.output_alphabets[i].values[hit[n + i]]
-            if fns[p].setdefault(r.input_alphabets[i].values[hit[i]], out) != out:
+        for p, x, out in zip(r.parties, *r._symbols_at(hit)):
+            if fns[p].setdefault(x, out) != out:
                 # Output depends on someone else's input: signaling table.
                 return None
     return fns

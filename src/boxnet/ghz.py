@@ -14,12 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .inequality import InequalityError, LinearInequality
-from .resource import Alphabet, SignalingError, TableError, _one_party_witness
+from .resource import (
+    Alphabet,
+    ProbabilityTable,
+    SignalingWitness,
+    TableError,
+    _json_parts,
+    _one_party_witness,
+)
 
 GHZ_PARTIES = ("A", "B", "C")
 
@@ -71,94 +78,60 @@ class QuantumStrategy:
                 for p, per in self.settings.items()}
 
 
-class FloatBehavior:
+class FloatBehavior(ProbabilityTable):
     """Behavior with float probabilities, validated at construction.
 
-    Mirrors the exact-resource surface that correlator evaluation needs
-    (parties, alphabets, table, ``require_nonsignaling``), so the
-    inequality module accepts either kind.
+    Stored as ``probabilities``, one float64 array with the axis layout of
+    ``NonsignalingResource.numerators``; the signature accessors, the
+    nonsignaling check and the ``table`` view come from the shared base.
+    ``table`` is such an array or a mapping input tuple -> output tuple ->
+    probability, with missing outputs 0.
     """
 
-    __slots__ = ("id", "parties", "input_alphabets", "output_alphabets",
-                 "table", "nonsignaling_checked")
+    __slots__ = ("probabilities",)
 
     def __init__(self, id: str, parties: Sequence[str],
                  input_alphabets: Sequence[Alphabet],
                  output_alphabets: Sequence[Alphabet],
-                 table: Mapping[tuple, Mapping[tuple, float]]) -> None:
-        self.id = str(id)
-        self.parties = tuple(parties)
-        self.input_alphabets = tuple(input_alphabets)
-        self.output_alphabets = tuple(output_alphabets)
-        outs_space = list(product(*(a.values for a in self.output_alphabets)))
-        full = {}
-        for ctx in product(*(a.values for a in self.input_alphabets)):
-            col = table[ctx]
-            full[ctx] = {o: float(col.get(o, 0.0)) for o in outs_space}
-            for o, v in full[ctx].items():
-                if v < -ATOL_NORM or v > 1 + ATOL_NORM:
-                    raise TableError(f"probability {v} out of range at {ctx} {o}")
-            s = sum(full[ctx].values())
-            if abs(s - 1) > ATOL_NORM:
-                raise TableError(f"column {ctx} sums to {s}, not 1")
-        self.table = full
-        probs = np.array([list(col.values()) for col in full.values()]).reshape(
+                 table: np.ndarray | Mapping[tuple, Mapping[tuple, float]]) -> None:
+        self._set_signature(id, parties, input_alphabets, output_alphabets)
+        if isinstance(table, Mapping):
+            table = [[float(table[x].get(a, 0.0)) for a in self.output_space()]
+                     for x in self.input_space()]
+        self.probabilities = np.array(table, dtype=np.float64).reshape(
             [len(a) for a in self.input_alphabets + self.output_alphabets])
-        witness = _one_party_witness(self.parties, self.input_alphabets,
-                                     self.output_alphabets, probs, float, ATOL_NS)
-        if witness is not None:
-            raise SignalingError(
-                f"float behavior {self.id!r} is signaling: {witness}")
-        self.nonsignaling_checked = True
+        self.probabilities.flags.writeable = False
+        for x, row in zip(self.input_space(), self._rows()):
+            total = 0.0
+            for a, v in zip(self.output_space(), row):
+                if not -ATOL_NORM <= v <= 1 + ATOL_NORM:  # false for NaN too
+                    raise TableError(f"probability {v} out of range at {x} {a}")
+                total += v
+            if abs(total - 1) > ATOL_NORM:
+                raise TableError(f"column {x} sums to {total}, not 1")
+        self.require_nonsignaling("construction")
 
-    def party_index(self, party: str) -> int:
-        try:
-            return self.parties.index(party)
-        except ValueError:
-            raise KeyError(f"party {party!r} is not part of behavior "
-                           f"{self.id!r}") from None
+    def _rows(self) -> list[list[float]]:
+        width = math.prod(len(a) for a in self.output_alphabets)
+        return self.probabilities.reshape(-1, width).tolist()
 
-    def input_alphabet(self, party: str) -> Alphabet:
-        return self.input_alphabets[self.party_index(party)]
-
-    def output_alphabet(self, party: str) -> Alphabet:
-        return self.output_alphabets[self.party_index(party)]
-
-    def require_nonsignaling(self, operation: str) -> None:
-        if not self.nonsignaling_checked:
-            raise SignalingError(f"{operation} needs a nonsignaling behavior")
-
-    def prob(self, inputs: tuple, outputs: tuple) -> float:
-        return self.table[tuple(inputs)][tuple(outputs)]
+    def _find_signaling_witness(self) -> SignalingWitness | None:
+        return _one_party_witness(self.parties, self.input_alphabets, self.output_alphabets,
+                                  self.probabilities, float, ATOL_NS)
 
     def to_json_dict(self) -> dict:
+        out_keys = [",".join(map(str, a)) for a in self.output_space()]
         return {
             "float": True,
-            "id": self.id,
-            "parties": list(self.parties),
-            "inputs": {p: list(a.values)
-                       for p, a in zip(self.parties, self.input_alphabets)},
-            "outputs": {p: list(a.values)
-                        for p, a in zip(self.parties, self.output_alphabets)},
+            **self._signature_json(),
             "table": {
-                ",".join(map(str, ctx)): {
-                    ",".join(map(str, outs)): v
-                    for outs, v in col.items() if v != 0.0}
-                for ctx, col in self.table.items()},
+                ",".join(map(str, x)): {k: v for k, v in zip(out_keys, row) if v != 0.0}
+                for x, row in zip(self.input_space(), self._rows())},
         }
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "FloatBehavior":
-        def key(s: str) -> tuple:
-            return tuple(int(x) for x in s.split(","))
-
-        parties = tuple(d["parties"])
-        return cls(
-            d["id"], parties,
-            [Alphabet(tuple(d["inputs"][p])) for p in parties],
-            [Alphabet(tuple(d["outputs"][p])) for p in parties],
-            {key(ctx): {key(o): float(v) for o, v in col.items()}
-             for ctx, col in d["table"].items()})
+        return cls(d["id"], *_json_parts(d, float))
 
 
 def _observable(theta: float) -> np.ndarray:
@@ -185,16 +158,14 @@ def ghz_behavior(strategy: QuantumStrategy, *, id: str = "ghz") -> FloatBehavior
     in_alphas = [Alphabet(tuple(range(len(strategy.settings[p]))))
                  for p in GHZ_PARTIES]
     bits = Alphabet((0, 1))
-    table = {}
+    probs = np.empty([len(a) for a in in_alphas] + [2, 2, 2])
     for ctx in product(*(a.values for a in in_alphas)):
-        col = {}
         for outs in product((0, 1), repeat=3):
             op = np.kron(np.kron(projectors["A"][ctx[0]][outs[0]],
                                  projectors["B"][ctx[1]][outs[1]]),
                          projectors["C"][ctx[2]][outs[2]])
-            col[outs] = float(_GHZ @ op @ _GHZ)
-        table[ctx] = col
-    return FloatBehavior(id, GHZ_PARTIES, in_alphas, [bits] * 3, table)
+            probs[ctx + outs] = _GHZ @ op @ _GHZ
+    return FloatBehavior(id, GHZ_PARTIES, in_alphas, [bits] * 3, probs)
 
 
 def _closed_form_value(ineq: LinearInequality,
@@ -224,7 +195,13 @@ def search_max_violation(ineq: LinearInequality, *, grid: int = 16,
     """Deterministic maximization of the inequality's LHS over X-Z-plane
     GHZ strategies: a full grid of ``grid`` points per angle, then
     coordinate descent halving the step down to ``step_floor``.  Ties on
-    the grid break toward the lexicographically smallest angle tuple."""
+    the grid break toward the lexicographically smallest angle tuple.
+    ``grid`` must be at least 1 and ``step_floor`` positive and finite,
+    else the descent would never stop."""
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    if not (math.isfinite(step_floor) and step_floor > 0):
+        raise ValueError(f"step_floor must be positive and finite, got {step_floor}")
     parties = sorted(ineq.settings_counts)
     if len(parties) != 3:
         raise InequalityError("GHZ search needs a three-party inequality")

@@ -13,14 +13,18 @@ deterministic spanning set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence, Union
 
-from .decompose import local_deterministic_vertices
-from .resource import Alphabet, NonsignalingResource, frac
+import numpy as np
 
-Behavior = NonsignalingResource
+from .decompose import local_deterministic_vertices
+from .resource import Alphabet, NonsignalingResource, ProbabilityTable, frac
+
+#: Either behavior kind: an exact ``NonsignalingResource`` or a ``FloatBehavior``.
+Behavior = ProbabilityTable
 
 #: Outcome symbol -> the +/-1 value it stands for in correlators.
 SIGN = {0: 1, 1: -1}
@@ -110,6 +114,13 @@ class Evaluation:
     satisfied: bool
 
 
+def _require_binary(b: Behavior, p: str) -> None:
+    if not set(b.output_alphabet(p).values) <= {0, 1}:
+        raise InequalityError(
+            f"party {p!r} outcomes {b.output_alphabet(p).values} are not "
+            "within {0, 1}; correlators need binary +/-1 outcomes")
+
+
 def _check_scenario(b: Behavior, settings_counts: Mapping[str, int]) -> None:
     if set(b.parties) != set(settings_counts):
         raise InequalityError(
@@ -121,10 +132,54 @@ def _check_scenario(b: Behavior, settings_counts: Mapping[str, int]) -> None:
             raise InequalityError(
                 f"party {p!r} has settings {have}, inequality needs "
                 f"{tuple(range(count))}")
-        if not set(b.output_alphabet(p).values) <= {0, 1}:
-            raise InequalityError(
-                f"party {p!r} outcomes {b.output_alphabet(p).values} are not "
-                "within {0, 1}; correlators need binary +/-1 outcomes")
+        _require_binary(b, p)
+
+
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right from 0.0 as the
+    built-in ``sum`` of Python 3.11 adds floats; ``np.sum`` and ``@``
+    round in another order."""
+    start = np.zeros(values.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([start, values], axis=-1), axis=-1)[..., -1]
+
+
+def _term_rows(b: Behavior, supports: Sequence[tuple]) -> tuple[list[int], np.ndarray]:
+    """Each (parties, settings) correlator compiled for b's signature: the
+    flat row of its input tuple (other parties at their first setting) and
+    its +/-1 sign over the flat outputs, read from each output symbol."""
+    rows, signs = [], []
+    for parties, settings in supports:
+        idx = [b.party_index(p) for p in parties]
+        x = [0] * len(b.parties)
+        for i, s in zip(idx, settings):
+            x[i] = b.input_alphabets[i].values.index(s)
+        rows.append(int(np.ravel_multi_index(x, [len(a) for a in b.input_alphabets])))
+        signs.append([prod(SIGN[a[i]] for i in idx) for a in b.output_space()])
+    width = prod(len(a) for a in b.output_alphabets)
+    return rows, np.array(signs, dtype=np.int64).reshape(len(rows), width)
+
+
+def _dots(behaviors: Sequence[Behavior], rows: Sequence[int], vectors: np.ndarray) -> np.ndarray:
+    """``sum(vector * column)`` at each input row (one vector per row, or
+    one for all) of behaviors of one kind and signature: a (behaviors x
+    rows) array of Fractions, or of floats added left to right."""
+    width = vectors.shape[-1]
+    if isinstance(behaviors[0], NonsignalingResource):
+        cols = np.stack([b.numerators.reshape(-1, width)[rows] for b in behaviors])
+        sums = (vectors * cols).sum(axis=-1).tolist()
+        return np.array([[Fraction(v, b.denominator) for v in row]
+                         for row, b in zip(sums, behaviors)], dtype=object)
+    cols = np.stack([b.probabilities.reshape(-1, width)[rows] for b in behaviors])
+    return _running_sum(vectors * cols)
+
+
+def _values(ineq: LinearInequality, behaviors: Sequence[Behavior]) -> list:
+    """The left side on behaviors of one kind and signature: all terms'
+    correlators in one array, then one product with the coefficients."""
+    corrs = _dots(behaviors, *_term_rows(behaviors[0], [t.support for t in ineq.terms]))
+    if corrs.dtype == object:
+        return list(corrs @ np.array([t.coefficient for t in ineq.terms], dtype=object))
+    return _running_sum(corrs * [float(t.coefficient) for t in ineq.terms]).tolist()
 
 
 def correlator(b: Behavior, parties: Sequence[str],
@@ -143,25 +198,11 @@ def correlator(b: Behavior, parties: Sequence[str],
         raise ValueError(f"repeated party in correlator {tuple(parties)}")
     if len(settings) != len(parties):
         raise ValueError("need exactly one setting per involved party")
-    setting_of = dict(zip(parties, settings))
-    indices = []
     for p, s in zip(parties, settings):
         if s not in b.input_alphabet(p):
             raise KeyError(f"party {p!r} has no setting {s}")
-        if not set(b.output_alphabet(p).values) <= {0, 1}:
-            raise InequalityError(
-                f"party {p!r} outcomes {b.output_alphabet(p).values} are not "
-                "within {0, 1}; correlators need binary +/-1 outcomes")
-        indices.append(b.party_index(p))
-    inputs = tuple(setting_of.get(p, b.input_alphabet(p).first) for p in b.parties)
-    total = 0
-    for outs, v in b.table[inputs].items():
-        if v:
-            sign = 1
-            for i in indices:
-                sign = sign if outs[i] == 0 else -sign
-            total += sign * v
-    return total
+        _require_binary(b, p)
+    return _dots([b], *_term_rows(b, [(parties, settings)])).tolist()[0][0]
 
 
 def evaluate(ineq: LinearInequality, b: Behavior, *,
@@ -170,8 +211,8 @@ def evaluate(ineq: LinearInequality, b: Behavior, *,
     holds.  ``atol`` loosens the satisfaction test (``value <= bound +
     atol``) for floating-point behaviors; leave it 0 for exact ones."""
     _check_scenario(b, ineq.settings_counts)
-    value = sum(t.coefficient * correlator(b, t.parties, t.settings)
-                for t in ineq.terms)
+    b.require_nonsignaling("correlator")
+    value = _values(ineq, [b])[0]
     return Evaluation(value=value, bound=ineq.bound, direction="<=",
                       satisfied=value <= ineq.bound + atol)
 
@@ -268,13 +309,7 @@ def chao_reichardt_probability_form(b: Behavior, *,
              + (1 - correlator(b, ("A", "B", "C"), (1, 0, 1))) * half
              + (1 + correlator(b, ("A", "B", "C"), (1, 1, 1))) * half)
     corr = evaluate(chao_reichardt_correlator(), b).value
-    expected = 4 - corr * half
-    if isinstance(value, float) or isinstance(expected, float):
-        if abs(value - expected) > 1e-9:
-            raise AssertionError(
-                f"probability and correlator forms disagree: {value} vs "
-                f"4 - {corr}/2")
-    elif value != expected:
+    if abs(value - (4 - corr * half)) > (1e-9 if isinstance(value, float) else 0):
         raise AssertionError(
             f"probability and correlator forms disagree: {value} vs 4 - {corr}/2")
     return Evaluation(value=value, bound=frac(1), direction=">=",
@@ -298,12 +333,6 @@ def evaluate_cao_s14(b: Behavior, *,
     """
     _check_scenario(b, {"A": 2, "B": 3, "C": 2})
     ia, ib, ic = (b.party_index(p) for p in ("A", "B", "C"))
-
-    def column(x: int, y: int, z: int) -> Mapping:
-        inputs: list[int] = [0] * len(b.parties)
-        inputs[ia], inputs[ib], inputs[ic] = x, y, z
-        return b.table[tuple(inputs)]
-
     c1 = correlator(b, ("C",), (1,))
     half = Fraction(1, 2)
     # Group patterns over the (x, y) settings pairs, keyed by C's outcome
@@ -313,19 +342,19 @@ def evaluate_cao_s14(b: Behavior, *,
         0: {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1},
     }
     prefactor = {1: (1 - c1) * half, 0: (1 + c1) * half}
+    outs = list(b.output_space())
+    ab = np.array([SIGN[a[ia]] * SIGN[a[ib]] for a in outs])
     value = 0
     for c, pattern in patterns.items():
         if prefactor[c] == 0:
             continue
+        # Per context (x, y, z=1): the numerator <AB; C=c> and the
+        # denominator P(C=c) of the conditional correlator.
+        given = np.array([a[ic] == c for a in outs], dtype=np.int64)
+        rows = _term_rows(b, [(("A", "B", "C"), (x, y, 1)) for x, y in pattern])[0]
+        nums, dens = (_dots([b], rows, v).tolist()[0] for v in (ab * given, given))
         group = 0
-        for (x, y), sign in pattern.items():
-            col = column(x, y, 1)
-            num = 0
-            den = 0
-            for outs, v in col.items():
-                if outs[ic] == c and v:
-                    den += v
-                    num += SIGN[outs[ia]] * SIGN[outs[ib]] * v
+        for sign, num, den in zip(pattern.values(), nums, dens):
             if den == 0:
                 raise AssertionError(
                     "conditioning probability vanished in one context but "
@@ -405,7 +434,7 @@ def add(first: LinearInequality, second: LinearInequality) -> LinearInequality:
 # The derivation chain.
 
 
-def deterministic_behaviors(settings_counts: Mapping[str, int]) -> list[Behavior]:
+def deterministic_behaviors(settings_counts: Mapping[str, int]) -> list[NonsignalingResource]:
     """Every deterministic behavior for the given scenario: one local
     function (setting -> outcome bit) per party.  These points affinely
     span the behavior space, so two linear functionals that agree on all
@@ -446,15 +475,21 @@ def functional_difference(first: LinearInequality, second: LinearInequality,
     """First behavior where the two left-hand sides differ (as a witness
     string), or None when they agree on all of them.  Bounds are compared
     too.  Agreement on a deterministic spanning set extends to every
-    behavior by linearity."""
+    behavior by linearity.  The behaviors share one kind and signature,
+    so each side is one product over all of them."""
     if first.settings_counts != second.settings_counts:
         return (f"scenario mismatch: {first.settings_counts} vs "
                 f"{second.settings_counts}")
     if first.bound != second.bound:
         return f"bounds differ: {first.bound} vs {second.bound}"
+    if not behaviors:
+        return None
+    _check_scenario(behaviors[0], first.settings_counts)
     for b in behaviors:
-        v1 = evaluate(first, b).value
-        v2 = evaluate(second, b).value
+        if b.parties != behaviors[0].parties or not b.same_signature(behaviors[0]):
+            raise InequalityError(f"behaviors {behaviors[0].id!r} and {b.id!r} differ in signature")
+        b.require_nonsignaling("correlator")
+    for b, v1, v2 in zip(behaviors, _values(first, behaviors), _values(second, behaviors)):
         if v1 != v2:
             return f"behavior {b.id}: {v1} != {v2}"
     return None
@@ -534,10 +569,8 @@ def verify_derivation_chain() -> ChainReport:
 
     # (e) the conditional two-group evaluator linearizes exactly.
     witness = None
-    linear = cao_s14_linearized()
-    for b in v232:
+    for b, flat in zip(v232, _values(cao_s14_linearized(), v232)):
         conditional = evaluate_cao_s14(b).value
-        flat = evaluate(linear, b).value
         if conditional != flat:
             witness = f"behavior {b.id}: {conditional} != {flat}"
             break

@@ -544,14 +544,20 @@ def check_disjoint_factorization(net_a: Network, net_b: Network) -> ValidationRe
     whole = induced_behavior(union)
     part_a = induced_behavior(net_a)
     part_b = induced_behavior(net_b)
-    na = len(net_a.parties)
-    for x, column in whole.table.items():
-        for outcome, v in column.items():
-            expected = part_a.prob(x[:na], outcome[:na]) * part_b.prob(x[na:], outcome[na:])
-            if v != expected:
-                return ValidationReport.fail([
-                    f"joint {v} != product {expected} at settings {x}, "
-                    f"outcomes {outcome}"])
+    na, nb = len(net_a.parties), len(net_b.parties)
+    # In integers: whole[xa, xb, aa, ab] / dw == a[xa, aa] * b[xb, ab] / dp;
+    # the outer product has axes [xa, aa, xb, ab].
+    dw, dp = whole.denominator, part_a.denominator * part_b.denominator
+    outer = np.multiply.outer(part_a.numerators.astype(object), part_b.numerators.astype(object))
+    outer = outer.transpose([*range(na), *range(2 * na, 2 * na + nb),
+                             *range(na, 2 * na), *range(2 * na + nb, 2 * (na + nb))])
+    bad = np.flatnonzero(whole.numerators.astype(object) * dp != outer * dw)
+    if bad.size:
+        pos = np.unravel_index(bad[0], outer.shape)
+        x, outcome = whole._symbols_at(pos)
+        return ValidationReport.fail([
+            f"joint {Fraction(int(whole.numerators[pos]), dw)} != product "
+            f"{Fraction(int(outer[pos]), dp)} at settings {x}, outcomes {outcome}"])
     return ValidationReport.ok()
 
 

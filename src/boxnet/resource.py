@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -261,15 +261,98 @@ def _structure_problem(r: "NonsignalingResource") -> str | None:
     if not bad.any():
         return None
     i = int(bad.argmax())
-    x = next(islice(r.input_space(), i, None))
+    j = int(bad_entry[i].argmax())
+    x, a = r._symbols_at(np.unravel_index(i * width + j, r.numerators.shape))
     if bad_sum[i]:
         return f"column at input {x} sums to {Fraction(int(sums[i]), den)}, not 1"
-    j = int(bad_entry[i].argmax())
-    a = next(islice(r.output_space(), j, None))
     return f"entry at input {x}, output {a} is {Fraction(int(nums[i, j]), den)}"
 
 
-class NonsignalingResource:
+class ProbabilityTable:
+    """What every behavior kind shares: parties, alphabets and one array
+    indexed [x_1..x_n, a_1..a_n] by alphabet position, which a subclass
+    stores, reads as values (``_rows``) and scans (``_find_signaling_witness``).
+    """
+
+    __slots__ = ("id", "parties", "input_alphabets", "output_alphabets", "_table",
+                 "nonsignaling_checked")
+
+    def _set_signature(self, id: str, parties: Sequence[Party], input_alphabets,
+                       output_alphabets) -> None:
+        self.id = str(id)
+        self.parties = tuple(parties)
+        if not self.parties:
+            raise ValueError("resource must have at least one party")
+        if len(set(self.parties)) != len(self.parties):
+            raise ValueError(f"duplicate parties: {self.parties}")
+        self.input_alphabets = _align(self.parties, input_alphabets)
+        self.output_alphabets = _align(self.parties, output_alphabets)
+        self._table = None
+        self.nonsignaling_checked = False
+
+    def input_space(self) -> Iterable[tuple[Symbol, ...]]:
+        return product(*(a.values for a in self.input_alphabets))
+
+    def output_space(self) -> Iterable[tuple[Symbol, ...]]:
+        return product(*(a.values for a in self.output_alphabets))
+
+    @property
+    def table(self) -> dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], object]]:
+        """Every input tuple -> every output tuple -> value, in product
+        order; a read-only view built from the array on first access."""
+        if self._table is None:
+            out_space = list(self.output_space())
+            self._table = {x: dict(zip(out_space, row))
+                           for x, row in zip(self.input_space(), self._rows())}
+        return self._table
+
+    def prob(self, inputs: Sequence[Symbol], outputs: Sequence[Symbol]):
+        return self.table[_key_tuple(inputs)][_key_tuple(outputs)]
+
+    def party_index(self, party: Party) -> int:
+        try:
+            return self.parties.index(party)
+        except ValueError:
+            raise KeyError(f"party {party!r} is not a member of resource {self.id!r}") from None
+
+    def input_alphabet(self, party: Party) -> Alphabet:
+        return self.input_alphabets[self.party_index(party)]
+
+    def output_alphabet(self, party: Party) -> Alphabet:
+        return self.output_alphabets[self.party_index(party)]
+
+    def _symbols_at(self, pos: Sequence[int]) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
+        """The input and output symbol tuples at an array position."""
+        n = len(self.parties)
+        return (_symbols(self.input_alphabets, range(n), pos[:n]),
+                _symbols(self.output_alphabets, range(n), pos[n:]))
+
+    def same_signature(self, other: "ProbabilityTable") -> bool:
+        return (len(self.parties) == len(other.parties)
+                and self.input_alphabets == other.input_alphabets
+                and self.output_alphabets == other.output_alphabets)
+
+    def require_nonsignaling(self, operation: str) -> None:
+        """Raise unless this table is known (or now verified) to be
+        nonsignaling; used by operations that are ill-defined otherwise."""
+        if self.nonsignaling_checked:
+            return
+        witness = self._find_signaling_witness()
+        if witness is not None:
+            raise SignalingError(
+                f"{operation}: resource {self.id!r} is signaling: {witness}")
+        self.nonsignaling_checked = True
+
+    def _signature_json(self) -> dict:
+        return {
+            "id": self.id,
+            "parties": list(self.parties),
+            "inputs": {p: list(a.values) for p, a in zip(self.parties, self.input_alphabets)},
+            "outputs": {p: list(a.values) for p, a in zip(self.parties, self.output_alphabets)},
+        }
+
+
+class NonsignalingResource(ProbabilityTable):
     """An exact conditional probability table over an ordered party list.
 
     Stored as ``numerators``, one integer array indexed [x_1..x_n,
@@ -285,8 +368,7 @@ class NonsignalingResource:
     (needed for grandfather-paradox counterexamples).
     """
 
-    __slots__ = ("id", "parties", "input_alphabets", "output_alphabets", "numerators",
-                 "denominator", "_table", "nonsignaling_checked")
+    __slots__ = ("numerators", "denominator")
 
     def __init__(
         self,
@@ -298,14 +380,7 @@ class NonsignalingResource:
         *,
         check_nonsignaling: bool = True,
     ):
-        self.id = str(id)
-        self.parties = tuple(parties)
-        if not self.parties:
-            raise ValueError("resource must have at least one party")
-        if len(set(self.parties)) != len(self.parties):
-            raise ValueError(f"duplicate parties: {self.parties}")
-        self.input_alphabets = _align(self.parties, input_alphabets)
-        self.output_alphabets = _align(self.parties, output_alphabets)
+        self._set_signature(id, parties, input_alphabets, output_alphabets)
         # Library-derived resources pass a _Tensor; reduce to the canonical denominator.
         nums, den = table if isinstance(table, _Tensor) else self._parse_table(table)
         nums = nums.reshape([len(a) for a in self.input_alphabets + self.output_alphabets])
@@ -314,11 +389,10 @@ class NonsignalingResource:
             nums, den = nums // g, den // g
         nums = nums.astype(np.int64 if den < _INT64 else object, copy=False)
         nums.flags.writeable = False
-        self.numerators, self.denominator, self._table = nums, den, None
+        self.numerators, self.denominator = nums, den
         problem = _structure_problem(self)
         if problem is not None:
             raise TableError(f"resource {self.id!r}: {problem}")
-        self.nonsignaling_checked = False
         if check_nonsignaling:
             self.require_nonsignaling("construction")
 
@@ -336,12 +410,6 @@ class NonsignalingResource:
                    check_nonsignaling=False)
 
     # -- construction helpers -------------------------------------------------
-
-    def input_space(self) -> Iterable[tuple[Symbol, ...]]:
-        return product(*(a.values for a in self.input_alphabets))
-
-    def output_space(self) -> Iterable[tuple[Symbol, ...]]:
-        return product(*(a.values for a in self.output_alphabets))
 
     def _parse_table(self, table) -> _Tensor:
         """A mapping table, checked column by column for totality, range
@@ -380,44 +448,18 @@ class NonsignalingResource:
             nums[i] = v.numerator * (den // v.denominator)
         return _Tensor(nums, den)
 
-    @property
-    def table(self) -> dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], Fraction]]:
-        """Every input tuple -> every output tuple -> Fraction, in product
-        order; built on first access, one shared Fraction per value."""
-        if self._table is None:
-            out_space = list(self.output_space())
-            rows = self.numerators.reshape(-1, len(out_space)).tolist()
-            values = {n: Fraction(n, self.denominator) for n in set(chain.from_iterable(rows))}
-            self._table = {x: dict(zip(out_space, map(values.__getitem__, row)))
-                           for x, row in zip(self.input_space(), rows)}
-        return self._table
+    def _rows(self) -> Iterable[Iterable[Fraction]]:
+        """The Fractions of each input tuple, one shared Fraction per value."""
+        rows = self.numerators.reshape(-1, prod(len(a) for a in self.output_alphabets)).tolist()
+        values = {n: Fraction(n, self.denominator) for n in set(chain.from_iterable(rows))}
+        return (map(values.__getitem__, row) for row in rows)
 
     # -- basic access ---------------------------------------------------------
-
-    def prob(self, inputs: Sequence[Symbol], outputs: Sequence[Symbol]) -> Fraction:
-        return self.table[_key_tuple(inputs)][_key_tuple(outputs)]
-
-    def party_index(self, party: Party) -> int:
-        try:
-            return self.parties.index(party)
-        except ValueError:
-            raise KeyError(f"party {party!r} is not a member of resource {self.id!r}") from None
-
-    def input_alphabet(self, party: Party) -> Alphabet:
-        return self.input_alphabets[self.party_index(party)]
-
-    def output_alphabet(self, party: Party) -> Alphabet:
-        return self.output_alphabets[self.party_index(party)]
 
     def is_input_free(self) -> bool:
         """True when every party's input alphabet is a single symbol, i.e.
         the resource is just shared randomness."""
         return all(len(a) == 1 for a in self.input_alphabets)
-
-    def same_signature(self, other: "NonsignalingResource") -> bool:
-        return (len(self.parties) == len(other.parties)
-                and self.input_alphabets == other.input_alphabets
-                and self.output_alphabets == other.output_alphabets)
 
     def same_table(self, other: "NonsignalingResource") -> bool:
         return (self.same_signature(other) and self.denominator == other.denominator
@@ -441,32 +483,16 @@ class NonsignalingResource:
         return _one_party_witness(self.parties, self.input_alphabets, self.output_alphabets,
                                   self.numerators, lambda v: Fraction(int(v), den))
 
-    def require_nonsignaling(self, operation: str) -> None:
-        """Raise unless this resource is known (or now verified) to be
-        nonsignaling; used by operations that are ill-defined otherwise."""
-        if self.nonsignaling_checked:
-            return
-        witness = self._find_signaling_witness()
-        if witness is not None:
-            raise SignalingError(
-                f"{operation}: resource {self.id!r} is signaling: {witness}")
-        self.nonsignaling_checked = True
-
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        data = {
-            "id": self.id,
-            "parties": list(self.parties),
-            "inputs": {p: list(a.values) for p, a in zip(self.parties, self.input_alphabets)},
-            "outputs": {p: list(a.values) for p, a in zip(self.parties, self.output_alphabets)},
-            "table": {
-                ",".join(map(str, x)): {
-                    ",".join(map(str, a)): f"{v.numerator}/{v.denominator}"
-                    for a, v in column.items()
-                }
-                for x, column in self.table.items()
-            },
+        data = self._signature_json()
+        data["table"] = {
+            ",".join(map(str, x)): {
+                ",".join(map(str, a)): f"{v.numerator}/{v.denominator}"
+                for a, v in column.items()
+            }
+            for x, column in self.table.items()
         }
         if not self.nonsignaling_checked:
             data["unchecked"] = True
@@ -474,18 +500,22 @@ class NonsignalingResource:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NonsignalingResource":
-        parties = list(data["parties"])
-        inputs = {p: Alphabet(tuple(data["inputs"][p])) for p in parties}
-        outputs = {p: Alphabet(tuple(data["outputs"][p])) for p in parties}
-        table = {
-            tuple(int(s) for s in x.split(",")): {
-                tuple(int(s) for s in a.split(",")): frac(v)
-                for a, v in column.items()
-            }
-            for x, column in data["table"].items()
-        }
         ctor = cls.new_unchecked if data.get("unchecked") else cls.make
-        return ctor(data["id"], parties, inputs, outputs, table)
+        return ctor(data["id"], *_json_parts(data, frac))
+
+
+def _json_parts(data: Mapping, value) -> tuple:
+    """The parties, input and output alphabets and table of a table's JSON
+    object, each entry parsed by ``value``."""
+    def key(s: str) -> tuple[Symbol, ...]:
+        return tuple(int(x) for x in s.split(","))
+
+    parties = list(data["parties"])
+    return (parties,
+            {p: Alphabet(tuple(data["inputs"][p])) for p in parties},
+            {p: Alphabet(tuple(data["outputs"][p])) for p in parties},
+            {key(x): {key(a): value(v) for a, v in column.items()}
+             for x, column in data["table"].items()})
 
 
 # -- validation ----------------------------------------------------------------

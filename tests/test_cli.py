@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +20,7 @@ import boxnet
 from boxnet.cli import main
 from boxnet.decompose import local_deterministic_vertices
 from boxnet.inequality import evaluate, mao_inequality
-from boxnet.resource import NonsignalingResource, validate_nonsignaling
+from boxnet.resource import Alphabet, NonsignalingResource, validate_nonsignaling
 
 FIXTURES = Path(boxnet.__file__).parent / "fixtures"
 
@@ -300,3 +303,51 @@ def test_pretty_output_is_text(capsys):
 def test_threads_flag_accepted(capsys):
     rc, data = run_json(capsys, "--threads", "4", "validate", "worked")
     assert rc == 0 and data["passed"] is True
+
+
+def _cli_process(*argv, timeout=20):
+    """Run the CLI as its own process, so that a hang fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(boxnet.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "boxnet.cli", *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+
+
+def test_nan_float_behavior_is_refused(tmp_path, capsys):
+    table = {f"{x},{y},{z}": {"0,0,0": float("nan")}
+             for x in (0, 1) for y in (0, 1) for z in (0, 1)}
+    beh = {"float": True, "id": "nan", "parties": ["A", "B", "C"],
+           "inputs": {p: [0, 1] for p in "ABC"}, "outputs": {p: [0, 1] for p in "ABC"},
+           "table": table}
+    rc, out = run(capsys, "ineq", "eval", "--ineq", "mao",
+                  "--behavior", _write(tmp_path / "nan.json", beh))
+    assert rc == 1
+    assert "NaN" not in out
+
+
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_ghz_search_refuses_a_step_floor_that_never_stops(refine):
+    proc = _cli_process("ghz", "search", "--refine", refine)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["ghz", "search", "--grid", "0"],
+    ["ghz", "search", "--grid", "-2"],
+    ["ghz", "search", "--refine", "nan"],
+    ["ghz", "search", "--refine", "inf"],
+    ["ghz", "eval", "--angles", "nan,0,0,0,0,0"],
+    ["ghz", "eval", "--angles", "0,0,0,0,0,inf"],
+])
+def test_bad_numeric_flags_exit_two(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("atol", ["nan", "inf", "-1"])
+def test_bad_atol_exits_two(tmp_path, capsys, atol):
+    bits = [Alphabet((0, 1))] * 3
+    vertex = local_deterministic_vertices(("A", "B", "C"), bits, bits).vertices[0]
+    beh = _write(tmp_path / "b.json", vertex.to_json_dict())
+    assert main(["ineq", "eval", "--ineq", "mao", "--behavior", beh, "--atol", atol]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

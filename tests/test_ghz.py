@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import boxnet
 from boxnet.ghz import (
     FloatBehavior,
     MeasurementSetting,
@@ -24,7 +29,7 @@ from boxnet.inequality import (
     evaluate,
     mao_inequality,
 )
-from boxnet.resource import Alphabet, SignalingError, frac
+from boxnet.resource import Alphabet, SignalingError, TableError, frac
 
 PI = math.pi
 
@@ -99,6 +104,17 @@ def test_float_behavior_rejects_bad_columns():
                        (1,): {(0,): 0.5, (1,): 0.5}})
 
 
+def test_float_behavior_rejects_non_finite_entries():
+    bits = Alphabet((0, 1))
+    table = {(x, y, z): {(0, 0, 0): float("nan")}
+             for x, y, z in product((0, 1), repeat=3)}
+    with pytest.raises(TableError, match=r"probability nan out of range at \(0, 0, 0\)"):
+        FloatBehavior("nan", ("A", "B", "C"), [bits] * 3, [bits] * 3, table)
+    with pytest.raises(TableError, match="probability inf out of range"):
+        FloatBehavior("inf", ("A",), [bits], [bits],
+                      {(0,): {(0,): float("inf")}, (1,): {(0,): 1.0}})
+
+
 def test_float_behavior_rejects_signaling():
     bits = Alphabet((0, 1))
     table = {(x,): {(x,): 1.0, (1 - x,): 0.0} for x in (0, 1)}
@@ -161,6 +177,30 @@ def test_search_rejects_oversized_scenarios():
                                  {"A": 2, "B": 2})
     with pytest.raises(InequalityError, match="three-party"):
         search_max_violation(two_party)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid": 0}, {"grid": -3}, {"step_floor": float("nan")}, {"step_floor": float("inf")},
+])
+def test_search_rejects_bad_grid_and_step_floor(kwargs):
+    with pytest.raises(ValueError, match="grid must be|step_floor must be"):
+        search_max_violation(mao_inequality(), **kwargs)
+
+
+def test_search_rejects_a_step_floor_that_never_stops():
+    # Without the check these floors loop forever, so the calls run in a
+    # subprocess under a timeout.
+    code = ("from boxnet.ghz import search_max_violation\n"
+            "from boxnet.inequality import mao_inequality\n"
+            "for floor in (0.0, -1.0, -float('inf')):\n"
+            "    try:\n"
+            "        search_max_violation(mao_inequality(), step_floor=floor)\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(boxnet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=env)
+    assert proc.stdout.count("step_floor must be positive and finite") == 3
 
 
 def test_search_value_matches_behavior_route():

@@ -296,3 +296,29 @@ def test_random_networks_normalize_and_are_nonsignaling():
         net = random_network(rng, name=f"rnd{i}")
         beh = induced_behavior(net)  # asserts sum-to-1 per settings and validates
         assert validate_nonsignaling(beh).passed
+
+
+def test_disjoint_factorization_reports_the_first_mismatch(monkeypatch):
+    import boxnet.network as network_module
+
+    netA = pass_through_pair(make_pr_box(), ("A", "B"))
+    netB = Network(("E",), [], {"E": DecisionTree("E", {0: Terminal(4), 1: Terminal(7)},
+                                                    frozenset())}, {"E": BITS}, name="point")
+    # The union is answered with the behavior of a different PR-class box.
+    forged = induced_behavior(union_network(
+        pass_through_pair(make_pr_box(alpha=1, gamma=1), ("A", "B")), netB))
+    real = network_module.induced_behavior
+    monkeypatch.setattr(network_module, "induced_behavior",
+                        lambda net: forged if net.name == "pass+point" else real(net))
+    report = check_disjoint_factorization(netA, netB)
+
+    # The entry-by-entry loop over the dict views that the check replaced.
+    whole, part_a, part_b = forged, real(netA), real(netB)
+    expected = None
+    for x, column in whole.table.items():
+        for outcome, v in column.items():
+            product_ = part_a.prob(x[:2], outcome[:2]) * part_b.prob(x[2:], outcome[2:])
+            if v != product_ and expected is None:
+                expected = (f"joint {v} != product {product_} at settings {x}, "
+                            f"outcomes {outcome}")
+    assert not report.passed and report.errors == [expected]
