@@ -315,6 +315,23 @@ def _frozen_unbinned(net: Network) -> Network:
     )
 
 
+def _excised(base: Network,
+             observed: Mapping[str, Mapping[Party, Symbol | Mapping[Symbol, Symbol]]],
+             resources: Sequence[NonsignalingResource], name: str) -> Network:
+    """``base`` (outcomes frozen) with each resource in ``observed`` cut out
+    of every member's tree, given that member's observed output: a symbol,
+    or a map input -> output."""
+    trees = {}
+    for p in base.parties:
+        t = base.trees[p]
+        for rid, outputs in observed.items():
+            if p in outputs:
+                t = excise_input_free(t, rid, outputs[p])
+        trees[p] = t
+    return Network(parties=base.parties, resources=resources, trees=trees,
+                   settings_alphabets=base.settings_alphabets, name=name)
+
+
 def factor_out_shared_randomness(net: Network) -> Mixture:
     """Pull every input-free resource out in front: the network equals a
     mixture, over the joint sample of all its shared randomness, of
@@ -339,21 +356,9 @@ def factor_out_shared_randomness(net: Network) -> Mixture:
             weight *= r.prob(tuple([0] * len(r.parties)), a)
         if weight == 0:
             continue
-        trees = {}
-        for p in base.parties:
-            t = base.trees[p]
-            for r, a in zip(free, sample):
-                if r.id in t.resource_scope:
-                    t = excise_input_free(t, r.id, a[r.party_index(p)])
-            trees[p] = t
+        observed = {r.id: dict(zip(r.parties, a)) for r, a in zip(free, sample)}
         label = ",".join(f"{r.id}={''.join(map(str, a))}" for r, a in zip(free, sample))
-        components.append((weight, Network(
-            parties=base.parties,
-            resources=kept,
-            trees=trees,
-            settings_alphabets=base.settings_alphabets,
-            name=f"{net.name}|{label}",
-        )))
+        components.append((weight, _excised(base, observed, kept, f"{net.name}|{label}")))
     mix = Mixture(components)
     _assert_mixture_matches(net, mix)
     return mix
@@ -442,20 +447,9 @@ def excise_local_deterministic(net: Network) -> Network:
         return net
 
     base = _frozen_unbinned(net)
-    trees = {}
-    for p in base.parties:
-        t = base.trees[p]
-        for rid, fns in fns_by_resource.items():
-            if rid in t.resource_scope:
-                t = excise_input_free(t, rid, fns[p])
-        trees[p] = t
-    out = Network(
-        parties=base.parties,
-        resources=[r for r in base.resources if r.id not in fns_by_resource],
-        trees=trees,
-        settings_alphabets=base.settings_alphabets,
-        name=f"{net.name}-excised",
-    )
+    out = _excised(base, fns_by_resource,
+                   [r for r in base.resources if r.id not in fns_by_resource],
+                   f"{net.name}-excised")
     before = _behavior_support(induced_behavior(net))
     after = _behavior_support(induced_behavior(out))
     if before != after:

@@ -85,7 +85,8 @@ class FloatBehavior(ProbabilityTable):
     ``NonsignalingResource.numerators``; the signature accessors, the
     nonsignaling check and the ``table`` view come from the shared base.
     ``table`` is such an array or a mapping input tuple -> output tuple ->
-    probability, with missing outputs 0.
+    probability, with missing outputs 0; a mapping's keys are checked as
+    an exact table's are.
     """
 
     __slots__ = ("probabilities",)
@@ -95,11 +96,14 @@ class FloatBehavior(ProbabilityTable):
                  output_alphabets: Sequence[Alphabet],
                  table: np.ndarray | Mapping[tuple, Mapping[tuple, float]]) -> None:
         self._set_signature(id, parties, input_alphabets, output_alphabets)
+        shape = [len(a) for a in self.input_alphabets + self.output_alphabets]
         if isinstance(table, Mapping):
-            table = [[float(table[x].get(a, 0.0)) for a in self.output_space()]
-                     for x in self.input_space()]
-        self.probabilities = np.array(table, dtype=np.float64).reshape(
-            [len(a) for a in self.input_alphabets + self.output_alphabets])
+            flat = np.zeros(math.prod(shape))
+            for _, entries in self._columns(table):
+                for i, _, value in entries:
+                    flat[i] = float(value)
+            table = flat
+        self.probabilities = np.array(table, dtype=np.float64).reshape(shape)
         self.probabilities.flags.writeable = False
         for x, row in zip(self.input_space(), self._rows()):
             total = 0.0

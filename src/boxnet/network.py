@@ -4,11 +4,12 @@ A network is n parties, m shared resources, and one decision tree per
 party.  The probability of a complete transcript (every resource's full
 output tuple) under a settings choice is the product of the resource
 tables, each evaluated at the inputs its member parties' trees handed it
-along the traced paths.  Everything here is exact rational arithmetic;
-normalization (sum over all transcripts equals one) is *asserted*, not
-assumed, each time a distribution is built — for well-formed networks of
-nonsignaling resources it always holds, and a deliberately signaling
-counterexample shows up as a total different from one.
+along their paths; each tree is walked once, into a table of its paths.
+Everything here is exact rational arithmetic; normalization (sum over all
+transcripts equals one) is *asserted*, not assumed, each time a
+distribution is built — for well-formed networks of nonsignaling
+resources it always holds, and a deliberately signaling counterexample
+shows up as a total different from one.
 
 That product is a tensor network.  Each resource is an integer tensor
 R_r[x_r, a_r] (its stored numerators over its denominator), each
@@ -49,9 +50,8 @@ from boxnet.wiring import (
     DecisionTree,
     Internal,
     Node,
-    PathTrace,
     Terminal,
-    trace_path,
+    maximal_paths,
     validate_tree,
 )
 
@@ -146,23 +146,6 @@ class Network:
             if not report:
                 raise NetworkError(f"tree of {p!r} invalid: {report.errors[0]}")
 
-        # Per-party transcript layout: sorted resource ids and, for each,
-        # where in the assignment that party's output component lives.
-        self._scope_sorted: dict[Party, tuple[str, ...]] = {}
-        self._component: dict[Party, tuple[tuple[int, int], ...]] = {}
-        res_index = {r.id: i for i, r in enumerate(self.resources)}
-        for p in self.parties:
-            rids = tuple(sorted(self.trees[p].resource_scope))
-            self._scope_sorted[p] = rids
-            self._component[p] = tuple(
-                (res_index[rid], self.resources_by_id[rid].party_index(p))
-                for rid in rids
-            )
-
-        self._labeled: dict[Party, bool] = {
-            p: self._tree_is_labeled(self.trees[p]) for p in self.parties
-        }
-
         self.bins: dict[Party, dict[Transcript, int]] = {}
         if bins:
             for p, mapping in bins.items():
@@ -171,67 +154,56 @@ class Network:
                 self.bins[p] = {tuple(int(s) for s in k): int(v)
                                 for k, v in mapping.items()}
 
-        # Default labeling: index of the transcript in the lexicographic
-        # enumeration of the party's product output space.
-        self._transcript_index: dict[Party, dict[Transcript, int]] = {}
+        # Per party: its sorted resource ids; for each, where in an output
+        # assignment the party's component lives; and the path table, from
+        # one walk of the tree: (setting, transcript) -> (the inputs handed
+        # to the resources in sorted-id order, the outcome).  The outcome
+        # is the bin when one is supplied, else the terminal label, else
+        # the transcript's index in the product order of the party's output
+        # alphabets.
+        self._scope_sorted: dict[Party, tuple[str, ...]] = {}
+        self._component: dict[Party, tuple[tuple[int, int], ...]] = {}
+        self._paths: dict[Party, dict[tuple[Symbol, Transcript],
+                                      tuple[tuple[Symbol, ...], Symbol]]] = {}
+        self._outcome_alphabets: dict[Party, Alphabet] = {}
+        res_index = {r.id: i for i, r in enumerate(self.resources)}
         for p in self.parties:
-            space = list(product(*(
-                self.resources_by_id[rid].output_alphabet(p).values
-                for rid in self._scope_sorted[p]
-            )))
-            self._transcript_index[p] = {tr: i for i, tr in enumerate(space)}
-            if p in self.bins:
-                missing = [tr for tr in space if tr not in self.bins[p]]
+            rids = tuple(sorted(self.trees[p].resource_scope))
+            self._scope_sorted[p] = rids
+            self._component[p] = tuple(
+                (res_index[rid], self.resources_by_id[rid].party_index(p))
+                for rid in rids
+            )
+            outs = [self.resources_by_id[rid].output_alphabet(p).values for rid in rids]
+            party_bins = self.bins.get(p)
+            if party_bins is not None:
+                missing = [tr for tr in product(*outs) if tr not in party_bins]
                 if missing:
                     raise NetworkError(
                         f"bins for {p!r} not total: missing transcript {missing[0]}")
-
-        self._outcome_alphabets: dict[Party, Alphabet] = {
-            p: self._compute_outcome_alphabet(p) for p in self.parties
-        }
-        self._trace_cache: dict[tuple[Party, Symbol, Transcript], PathTrace] = {}
-        self._wirings: dict[Party, np.ndarray] = {}
-
-    @staticmethod
-    def _tree_is_labeled(t: DecisionTree) -> bool:
-        def first_terminal(node: Node) -> Terminal:
-            while isinstance(node, Internal):
-                node = next(iter(node.children.values()))
-            return node
-
-        return first_terminal(next(iter(t.root.values()))).outcome is not None
-
-    def _compute_outcome_alphabet(self, p: Party) -> Alphabet:
-        if p in self.bins:
-            return Alphabet(tuple(sorted(set(self.bins[p].values()))))
-        if self._labeled[p]:
-            labels: set[int] = set()
-
-            def collect(node: Node) -> None:
-                if isinstance(node, Terminal):
-                    labels.add(node.outcome)
+            position = [{a: i for i, a in enumerate(o)} for o in outs]
+            paths = {}
+            for s, inputs, outputs, label in maximal_paths(self.trees[p]):
+                transcript = tuple(outputs[rid] for rid in rids)
+                if party_bins is not None:
+                    outcome = party_bins[transcript]
+                elif label is not None:
+                    outcome = label
                 else:
-                    for c in node.children.values():
-                        collect(c)
-
-            for n in self.trees[p].root.values():
-                collect(n)
-            return Alphabet(tuple(sorted(labels)))
-        return Alphabet.of_size(len(self._transcript_index[p]))
+                    outcome = 0
+                    for o, pos, a in zip(outs, position, transcript):
+                        outcome = outcome * len(o) + pos[a]
+                paths[s, transcript] = tuple(inputs[rid] for rid in rids), outcome
+            self._paths[p] = paths
+            outcomes = (party_bins.values() if party_bins is not None
+                        else (o for _, o in paths.values()))
+            self._outcome_alphabets[p] = Alphabet(tuple(sorted(set(outcomes))))
+        self._wirings: dict[Party, np.ndarray] = {}
 
     # -- core evaluation ------------------------------------------------------
 
     def _party_transcript(self, p: Party, outputs: OutputAssignment) -> Transcript:
         return tuple(outputs[ri][pos] for ri, pos in self._component[p])
-
-    def _trace(self, p: Party, setting: Symbol, transcript: Transcript) -> PathTrace:
-        key = (p, setting, transcript)
-        hit = self._trace_cache.get(key)
-        if hit is None:
-            outs = dict(zip(self._scope_sorted[p], transcript))
-            hit = trace_path(self.trees[p], setting, outs)
-            self._trace_cache[key] = hit
-        return hit
 
     def _wiring(self, p: Party) -> np.ndarray:
         """Party p's 0/1 wiring tensor W[s, o, x_r..., a_r...], with r over
@@ -241,19 +213,14 @@ class Network:
         w = self._wirings.get(p)
         if w is None:
             rids = self._scope_sorted[p]
-            ins = [self.resources_by_id[rid].input_alphabet(p).values for rid in rids]
-            outs = [self.resources_by_id[rid].output_alphabet(p).values for rid in rids]
-            settings = self.settings_alphabets[p].values
-            outcomes = self._outcome_alphabets[p].values
-            w = np.zeros((len(settings), len(outcomes), *map(len, ins), *map(len, outs)),
-                         dtype=np.int64)
-            for si, s in enumerate(settings):
-                for ai in product(*(range(len(o)) for o in outs)):
-                    transcript = tuple(o[i] for o, i in zip(outs, ai))
-                    tr = self._trace(p, s, transcript)
-                    xi = tuple(x.index(tr.inputs[rid]) for x, rid in zip(ins, rids))
-                    oi = outcomes.index(self.outcome_of(p, s, transcript))
-                    w[(si, oi, *xi, *ai)] = 1
+            alphabets = [self.settings_alphabets[p], self._outcome_alphabets[p],
+                         *(self.resources_by_id[rid].input_alphabet(p) for rid in rids),
+                         *(self.resources_by_id[rid].output_alphabet(p) for rid in rids)]
+            positions = [{v: i for i, v in enumerate(a.values)} for a in alphabets]
+            w = np.zeros([len(a) for a in alphabets], dtype=np.int64)
+            for (s, transcript), (inputs, outcome) in self._paths[p].items():
+                symbols = (s, outcome, *inputs, *transcript)
+                w[tuple(pos[v] for pos, v in zip(positions, symbols))] = 1
             self._wirings[p] = w
         return w
 
@@ -265,11 +232,7 @@ class Network:
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
         """The party's final outcome for a transcript: the bin when one is
         supplied, else the terminal label, else the transcript's index."""
-        if p in self.bins:
-            return self.bins[p][transcript]
-        if self._labeled[p]:
-            return self._trace(p, setting, transcript).outcome_label
-        return self._transcript_index[p][transcript]
+        return self._paths[p][setting, transcript][1]
 
     def outcome_alphabet(self, p: Party) -> Alphabet:
         return self._outcome_alphabets[p]
@@ -298,18 +261,17 @@ def joint_probability(
     settings: Sequence[Symbol],
     outputs: OutputAssignment,
 ) -> Fraction:
-    """Probability of one complete transcript: trace every party's path to
-    learn the input each resource received, then multiply the resource
+    """Probability of one complete transcript: look up every party's path
+    to learn the input each resource received, then multiply the resource
     table entries.  Exact."""
     settings = net._check_settings(settings)
     inputs_by_resource: list[list[Symbol]] = [
         [0] * len(r.parties) for r in net.resources
     ]
-    for i, p in enumerate(net.parties):
-        transcript = net._party_transcript(p, outputs)
-        tr = net._trace(p, settings[i], transcript)
-        for ri, pos in net._component[p]:
-            inputs_by_resource[ri][pos] = tr.inputs[net.resources[ri].id]
+    for p, s in zip(net.parties, settings):
+        inputs, _ = net._paths[p][s, net._party_transcript(p, outputs)]
+        for (ri, pos), x in zip(net._component[p], inputs):
+            inputs_by_resource[ri][pos] = x
     prob = Fraction(1)
     for ri, r in enumerate(net.resources):
         prob *= r.table[tuple(inputs_by_resource[ri])][tuple(outputs[ri])]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -343,6 +343,34 @@ class ProbabilityTable:
                 f"{operation}: resource {self.id!r} is signaling: {witness}")
         self.nonsignaling_checked = True
 
+    def _columns(self, table: Mapping) -> Iterator[tuple[tuple[Symbol, ...], Iterator]]:
+        """A mapping table's columns in input order: each input tuple with
+        an iterator of its entries as (flat array position, output tuple,
+        value).  A missing input tuple, an output tuple outside the output
+        alphabets (when its entry is reached) and, after the last column,
+        an input tuple outside the input alphabets raise ``TableError``."""
+        width = prod(len(a) for a in self.output_alphabets)
+        out_index = {a: i for i, a in enumerate(self.output_space())}
+        raw = {_key_tuple(x): column for x, column in table.items()}
+
+        def entries(row: int, x: tuple[Symbol, ...]):
+            for a, value in raw[x].items():
+                a = _key_tuple(a)
+                if a not in out_index:
+                    raise TableError(
+                        f"resource {self.id!r}: output tuple {a} at input {x} "
+                        f"is outside the output alphabets")
+                yield row * width + out_index[a], a, value
+
+        for row, x in enumerate(self.input_space()):
+            if x not in raw:
+                raise TableError(f"resource {self.id!r}: missing input tuple {x}")
+            yield x, entries(row, x)
+        extra = set(raw).difference(self.input_space())
+        if extra:
+            raise TableError(
+                f"resource {self.id!r}: input tuples outside the input alphabets: {sorted(extra)}")
+
     def _signature_json(self) -> dict:
         return {
             "id": self.id,
@@ -414,36 +442,24 @@ class NonsignalingResource(ProbabilityTable):
     def _parse_table(self, table) -> _Tensor:
         """A mapping table, checked column by column for totality, range
         and a unit sum, as numerators over the lcm of its denominators."""
-        out_index = {a: i for i, a in enumerate(self.output_space())}
-        raw = {_key_tuple(x): entries for x, entries in table.items()}
         cells: dict[int, Fraction] = {}   # flat position -> entry
-        for row, x in enumerate(self.input_space()):
-            if x not in raw:
-                raise TableError(f"resource {self.id!r}: missing input tuple {x}")
-            entries: dict[int, Fraction] = {}
-            for a, value in raw[x].items():
-                a = _key_tuple(a)
-                if a not in out_index:
-                    raise TableError(
-                        f"resource {self.id!r}: output tuple {a} at input {x} "
-                        f"is outside the output alphabets")
+        for x, entries in self._columns(table):
+            column: dict[int, Fraction] = {}
+            for i, a, value in entries:
                 try:
-                    entries[row * len(out_index) + out_index[a]] = as_probability(value)
+                    column[i] = as_probability(value)
                 except (ValueError, TypeError) as exc:
                     raise TableError(
                         f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
                     ) from exc
-            total = sum(v for v in entries.values() if v)
+            total = sum(v for v in column.values() if v)
             if total != 1:
                 raise TableError(
                     f"resource {self.id!r}: column at input {x} sums to {total}, not 1")
-            cells.update(entries)
-        extra = set(raw).difference(self.input_space())
-        if extra:
-            raise TableError(
-                f"resource {self.id!r}: input tuples outside the input alphabets: {sorted(extra)}")
+            cells.update(column)
         den = lcm(*(v.denominator for v in cells.values()))
-        nums = np.zeros(len(raw) * len(out_index), dtype=np.int64 if den < _INT64 else object)
+        size = prod(len(a) for a in self.input_alphabets + self.output_alphabets)
+        nums = np.zeros(size, dtype=np.int64 if den < _INT64 else object)
         for i, v in cells.items():
             nums[i] = v.numerator * (den // v.denominator)
         return _Tensor(nums, den)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -191,6 +191,27 @@ def trace_path(
         node = node.children[out]
     return PathTrace(inputs=inputs, consult_order=tuple(order),
                      outcome_label=node.outcome)
+
+
+def maximal_paths(
+    t: DecisionTree,
+) -> Iterator[tuple[Symbol, dict[str, Symbol], dict[str, Symbol], int | None]]:
+    """Every maximal path of a tree: its setting, the inputs it hands and
+    the outputs it sees (both keyed by resource id), and its terminal's
+    label (None when unlabeled).  On a valid tree each (setting, full
+    output assignment) is one path: `trace_path` for all of them, in one
+    walk."""
+    def walk(node: Node, inputs: dict[str, Symbol], outputs: dict[str, Symbol]):
+        if isinstance(node, Terminal):
+            yield inputs, outputs, node.outcome
+            return
+        rid = node.resource_choice
+        for out, child in node.children.items():
+            yield from walk(child, {**inputs, rid: node.input_choice}, {**outputs, rid: out})
+
+    for setting, node in t.root.items():
+        for inputs, outputs, label in walk(node, {}, {}):
+            yield setting, inputs, outputs, label
 
 
 def excise_input_free(

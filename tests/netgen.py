@@ -112,6 +112,31 @@ def worked_network(bins=None) -> Network:
     )
 
 
+def unsorted_alphabet_network(bins=None) -> Network:
+    """A and B share a box R whose alphabets are out of sorted order: A's
+    inputs (1, 0) and outputs (2, 0, 5), B's outputs (1, 0).  R gives
+    a = 5 with probability 1/3 and otherwise a PR correlation between
+    "a is 0" and "b is 0"; A also holds a biased coin S.  The trees are
+    random (seed 4242) and unlabeled; A's settings are (3, 1)."""
+    table = {}
+    for x, y in product((1, 0), (0, 1)):
+        column = {(5, b): Fraction(1, 6) for b in (1, 0)}
+        for a, b in product((2, 0), (1, 0)):
+            if ((a == 0) ^ (b == 0)) == (x & y):
+                column[(a, b)] = Fraction(1, 3)
+        table[(x, y)] = column
+    r = NonsignalingResource.make("R", ("A", "B"), [Alphabet((1, 0)), BITS],
+                                  [Alphabet((2, 0, 5)), Alphabet((1, 0))], table)
+    s = NonsignalingResource.make("S", ("A",), [Alphabet((0,))], [BITS],
+                                  {(0,): {(0,): Fraction(3, 4), (1,): Fraction(1, 4)}})
+    resources = {"R": r, "S": s}
+    settings = {"A": Alphabet((3, 1)), "B": BITS}
+    rng = random.Random(4242)
+    trees = {p: random_tree(rng, p, {rid for rid, q in resources.items() if p in q.parties},
+                            settings[p].values, resources) for p in ("A", "B")}
+    return Network(("A", "B"), [r, s], trees, settings, bins, name="unsorted")
+
+
 # -- random corpus ----------------------------------------------------------------
 #
 # Resources are sampled as exact convex mixtures of local deterministic

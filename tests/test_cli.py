@@ -19,6 +19,7 @@ import pytest
 import boxnet
 from boxnet.cli import main
 from boxnet.decompose import local_deterministic_vertices
+from boxnet.ghz import QuantumStrategy, ghz_behavior
 from boxnet.inequality import evaluate, mao_inequality
 from boxnet.resource import Alphabet, NonsignalingResource, validate_nonsignaling
 
@@ -322,6 +323,18 @@ def test_nan_float_behavior_is_refused(tmp_path, capsys):
                   "--behavior", _write(tmp_path / "nan.json", beh))
     assert rc == 1
     assert "NaN" not in out
+
+
+def test_float_behavior_with_keys_outside_its_alphabets_exits_one(tmp_path, capsys):
+    angles = {"A": (0.0, math.pi / 2), "B": (math.pi / 4, -math.pi / 4), "C": (0.0, math.pi / 2)}
+    beh = ghz_behavior(QuantumStrategy.from_angles(angles)).to_json_dict()
+    beh["table"]["0,1,0"]["2,2,2"] = 0.7
+    beh["table"]["5,5,5"] = {"0,0,0": 1.0}
+    rc = main(["ineq", "eval", "--ineq", "mao", "--behavior", _write(tmp_path / "b.json", beh)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: resource 'ghz")
+    assert "output tuple (2, 2, 2) at input (0, 1, 0) is outside the output alphabets" in captured.err
 
 
 @pytest.mark.parametrize("refine", ["0", "-1"])

@@ -13,8 +13,11 @@ same totals and the same error text.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from boxnet.network import (
@@ -31,7 +34,7 @@ from boxnet.resource import (
     make_pr_box,
     make_shared_randomness,
 )
-from boxnet.wiring import DecisionTree, Internal, Node, Terminal
+from boxnet.wiring import DecisionTree, Internal, Node, Terminal, trace_path
 
 from netgen import (
     BITS,
@@ -41,6 +44,7 @@ from netgen import (
     random_small_network,
     random_tree,
     random_wired_pairwise_network,
+    unsorted_alphabet_network,
     worked_network,
 )
 
@@ -87,6 +91,50 @@ def reference_behavior(net: Network) -> NonsignalingResource:
         f"behavior({net.name})", net.parties,
         [net.settings_alphabets[p] for p in net.parties],
         [net.outcome_alphabet(p) for p in net.parties], table)
+
+
+def reference_compiled(net: Network, p) -> tuple[np.ndarray, dict, Alphabet]:
+    """Party p's wiring tensor, outcomes and outcome alphabet built the
+    way the network built them before its path table: ``trace_path`` for
+    every setting and transcript, then the bin, else the terminal label,
+    else the transcript's index in the enumeration of its output space."""
+    rids = sorted(net.trees[p].resource_scope)
+    ins = [net.resources_by_id[rid].input_alphabet(p).values for rid in rids]
+    outs = [net.resources_by_id[rid].output_alphabet(p).values for rid in rids]
+    settings = net.settings_alphabets[p].values
+    space = list(product(*outs))
+    traces, outcomes = {}, {}
+    for s in settings:
+        for index, transcript in enumerate(space):
+            tr = trace_path(net.trees[p], s, dict(zip(rids, transcript)))
+            traces[s, transcript] = tr
+            if p in net.bins:
+                outcomes[s, transcript] = net.bins[p][transcript]
+            elif tr.outcome_label is not None:
+                outcomes[s, transcript] = tr.outcome_label
+            else:
+                outcomes[s, transcript] = index
+    if p in net.bins:
+        alphabet = sorted(set(net.bins[p].values()))
+    elif any(tr.outcome_label is not None for tr in traces.values()):
+        alphabet = sorted({tr.outcome_label for tr in traces.values()})
+    else:
+        alphabet = list(range(len(space)))
+    w = np.zeros((len(settings), len(alphabet), *map(len, ins), *map(len, outs)), dtype=np.int64)
+    for si, s in enumerate(settings):
+        for ai in product(*(range(len(o)) for o in outs)):
+            transcript = tuple(o[i] for o, i in zip(outs, ai))
+            xi = tuple(x.index(traces[s, transcript].inputs[rid]) for x, rid in zip(ins, rids))
+            w[(si, alphabet.index(outcomes[s, transcript]), *xi, *ai)] = 1
+    return w, outcomes, Alphabet(tuple(alphabet))
+
+
+def assert_same_compiled(net: Network) -> None:
+    for p in net.parties:
+        wiring, outcomes, alphabet = reference_compiled(net, p)
+        assert np.array_equal(net._wiring(p), wiring)
+        assert {key: net.outcome_of(p, *key) for key in outcomes} == outcomes
+        assert net.outcome_alphabet(p) == alphabet
 
 
 def assert_same_joint(net: Network, settings, **kw) -> None:
@@ -207,6 +255,31 @@ def test_pr_chains(k):
     net = pr_chain(k, random.Random(9700 + k))
     assert_same_behavior(net)
     assert_same_joint(net, (1,) * (k + 1))
+
+
+def test_path_table_matches_per_transcript_tracing(monkeypatch):
+    """The compiled path table against ``reference_compiled`` on every
+    network the tests above build (they run with their checks replaced by
+    a recorder), and on a network over output alphabets out of sorted
+    order, binned and not."""
+    nets = {}
+    for check in ("assert_agrees", "assert_same_behavior", "assert_same_joint"):
+        monkeypatch.setattr(sys.modules[__name__], check,
+                            lambda net, *args, **kw: nets.setdefault(id(net), net))
+    for case in range(CASES):
+        test_random_networks_binned_and_unbinned(case)
+    test_small_and_pairwise_networks()
+    test_labeled_and_default_labeled_trees()
+    test_alphabets_with_gaps()
+    for k in (1, 2, 3, 4):
+        test_pr_chains(k)
+    test_more_labels_than_einsum_letters()
+    test_denominators_beyond_int64()
+    assert len(nets) == 95
+    unsorted = unsorted_alphabet_network()
+    bins = {"A": {tr: i % 4 for i, tr in enumerate(product((5, 0, 2), (1, 0)))}}
+    for net in (*nets.values(), unsorted, fresh(unsorted, bins=bins)):
+        assert_same_compiled(net)
 
 
 # -- paradox and inconsistent wiring ------------------------------------------------

@@ -29,7 +29,7 @@ from boxnet.inequality import (
     evaluate,
     mao_inequality,
 )
-from boxnet.resource import Alphabet, SignalingError, TableError, frac
+from boxnet.resource import Alphabet, NonsignalingResource, SignalingError, TableError, frac
 
 PI = math.pi
 
@@ -113,6 +113,39 @@ def test_float_behavior_rejects_non_finite_entries():
     with pytest.raises(TableError, match="probability inf out of range"):
         FloatBehavior("inf", ("A",), [bits], [bits],
                       {(0,): {(0,): float("inf")}, (1,): {(0,): 1.0}})
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("extra output", r"output tuple \(2,\) at input \(1,\) is outside the output alphabets"),
+    ("extra input", r"input tuples outside the input alphabets: \[\(5,\)\]"),
+    ("missing input", r"missing input tuple \(1,\)"),
+], ids=["extra-output", "extra-input", "missing-input"])
+def test_float_and_exact_tables_refuse_the_same_keys(fault, message):
+    bits = Alphabet((0, 1))
+    table = {(x,): {(x,): 1} for x in (0, 1)}
+    if fault == "extra output":
+        table[(1,)][(2,)] = 0
+    elif fault == "extra input":
+        table[(5,)] = {(0,): 1}
+    else:
+        del table[(1,)]
+    texts = []
+    for make in (FloatBehavior, NonsignalingResource.make):
+        with pytest.raises(TableError, match=message) as err:
+            make("r", ("A",), [bits], [bits], table)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+
+
+def test_float_behavior_file_with_keys_outside_its_alphabets_is_refused():
+    d = ghz_behavior(QuantumStrategy.from_angles(SNAPSHOT_ANGLES)).to_json_dict()
+    d["table"]["0,1,0"]["2,2,2"] = 0.7
+    d["table"]["5,5,5"] = {"0,0,0": 1.0}
+    with pytest.raises(TableError, match=r"output tuple \(2, 2, 2\) at input \(0, 1, 0\)"):
+        FloatBehavior.from_json_dict(d)
+    del d["table"]["0,1,0"]["2,2,2"]
+    with pytest.raises(TableError, match=r"input tuples outside .*: \[\(5, 5, 5\)\]"):
+        FloatBehavior.from_json_dict(d)
 
 
 def test_float_behavior_rejects_signaling():

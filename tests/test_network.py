@@ -38,6 +38,7 @@ from netgen import (
     r1_three_party,
     r2_ternary_pair,
     random_network,
+    unsorted_alphabet_network,
     worked_network,
 )
 
@@ -127,6 +128,26 @@ def test_bins_must_be_total():
     bins = {"A1": {(0, 0): 0}}
     with pytest.raises(NetworkError, match="not total"):
         worked_network(bins=bins)
+
+
+def test_bins_error_names_the_first_missing_transcript_in_alphabet_order():
+    # A's transcripts are (R output, S output) over (2, 0, 5) x (0, 1), so
+    # alphabet-product order puts (2, 1) before (0, 0); sorted order would not.
+    space = product((2, 0, 5), (0, 1))
+    bins = {"A": {tr: 0 for tr in space if tr not in {(0, 0), (2, 1)}}}
+    with pytest.raises(NetworkError, match=r"bins for 'A' not total: missing transcript \(2, 1\)$"):
+        unsorted_alphabet_network(bins=bins)
+
+
+def test_joint_probability_refuses_settings_and_outputs_outside_the_alphabets():
+    net = unsorted_alphabet_network()
+    outputs = ((0, 0), (0,))   # R's outputs for (A, B), then S's for A
+    assert joint_probability(net, (3, 0), outputs) == Fraction(1, 3) * Fraction(3, 4)
+    with pytest.raises(NetworkError, match="setting 2 outside alphabet of 'A'"):
+        joint_probability(net, (2, 0), outputs)
+    for outside in (((7, 0), (0,)), ((0, 2), (0,)), ((0, 0), (5,))):
+        with pytest.raises(KeyError):
+            joint_probability(net, (3, 0), outside)
 
 
 def test_two_shared_coins_give_correlated_uniform():

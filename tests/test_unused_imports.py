@@ -1,8 +1,12 @@
-"""Every name a ``boxnet`` module imports is used in that module.
+"""Every name a ``boxnet`` module imports is used in that module, and
+every private function it defines is used somewhere in ``boxnet``.
 
-A plain AST scan, so it needs no linter: an imported name counts as used
+Plain AST scans, so they need no linter: an imported name counts as used
 when it appears as a name anywhere in the module (attribute bases
-included) or, for re-exports, as a string in ``__all__``.
+included) or, for re-exports, as a string in ``__all__``; a private
+function or method (one leading underscore, not a dunder) counts as used
+when its name appears as a name or an attribute in any module of the
+package, so none is kept alive only for callers outside it.
 """
 
 from __future__ import annotations
@@ -44,3 +48,34 @@ def test_scan_finds_an_unused_import():
 def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not name.startswith("__") and not name.endswith("__"):
+                    defined.append(f"{module}:{node.lineno}: {name}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [d for d in defined if d.rsplit(" ", 1)[1] not in used]
+
+
+def test_scan_finds_an_unused_private_function():
+    sources = {
+        "a.py": "class C:\n    def _kept(self): pass\n    def _dropped(self): pass\n"
+                "    def __len__(self): return 0\n"
+                "def _helper(): pass\ndef public(): return C()._kept()\n",
+        "b.py": "from a import _helper\nprint(_helper)\n",
+    }
+    assert unused_private_functions(sources) == ["a.py:3: _dropped"]
+
+
+def test_no_private_function_is_unused_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_functions(sources) == []
