@@ -31,7 +31,6 @@ from .decompose import (
 )
 from .ghz import FloatBehavior, QuantumStrategy, ghz_behavior, search_max_violation
 from .inequality import (
-    InequalityError,
     cao_inequality,
     chao_reichardt_correlator,
     chao_reichardt_probability_form,
@@ -46,7 +45,7 @@ from .resource import (
     NonsignalingResource,
     SignalingError,
     TableError,
-    ZeroConditioningError,
+    _parse_keys,
     validate_nonsignaling,
 )
 from .wiring import tree_from_json_dict
@@ -68,7 +67,7 @@ def _load_json(path: Path) -> object:
             return json.load(fh)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"{path}: malformed JSON: {e}") from e
 
 
@@ -93,9 +92,10 @@ def _parse_transcript_key(key: str) -> tuple:
 def _from_json(make, data, source) -> object:
     """``make(data)`` for a JSON object read from ``source``.
 
-    A wrong JSON type, a missing field or an unparsable value is an input
-    error (exit 2).  A well-formed table that is not a valid box
-    (``TableError``, ``SignalingError``) stays a domain failure (exit 1).
+    A wrong JSON type, a missing field, an unparsable or infinite value or
+    a tree nested past the recursion limit is an input error (exit 2).  A
+    well-formed table that is not a valid box (``TableError``,
+    ``SignalingError``) stays a domain failure (exit 1).
     """
     if not isinstance(data, dict):
         raise InputError(f"{source}: expected a JSON object, got "
@@ -104,8 +104,8 @@ def _from_json(make, data, source) -> object:
         return make(data)
     except (TableError, SignalingError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError,
+            RecursionError) as e:
         raise InputError(f"{source}: malformed input: {e!r}") from e
 
 
@@ -135,8 +135,8 @@ def _read_scenario(arg: str) -> tuple[dict, dict]:
                  for p in parties}
         bins = None
         if d.get("bins"):
-            bins = {p: {_parse_transcript_key(k): int(v)
-                        for k, v in mapping.items()}
+            bins = {p: {k: int(v) for k, v in
+                        _parse_keys(mapping, _parse_transcript_key).items()}
                     for p, mapping in d["bins"].items()}
         return {"parties": parties, "resources": resources, "trees": trees,
                 "settings_alphabets": settings, "bins": bins,
@@ -211,6 +211,9 @@ def cmd_joint(args) -> int:
     if len(raw) != len(net.parties):
         raise InputError(f"--settings needs {len(net.parties)} entries for "
                          f"parties {list(net.parties)}")
+    for p, s in zip(net.parties, raw):
+        if s not in net.settings_alphabets[p]:
+            raise InputError(f"--settings: setting {s} outside alphabet of {p!r}")
     dist = joint_distribution(net, raw,
                               allow_unnormalized=args.allow_unnormalized)
     rids = [r.id for r in net.resources]
@@ -455,10 +458,6 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (TableError, SignalingError, NetworkError, ZeroConditioningError,
-            InequalityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -51,8 +51,7 @@ from boxnet.wiring import (
     Internal,
     Node,
     Terminal,
-    maximal_paths,
-    validate_tree,
+    _tree_paths,
 )
 
 Behavior = NonsignalingResource
@@ -133,6 +132,7 @@ class Network:
                         f"resource {r.id!r} names {q!r}, which is not a network party")
 
         # Scope consistency: p consults exactly the resources it shares.
+        tree_paths = {}
         for p in self.parties:
             member_of = {r.id for r in self.resources if p in r.parties}
             scope = self.trees[p].resource_scope
@@ -141,10 +141,10 @@ class Network:
                     f"party {p!r}: tree scope {sorted(scope)} != shared resources "
                     f"{sorted(member_of)} (use append_unused or bottom_encode "
                     f"to cover unconsulted shares)")
-            report = validate_tree(self.trees[p], self.settings_alphabets[p],
-                                   self.resources_by_id)
-            if not report:
-                raise NetworkError(f"tree of {p!r} invalid: {report.errors[0]}")
+            tree_paths[p], error = _tree_paths(self.trees[p], self.settings_alphabets[p],
+                                               self.resources_by_id)
+            if error is not None:
+                raise NetworkError(f"tree of {p!r} invalid: {error}")
 
         self.bins: dict[Party, dict[Transcript, int]] = {}
         if bins:
@@ -156,11 +156,11 @@ class Network:
 
         # Per party: its sorted resource ids; for each, where in an output
         # assignment the party's component lives; and the path table, from
-        # one walk of the tree: (setting, transcript) -> (the inputs handed
-        # to the resources in sorted-id order, the outcome).  The outcome
-        # is the bin when one is supplied, else the terminal label, else
-        # the transcript's index in the product order of the party's output
-        # alphabets.
+        # the walk that validated the tree: (setting, transcript) -> (the
+        # inputs handed to the resources in sorted-id order, the outcome).
+        # The outcome is the bin when one is supplied, else the terminal
+        # label, else the transcript's index in the product order of the
+        # party's output alphabets.
         self._scope_sorted: dict[Party, tuple[str, ...]] = {}
         self._component: dict[Party, tuple[tuple[int, int], ...]] = {}
         self._paths: dict[Party, dict[tuple[Symbol, Transcript],
@@ -183,7 +183,7 @@ class Network:
                         f"bins for {p!r} not total: missing transcript {missing[0]}")
             position = [{a: i for i, a in enumerate(o)} for o in outs]
             paths = {}
-            for s, inputs, outputs, label in maximal_paths(self.trees[p]):
+            for s, inputs, outputs, label in tree_paths[p]:
                 transcript = tuple(outputs[rid] for rid in rids)
                 if party_bins is not None:
                     outcome = party_bins[transcript]

@@ -464,10 +464,11 @@ class NonsignalingResource(ProbabilityTable):
             nums[i] = v.numerator * (den // v.denominator)
         return _Tensor(nums, den)
 
-    def _rows(self) -> Iterable[Iterable[Fraction]]:
-        """The Fractions of each input tuple, one shared Fraction per value."""
+    def _rows(self, form=lambda v: v) -> Iterable[Iterable]:
+        """The Fractions of each input tuple, one shared Fraction per value,
+        each passed once through ``form``."""
         rows = self.numerators.reshape(-1, prod(len(a) for a in self.output_alphabets)).tolist()
-        values = {n: Fraction(n, self.denominator) for n in set(chain.from_iterable(rows))}
+        values = {n: form(Fraction(n, self.denominator)) for n in set(chain.from_iterable(rows))}
         return (map(values.__getitem__, row) for row in rows)
 
     # -- basic access ---------------------------------------------------------
@@ -502,14 +503,13 @@ class NonsignalingResource(ProbabilityTable):
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Every entry as "num/den" in lowest terms, zeros as "0/1"; the
+        ``table`` view is not built."""
         data = self._signature_json()
-        data["table"] = {
-            ",".join(map(str, x)): {
-                ",".join(map(str, a)): f"{v.numerator}/{v.denominator}"
-                for a, v in column.items()
-            }
-            for x, column in self.table.items()
-        }
+        out_keys = [",".join(map(str, a)) for a in self.output_space()]
+        rows = self._rows(lambda v: f"{v.numerator}/{v.denominator}")
+        data["table"] = {",".join(map(str, x)): dict(zip(out_keys, row))
+                         for x, row in zip(self.input_space(), rows)}
         if not self.nonsignaling_checked:
             data["unchecked"] = True
         return data
@@ -518,6 +518,18 @@ class NonsignalingResource(ProbabilityTable):
     def from_json_dict(cls, data: Mapping) -> "NonsignalingResource":
         ctor = cls.new_unchecked if data.get("unchecked") else cls.make
         return ctor(data["id"], *_json_parts(data, frac))
+
+
+def _parse_keys(mapping: Mapping, parse) -> dict:
+    """``mapping`` with each key parsed by ``parse``; two keys that parse
+    to the same value, such as "0,0" and "00,0", raise ``ValueError``."""
+    parsed, spelled = {}, {}
+    for k, v in mapping.items():
+        key = parse(k)
+        if key in spelled:
+            raise ValueError(f"keys {spelled[key]!r} and {k!r} both parse to {key}")
+        parsed[key], spelled[key] = v, k
+    return parsed
 
 
 def _json_parts(data: Mapping, value) -> tuple:
@@ -530,8 +542,8 @@ def _json_parts(data: Mapping, value) -> tuple:
     return (parties,
             {p: Alphabet(tuple(data["inputs"][p])) for p in parties},
             {p: Alphabet(tuple(data["outputs"][p])) for p in parties},
-            {key(x): {key(a): value(v) for a, v in column.items()}
-             for x, column in data["table"].items()})
+            {x: {a: value(v) for a, v in _parse_keys(column, key).items()}
+             for x, column in _parse_keys(data["table"], key).items()})
 
 
 # -- validation ----------------------------------------------------------------

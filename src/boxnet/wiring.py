@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
+    _parse_keys,
     _Tensor,
 )
 
@@ -77,6 +78,68 @@ class PathTrace:
     outcome_label: int | None
 
 
+def _tree_paths(
+    t: DecisionTree,
+    settings_alphabet: Alphabet,
+    resources: Mapping[str, NonsignalingResource],
+) -> tuple[list[tuple[Symbol, dict[str, Symbol], dict[str, Symbol], int | None]], str | None]:
+    """One checked walk of a tree: every maximal path as (setting, inputs
+    and outputs keyed by resource id, terminal label) and None; or no
+    paths and the first violation `validate_tree` reports."""
+    for rid in sorted(t.resource_scope):
+        if rid not in resources:
+            return [], f"scope names unknown resource {rid!r}"
+        if t.party not in resources[rid].parties:
+            return [], f"party {t.party!r} is not a member of resource {rid!r}"
+
+    if set(t.root) != set(settings_alphabet.values):
+        return [], (f"root edges {sorted(t.root)} do not match the settings "
+                    f"alphabet {list(settings_alphabet.values)}")
+
+    paths = []
+
+    def at(setting: Symbol, outputs: dict[str, Symbol], problem: str) -> str:
+        trail = "".join(f" -> {rid}:{out}" for rid, out in outputs.items())
+        return f"path [setting {setting}{trail}] {problem}"
+
+    def walk(node: Node, setting: Symbol, inputs: dict[str, Symbol],
+             outputs: dict[str, Symbol]) -> str | None:
+        if isinstance(node, Terminal):
+            if len(inputs) < len(t.resource_scope):
+                missing = sorted(t.resource_scope.difference(inputs))
+                return at(setting, outputs, f"ends without consulting {missing}")
+            paths.append((setting, inputs, outputs, node.outcome))
+            return None
+        rid = node.resource_choice
+        if rid not in t.resource_scope:
+            return at(setting, outputs, f"consults {rid!r}, which is outside the scope")
+        if rid in inputs:
+            return at(setting, outputs, f"consults {rid!r} twice")
+        r = resources[rid]
+        if node.input_choice not in r.input_alphabet(t.party):
+            return at(setting, outputs, f"gives {rid!r} input {node.input_choice}, outside "
+                      f"this party's alphabet {list(r.input_alphabet(t.party).values)}")
+        expected = set(r.output_alphabet(t.party).values)
+        if set(node.children) != expected:
+            return at(setting, outputs, f"node for {rid!r} has output edges "
+                      f"{sorted(node.children)}, expected {sorted(expected)}")
+        inputs = {**inputs, rid: node.input_choice}
+        for out, child in sorted(node.children.items()):
+            error = walk(child, setting, inputs, {**outputs, rid: out})
+            if error is not None:
+                return error
+        return None
+
+    for setting in settings_alphabet.values:
+        error = walk(t.root[setting], setting, {}, {})
+        if error is not None:
+            return [], error
+
+    if len({label is None for *_, label in paths}) == 2:
+        return [], "terminals are partially labeled: label all of them or none"
+    return paths, None
+
+
 def validate_tree(
     t: DecisionTree,
     settings_alphabet: Alphabet | Sequence[Symbol],
@@ -99,63 +162,8 @@ def validate_tree(
     """
     if not isinstance(settings_alphabet, Alphabet):
         settings_alphabet = Alphabet(tuple(settings_alphabet))
-
-    for rid in sorted(t.resource_scope):
-        if rid not in resources:
-            return ValidationReport.fail([f"scope names unknown resource {rid!r}"])
-        if t.party not in resources[rid].parties:
-            return ValidationReport.fail(
-                [f"party {t.party!r} is not a member of resource {rid!r}"])
-
-    if set(t.root) != set(settings_alphabet.values):
-        return ValidationReport.fail([
-            f"root edges {sorted(t.root)} do not match the settings "
-            f"alphabet {list(settings_alphabet.values)}"])
-
-    unlabeled = [0]
-    labeled = [0]
-
-    def walk(node: Node, used: frozenset[str], path: str, setting: Symbol) -> list[str]:
-        if isinstance(node, Terminal):
-            if used != t.resource_scope:
-                missing = sorted(t.resource_scope - used)
-                return [f"path [{path}] ends without consulting {missing}"]
-            if node.outcome is None:
-                unlabeled[0] += 1
-            else:
-                labeled[0] += 1
-            return []
-        if node.resource_choice not in t.resource_scope:
-            return [f"path [{path}] consults {node.resource_choice!r}, "
-                    f"which is outside the scope"]
-        if node.resource_choice in used:
-            return [f"path [{path}] consults {node.resource_choice!r} twice"]
-        r = resources[node.resource_choice]
-        if node.input_choice not in r.input_alphabet(t.party):
-            return [f"path [{path}] gives {node.resource_choice!r} input "
-                    f"{node.input_choice}, outside this party's alphabet "
-                    f"{list(r.input_alphabet(t.party).values)}"]
-        expected = set(r.output_alphabet(t.party).values)
-        if set(node.children) != expected:
-            return [f"path [{path}] node for {node.resource_choice!r} has output "
-                    f"edges {sorted(node.children)}, expected {sorted(expected)}"]
-        used = used | {node.resource_choice}
-        for out, child in sorted(node.children.items()):
-            errs = walk(child, used,
-                        f"{path} -> {node.resource_choice}:{out}", setting)
-            if errs:
-                return errs
-        return []
-
-    for setting in settings_alphabet.values:
-        errs = walk(t.root[setting], frozenset(), f"setting {setting}", setting)
-        if errs:
-            return ValidationReport.fail(errs)
-
-    if labeled[0] and unlabeled[0]:
-        return ValidationReport.fail(
-            ["terminals are partially labeled: label all of them or none"])
-    return ValidationReport.ok()
+    error = _tree_paths(t, settings_alphabet, resources)[1]
+    return ValidationReport.ok() if error is None else ValidationReport.fail([error])
 
 
 def trace_path(
@@ -191,27 +199,6 @@ def trace_path(
         node = node.children[out]
     return PathTrace(inputs=inputs, consult_order=tuple(order),
                      outcome_label=node.outcome)
-
-
-def maximal_paths(
-    t: DecisionTree,
-) -> Iterator[tuple[Symbol, dict[str, Symbol], dict[str, Symbol], int | None]]:
-    """Every maximal path of a tree: its setting, the inputs it hands and
-    the outputs it sees (both keyed by resource id), and its terminal's
-    label (None when unlabeled).  On a valid tree each (setting, full
-    output assignment) is one path: `trace_path` for all of them, in one
-    walk."""
-    def walk(node: Node, inputs: dict[str, Symbol], outputs: dict[str, Symbol]):
-        if isinstance(node, Terminal):
-            yield inputs, outputs, node.outcome
-            return
-        rid = node.resource_choice
-        for out, child in node.children.items():
-            yield from walk(child, {**inputs, rid: node.input_choice}, {**outputs, rid: out})
-
-    for setting, node in t.root.items():
-        for inputs, outputs, label in walk(node, {}, {}):
-            yield setting, inputs, outputs, label
 
 
 def excise_input_free(
@@ -349,8 +336,8 @@ def _node_from_json(data: Mapping) -> Node:
         return Internal(
             resource_choice=str(data["resource"]),
             input_choice=int(data["input"]),
-            children={int(out): _node_from_json(c)
-                      for out, c in data["children"].items()},
+            children={out: _node_from_json(c)
+                      for out, c in _parse_keys(data["children"], int).items()},
         )
     if "outcome" in data:
         return Terminal(outcome=int(data["outcome"]))
@@ -368,7 +355,7 @@ def tree_from_json_dict(data: Mapping, *, party: Party | None = None) -> Decisio
     """Load a tree; the scope is inferred from the resources the tree
     actually consults (validation separately enforces that every path
     consults all of them)."""
-    root = {int(s): _node_from_json(n) for s, n in data["settings"].items()}
+    root = {s: _node_from_json(n) for s, n in _parse_keys(data["settings"], int).items()}
 
     scope: set[str] = set()
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -363,4 +364,87 @@ def test_bad_atol_exits_two(tmp_path, capsys, atol):
     vertex = local_deterministic_vertices(("A", "B", "C"), bits, bits).vertices[0]
     beh = _write(tmp_path / "b.json", vertex.to_json_dict())
     assert main(["ineq", "eval", "--ineq", "mao", "--behavior", beh, "--atol", atol]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_joint_setting_outside_alphabet_exits_two(capsys):
+    assert main(["joint", "worked", "--settings", "5,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --settings: setting 5 outside alphabet of 'A1'\n")
+
+
+def _fixture_copy(tmp_path, name) -> Path:
+    return Path(shutil.copytree(FIXTURES / name, tmp_path / name))
+
+
+def _edit(path: Path, change) -> None:
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+def _assert_duplicate_keys_refused(capsys, argv, first, second):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{first!r} and {second!r}" in err
+
+
+def test_table_input_keys_parsing_alike_exit_two(tmp_path, capsys):
+    r = _pr_ab()
+    r["table"]["00,0"] = r["table"]["0,0"]
+    _assert_duplicate_keys_refused(capsys, ["decompose", _write(tmp_path / "r.json", r)],
+                                   "0,0", "00,0")
+
+
+def test_table_output_keys_parsing_alike_exit_two(tmp_path, capsys):
+    r = _pr_ab()
+    r["table"]["1,1"]["0,01"] = r["table"]["1,1"]["0,1"]
+    _assert_duplicate_keys_refused(capsys, ["decompose", _write(tmp_path / "r.json", r)],
+                                   "0,1", "0,01")
+
+
+@pytest.mark.parametrize("where", ["settings", "children"])
+def test_tree_keys_parsing_alike_exit_two(tmp_path, capsys, where):
+    d = _fixture_copy(tmp_path, "worked")
+
+    def change(tree):
+        edges = tree["settings"] if where == "settings" else tree["settings"]["1"]["children"]
+        edges["01"] = edges["1"]
+
+    _edit(d / "bob.json", change)
+    _assert_duplicate_keys_refused(capsys, ["validate", str(d)], "1", "01")
+
+
+def test_bins_keys_parsing_alike_exit_two(tmp_path, capsys):
+    d = _fixture_copy(tmp_path, "wired-pr")
+    _edit(d / "scenario.json", lambda s: s["bins"]["B"].update({"0,0,+1": s["bins"]["B"]["0,0,1"]}))
+    _assert_duplicate_keys_refused(capsys, ["validate", str(d)], "0,0,1", "0,0,+1")
+
+
+def _infinite_tree_input(d: Path) -> None:
+    _edit(d / "bob.json", lambda t: t["settings"]["0"].update({"input": 1e400}))
+
+
+def _infinite_bin(d: Path) -> None:
+    _edit(d / "scenario.json", lambda s: s.update({"bins": {"A1": {"0,0": 1e400}}}))
+
+
+def _tree_nested_past_the_recursion_limit(d: Path) -> None:
+    # Refused by the JSON reader or, where that nests deeper, the tree loader.
+    depth = sys.getrecursionlimit()
+    node = '{"resource": "R1", "input": 0, "children": {"0": ' * depth + "{}" + "}}" * depth
+    (d / "bob.json").write_text('{"party": "A2", "settings": {"0": ' + node + "}}")
+
+
+def _file_nested_past_the_json_reader(d: Path) -> None:
+    (d / "bob.json").write_text("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("spoil", [_infinite_tree_input, _infinite_bin,
+                                   _tree_nested_past_the_recursion_limit,
+                                   _file_nested_past_the_json_reader])
+def test_unloadable_json_values_exit_two(tmp_path, capsys, spoil):
+    d = _fixture_copy(tmp_path, "worked")
+    spoil(d)
+    assert main(["validate", str(d)]) == 2
     assert capsys.readouterr().err.startswith("input error:")
