@@ -48,7 +48,7 @@ from .resource import (
     _parse_keys,
     validate_nonsignaling,
 )
-from .wiring import tree_from_json_dict
+from .wiring import _json_symbol, tree_from_json_dict
 
 INEQ_CHOICES = ("mao", "cr-corr", "cr-prob", "cao", "cao-s14")
 
@@ -62,9 +62,19 @@ def _fixtures_root() -> Path:
 
 
 def _load_json(path: Path) -> object:
+    """The JSON in ``path``; an object that repeats a key is an input
+    error, not silently its last value."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{path}: key {key!r} repeated in one JSON object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from e
     except (json.JSONDecodeError, RecursionError) as e:
@@ -135,7 +145,7 @@ def _read_scenario(arg: str) -> tuple[dict, dict]:
                  for p in parties}
         bins = None
         if d.get("bins"):
-            bins = {p: {k: int(v) for k, v in
+            bins = {p: {k: _json_symbol(v) for k, v in
                         _parse_keys(mapping, _parse_transcript_key).items()}
                     for p, mapping in d["bins"].items()}
         return {"parties": parties, "resources": resources, "trees": trees,

@@ -16,14 +16,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from boxnet.linprog import Feasible, solve_feasibility
+from boxnet.linprog import Feasible, IncidenceColumns, solve_columns, solve_feasibility
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
     Alphabet,
@@ -122,6 +122,51 @@ def _vertex_cap() -> int:
     return int(os.environ.get(VERTEX_CAP_ENV, DEFAULT_VERTEX_CAP))
 
 
+def _deterministic_hits(in_alphas: Sequence[Alphabet],
+                       out_alphas: Sequence[Alphabet]) -> np.ndarray:
+    """hit[j, x]: the flat entry (C order of the numerator tensor) where the
+    deterministic vertex j puts its 1 in input column x.  Vertex j is the
+    j-th choice of per-party functions input -> output in product order,
+    each party's functions in product order of the outputs chosen for its
+    inputs.  Refuses, before allocating, past the cap (env
+    NONSIG_VERTEX_CAP, default 10^6)."""
+    ins = [len(a) for a in in_alphas]
+    outs = [len(a) for a in out_alphas]
+    count = 1
+    for i, o in zip(ins, outs):
+        count *= o ** i
+    cap = _vertex_cap()
+    if count > cap:
+        raise ValueError(
+            f"{count} deterministic vertices exceed the cap {cap} "
+            f"(raise {VERTEX_CAP_ENV} to override)")
+    # Axes [f_1..f_n, x_1..x_n]: party p's function f_p adds its output at
+    # x_p times the output stride of p; input tuple x adds x times the
+    # size of an input column.
+    n = len(ins)
+    n_outputs = int(np.prod(outs))
+    hit = (np.arange(int(np.prod(ins))) * n_outputs).reshape([1] * n + ins)
+    stride = n_outputs
+    for p, (i, o) in enumerate(zip(ins, outs)):
+        stride //= o
+        functions = np.array(list(product(range(o), repeat=i)), dtype=np.int64)
+        shape = [1] * (2 * n)
+        shape[p], shape[n + p] = o ** i, i
+        hit = hit + (functions * stride).reshape(shape)
+    return hit.reshape(count, -1)
+
+
+def _deterministic_vertex(j: int, hit: np.ndarray, parties: Sequence[Party],
+                          in_alphas: Sequence[Alphabet],
+                          out_alphas: Sequence[Alphabet]) -> NonsignalingResource:
+    """The checked resource ``det{j}`` of the vertex j of ``hit``."""
+    shape = [len(a) for a in (*in_alphas, *out_alphas)]
+    nums = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    nums[hit[j]] = 1
+    return NonsignalingResource.make(f"det{j}", parties, in_alphas, out_alphas,
+                                     _Tensor(nums.reshape(shape), 1))
+
+
 def local_deterministic_vertices(
     parties: Sequence[Party],
     input_alphabets: Sequence[Alphabet],
@@ -133,32 +178,9 @@ def local_deterministic_vertices(
     parties = tuple(parties)
     in_alphas = _align(parties, input_alphabets)
     out_alphas = _align(parties, output_alphabets)
-    count = 1
-    for a_in, a_out in zip(in_alphas, out_alphas):
-        count *= len(a_out) ** len(a_in)
-    cap = _vertex_cap()
-    if count > cap:
-        raise ValueError(
-            f"{count} deterministic vertices exceed the cap {cap} "
-            f"(raise {VERTEX_CAP_ENV} to override)")
-
-    # Per party, the 0/1 matrix [x, a] of each function input -> output, in
-    # product order of the outputs chosen for its inputs.
-    per_party_functions = [
-        [np.eye(len(a_out), dtype=np.int64)[list(choice)]
-         for choice in product(range(len(a_out)), repeat=len(a_in))]
-        for a_in, a_out in zip(in_alphas, out_alphas)
-    ]
-    # The outer product has axes [x_1, a_1, .., x_n, a_n]; put inputs first.
-    n = len(parties)
-    axes = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    vertices = [
-        NonsignalingResource.make(
-            f"det{i}", parties, in_alphas, out_alphas,
-            _Tensor(np.ascontiguousarray(reduce(np.multiply.outer, combo).transpose(axes)), 1))
-        for i, combo in enumerate(product(*per_party_functions))]
-    assert len(vertices) == count
-    return VertexSet(vertices, ["deterministic"] * count)
+    hit = _deterministic_hits(in_alphas, out_alphas)
+    return VertexSet([_deterministic_vertex(j, hit, parties, in_alphas, out_alphas)
+                      for j in range(len(hit))], ["deterministic"] * len(hit))
 
 
 @cache
@@ -223,32 +245,47 @@ def decompose_extremal(
         got = sum(v.numerators.ravel().astype(object)
                   * (w.numerator * (den // (w.denominator * v.denominator)))
                   for w, v in components)
-        want = r.numerators.ravel().astype(object) * (den // r.denominator)
-        bad = np.flatnonzero(got != want)
-        if bad.size:
-            k = bad[0]
-            x, a = _entry_keys(r)[k]
-            raise AssertionError(
-                f"reconstruction mismatch at {x},{a}: "
-                f"{Fraction(got[k], den)} != {Fraction(want[k], den)}")
+        _check_reconstruction(r, got, den)
         return Mixture(components)
 
-    y = res.certificate
-    coeffs = {key: yi for key, yi in zip(_entry_keys(r), y[:-1]) if yi != 0}
-    threshold = -y[-1]
-    # In integers: y = ys / den, so G(q) <= threshold reads
-    # ys . N_q <= -ys[-1] * d_q for a table q = N_q / d_q.
-    den = lcm(*(yi.denominator for yi in y))
-    ys = np.array([yi.numerator * (den // yi.denominator) for yi in y], dtype=object)
-    functional, bound = ys[:-1], -ys[-1]
-    cert = Infeasible(coefficients=coeffs, threshold=threshold,
-                      value=Fraction(functional @ r.numerators.ravel().astype(object),
-                                     den * r.denominator))
+    cert, functional, bound = _separating_functional(r, res.certificate)
     scores = np.stack([v.numerators.ravel() for v in vs.vertices]).astype(object) @ functional
     for v, score in zip(vs.vertices, scores):
         if score > bound * v.denominator:
             raise AssertionError(f"certificate fails on vertex {v.id!r}")
-    if not cert.value > threshold:
+    return _separating(cert)
+
+
+def _check_reconstruction(r: NonsignalingResource, got: np.ndarray, den: int) -> None:
+    """Raise at the first entry where ``got / den`` differs from r."""
+    want = r.numerators.ravel().astype(object) * (den // r.denominator)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        k = bad[0]
+        x, a = _entry_keys(r)[k]
+        raise AssertionError(
+            f"reconstruction mismatch at {x},{a}: "
+            f"{Fraction(got[k], den)} != {Fraction(want[k], den)}")
+
+
+def _separating_functional(r: NonsignalingResource, y: Sequence[Fraction]):
+    """The functional of a Farkas certificate y over r's entries and the
+    normalization row, with its integer form: y = ys / den, so G(q) <=
+    threshold reads ys[:-1] . N_q <= -ys[-1] * d_q for a table q = N_q / d_q.
+    Returns (certificate, ys[:-1], -ys[-1])."""
+    coeffs = {key: yi for key, yi in zip(_entry_keys(r), y[:-1]) if yi != 0}
+    den = lcm(*(yi.denominator for yi in y))
+    ys = np.array([yi.numerator * (den // yi.denominator) for yi in y], dtype=object)
+    functional = ys[:-1]
+    cert = Infeasible(coefficients=coeffs, threshold=-y[-1],
+                      value=Fraction(functional @ r.numerators.ravel().astype(object),
+                                     den * r.denominator))
+    return cert, functional, -ys[-1]
+
+
+def _separating(cert: Infeasible) -> Infeasible:
+    """cert, once the target scores strictly above its threshold."""
+    if not cert.value > cert.threshold:
         raise AssertionError("certificate does not separate the target")
     return cert
 
@@ -270,14 +307,45 @@ def _entry_keys(q: NonsignalingResource) -> list[tuple[tuple[Symbol, ...], tuple
 def is_local(r: NonsignalingResource) -> LocalityResult:
     """Membership in the local polytope of r's signature.  False comes
     with a Bell-type functional scoring r strictly above every
-    deterministic vertex."""
+    deterministic vertex.
+
+    The same system as ``decompose_extremal`` over
+    ``local_deterministic_vertices``, with the same answer, but the
+    vertices are LP columns read from their ``hit`` rows: only those with
+    positive weight are built as resources."""
     r.require_nonsignaling("is_local")
-    vs = local_deterministic_vertices(r.parties, r.input_alphabets,
-                                      r.output_alphabets)
-    res = decompose_extremal(r, vs)
-    if isinstance(res, Mixture):
-        return LocalityResult(True, mixture=res)
-    return LocalityResult(False, certificate=res)
+    hit = _deterministic_hits(r.input_alphabets, r.output_alphabets)
+
+    def vertex(j):
+        return _deterministic_vertex(j, hit, r.parties, r.input_alphabets, r.output_alphabets)
+
+    flat = r.numerators.ravel()
+    if r.denominator == 1:
+        # A deterministic r is a vertex: its support is its hit row.
+        support = np.flatnonzero(flat)
+        same = np.flatnonzero((hit == support).all(axis=1)) \
+            if support.size == hit.shape[1] else ()
+        if len(same):
+            return LocalityResult(True, mixture=Mixture([(Fraction(1), vertex(int(same[0])))]))
+
+    # Column j: a 1 at each entry of hit[j] and at the normalization row.
+    rows = np.column_stack([hit, np.full(len(hit), flat.size)])
+    res = solve_columns(IncidenceColumns(rows), _probabilities(r) + [1])
+    if isinstance(res, Feasible):
+        picked = [(w, j) for j, w in enumerate(res.solution) if w > 0]
+        den = lcm(r.denominator, *(w.denominator for w, _ in picked))
+        got = np.zeros(flat.size, dtype=object)
+        for w, j in picked:
+            got[hit[j]] += w.numerator * (den // w.denominator)
+        _check_reconstruction(r, got, den)
+        return LocalityResult(True, mixture=Mixture([(w, vertex(j)) for w, j in picked]))
+
+    cert, functional, bound = _separating_functional(r, res.certificate)
+    scores = functional[hit].sum(axis=1)
+    over = np.flatnonzero(scores > bound)
+    if over.size:
+        raise AssertionError(f"certificate fails on vertex 'det{over[0]}'")
+    return LocalityResult(False, certificate=_separating(cert))
 
 
 # -- network-level rewriting -------------------------------------------------------

@@ -31,6 +31,7 @@ from boxnet.resource import (
     Symbol,
     ValidationReport,
     _parse_keys,
+    _symbol,
     _Tensor,
 )
 
@@ -331,16 +332,22 @@ def _node_to_json(node: Node) -> dict:
     }
 
 
+def _json_symbol(value) -> Symbol:
+    """A symbol from JSON: an integer, or a string spelling one (terminal
+    labels are written as strings); a float or a bool raises ValueError."""
+    return _symbol(int(value) if isinstance(value, str) else value)
+
+
 def _node_from_json(data: Mapping) -> Node:
     if "resource" in data:
         return Internal(
             resource_choice=str(data["resource"]),
-            input_choice=int(data["input"]),
+            input_choice=_json_symbol(data["input"]),
             children={out: _node_from_json(c)
                       for out, c in _parse_keys(data["children"], int).items()},
         )
     if "outcome" in data:
-        return Terminal(outcome=int(data["outcome"]))
+        return Terminal(outcome=_json_symbol(data["outcome"]))
     return Terminal()
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import boxnet
-from boxnet.cli import main
+from boxnet.cli import _load_json, main
 from boxnet.decompose import local_deterministic_vertices
 from boxnet.ghz import QuantumStrategy, ghz_behavior
 from boxnet.inequality import evaluate, mao_inequality
@@ -448,3 +448,50 @@ def test_unloadable_json_values_exit_two(tmp_path, capsys, spoil):
     spoil(d)
     assert main(["validate", str(d)]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def _assert_refused_naming(capsys, argv, *names):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("value", [0.9, 1.5, True])
+def test_non_integer_tree_input_exits_two(tmp_path, capsys, value):
+    d = _fixture_copy(tmp_path, "worked")
+    _edit(d / "bob.json", lambda t: t["settings"]["0"].update({"input": value}))
+    _assert_refused_naming(capsys, ["validate", str(d)], "bob.json", repr(value))
+
+
+def test_non_integer_tree_outcome_exits_two(tmp_path, capsys):
+    d = _fixture_copy(tmp_path, "worked")
+
+    def change(tree):
+        node = tree["settings"]["0"]
+        while "children" in node:
+            node = node["children"]["0"]
+        node["outcome"] = 1.5
+
+    _edit(d / "bob.json", change)
+    _assert_refused_naming(capsys, ["validate", str(d)], "bob.json", "1.5")
+
+
+def test_non_integer_bin_exits_two(tmp_path, capsys):
+    d = _fixture_copy(tmp_path, "wired-pr")
+    _edit(d / "scenario.json", lambda s: s["bins"]["B"].update({"0,0,1": 0.5}))
+    _assert_refused_naming(capsys, ["validate", str(d)], "scenario.json", "0.5")
+
+
+def test_repeated_literal_key_exits_two(tmp_path, capsys):
+    # A deterministic "0,0" column placed before the real one: json.load
+    # alone would keep the last and decompose it without a word.
+    text = (FIXTURES / "wired-pr" / "pr_ab.json").read_text()
+    first = text.index('"0,0": {')
+    path = tmp_path / "pr_ab.json"
+    path.write_text(text[:first] + '"0,0": {"0,0": "1"}, ' + text[first:])
+    _assert_refused_naming(capsys, ["decompose", str(path)], "pr_ab.json", "'0,0'", "repeated")
+
+
+def test_shipped_fixtures_repeat_no_key():
+    for path in sorted(FIXTURES.rglob("*.json")):
+        _load_json(path)
