@@ -31,9 +31,10 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
+    _symbol,
     _Tensor,
 )
 from boxnet.resource import marginal as resource_marginal
@@ -151,8 +153,11 @@ class Network:
             for p, mapping in bins.items():
                 if p not in self.parties:
                     raise NetworkError(f"bins name unknown party {p!r}")
-                self.bins[p] = {tuple(int(s) for s in k): int(v)
-                                for k, v in mapping.items()}
+                try:
+                    self.bins[p] = {tuple(_symbol(s) for s in k): _symbol(v)
+                                    for k, v in mapping.items()}
+                except ValueError as err:
+                    raise NetworkError(f"bins for {p!r}: {err}") from None
 
         # Per party: its sorted resource ids; for each, where in an output
         # assignment the party's component lives; and the path table, from
@@ -238,7 +243,10 @@ class Network:
         return self._outcome_alphabets[p]
 
     def _check_settings(self, settings: Sequence[Symbol]) -> tuple[Symbol, ...]:
-        settings = tuple(int(s) for s in settings)
+        try:
+            settings = tuple(_symbol(s) for s in settings)
+        except ValueError as err:
+            raise NetworkError(f"settings: {err}") from None
         if len(settings) != len(self.parties):
             raise NetworkError(
                 f"{len(settings)} settings for {len(self.parties)} parties")
@@ -280,16 +288,69 @@ def joint_probability(
     return prob
 
 
-def _einsum(operands: Sequence[tuple[np.ndarray, tuple]], output: tuple) -> np.ndarray:
-    """``np.einsum`` over labelled operands, the labels renamed to letters
-    for this call only."""
+class _Plan(NamedTuple):
+    """How ``_contract`` contracts operands of given label patterns and
+    shapes: each operand's shape without its size-one axes; the pair
+    steps, each ``(i, j, subscripts)``, which remove operands i < j from
+    the list and append their ``np.einsum``; the subscripts that take the
+    one operand left to the output; the output shape; and the most
+    elements any step's result holds."""
+
+    shapes: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, int, str], ...]
+    final: str
+    shape: tuple[int, ...]
+    largest: int
+
+
+def _subscripts(inputs: Sequence[tuple[int, ...]], output: tuple[int, ...]) -> str:
+    """``np.einsum`` subscripts for labelled operands, the labels renamed
+    to letters by first appearance."""
     letter: dict = {}
-    for _, labels in operands:
+    for labels in inputs:
         for label in labels:
             letter.setdefault(label, string.ascii_letters[len(letter)])
-    spec = ",".join("".join(letter[l] for l in labels) for _, labels in operands)
-    return np.einsum(spec + "->" + "".join(letter[l] for l in output),
-                     *(arr for arr, _ in operands))
+    spec = ",".join("".join(letter[l] for l in labels) for labels in inputs)
+    return spec + "->" + "".join(letter[l] for l in output)
+
+
+@lru_cache(maxsize=1024)
+def _plan(patterns: tuple[tuple[int, ...], ...], shapes: tuple[tuple[int, ...], ...],
+          output: tuple[int, ...]) -> _Plan:
+    """The contraction of operands with these label patterns and shapes to
+    the ``output`` labels; see ``_contract``.  Axes of size one are
+    dropped first.  Operands are then contracted two at a time, greedily
+    as in ``np.einsum_path``'s "greedy" order: among the pairs that share
+    a label, the one whose result is smallest relative to its inputs, the
+    first such pair on ties.  Each step is one ``np.einsum`` over the
+    labels of two operands, so the network may use any number of labels."""
+    sizes = {l: n for labels, shape in zip(patterns, shapes) for l, n in zip(labels, shape)}
+    ops = [tuple(l for l in labels if sizes[l] > 1) for labels in patterns]
+    reshapes = tuple(tuple(sizes[l] for l in labels) for labels in ops)
+    out = tuple(l for l in output if sizes[l] > 1)
+    steps = []
+    largest = prod(sizes[l] for l in out)
+    while len(ops) > 1:
+        uses = Counter(out)
+        for labels in ops:
+            uses.update(labels)
+        pairs = list(combinations(range(len(ops)), 2))
+        pairs = [(i, j) for i, j in pairs if not set(ops[i]).isdisjoint(ops[j])] or pairs
+        best = None
+        for i, j in pairs:
+            la, lb = ops[i], ops[j]
+            kept = tuple(l for l in dict.fromkeys(la + lb)
+                         if uses[l] > (l in la) + (l in lb))
+            size = prod(sizes[l] for l in kept)
+            cost = size - prod(sizes[l] for l in la) - prod(sizes[l] for l in lb)
+            if best is None or cost < best[0]:
+                best = cost, i, j, kept, size
+        _, i, j, kept, size = best
+        steps.append((i, j, _subscripts((ops[i], ops[j]), kept)))
+        largest = max(largest, size)
+        ops = [labels for k, labels in enumerate(ops) if k not in (i, j)] + [kept]
+    return _Plan(reshapes, tuple(steps), _subscripts(ops, out),
+                 tuple(sizes[l] for l in output), largest)
 
 
 def _contract(operands: Sequence[tuple[np.ndarray, tuple]], output: Sequence) -> np.ndarray:
@@ -297,39 +358,21 @@ def _contract(operands: Sequence[tuple[np.ndarray, tuple]], output: Sequence) ->
     operands, as an array with one axis per ``output`` label.
 
     Each operand is an array with one hashable label per axis; a label
-    shared by several operands is one index.  Axes of size one are dropped
-    first.  Operands are then contracted two at a time, greedily as in
-    ``np.einsum_path``'s "greedy" order: among the pairs that share a
-    label, the one whose result is smallest relative to its inputs.  Each
-    step is one ``np.einsum`` over the labels of two operands, so the
-    network may use any number of labels.
+    shared by several operands is one index.  The labels are renamed to
+    ints by first appearance, so the plan (cached per label pattern and
+    shape, not per name or dtype) is shared by every contraction of the
+    same shape; its steps are then replayed on the arrays.
     """
-    sizes = {l: n for arr, labels in operands for l, n in zip(labels, arr.shape)}
-    ops = []
-    for arr, labels in operands:
-        labels = tuple(l for l in labels if sizes[l] > 1)
-        ops.append((arr.reshape([sizes[l] for l in labels]), labels))
-    out = tuple(l for l in output if sizes[l] > 1)
-    while len(ops) > 1:
-        uses = Counter(out)
-        for _, labels in ops:
-            uses.update(labels)
-        pairs = list(combinations(range(len(ops)), 2))
-        pairs = [(i, j) for i, j in pairs
-                 if not set(ops[i][1]).isdisjoint(ops[j][1])] or pairs
-        best = None
-        for i, j in pairs:
-            (a, la), (b, lb) = ops[i], ops[j]
-            kept = tuple(l for l in dict.fromkeys(la + lb)
-                         if uses[l] > (l in la) + (l in lb))
-            cost = prod(sizes[l] for l in kept) - a.size - b.size
-            if best is None or cost < best[0]:
-                best = cost, i, j, kept
-        _, i, j, kept = best
-        pair = [ops[i], ops[j]]
-        ops = [op for k, op in enumerate(ops) if k not in (i, j)]
-        ops.append((_einsum(pair, kept), kept))
-    return _einsum(ops, out).reshape([sizes[l] for l in output])
+    ids: dict = {}
+    patterns = tuple(tuple(ids.setdefault(l, len(ids)) for l in labels)
+                     for _, labels in operands)
+    plan = _plan(patterns, tuple(arr.shape for arr, _ in operands),
+                 tuple(ids[l] for l in output))
+    arrays = [arr.reshape(shape) for (arr, _), shape in zip(operands, plan.shapes)]
+    for i, j, spec in plan.steps:
+        b, a = arrays.pop(j), arrays.pop(i)
+        arrays.append(np.einsum(spec, a, b))
+    return np.einsum(plan.final, *arrays).reshape(plan.shape)
 
 
 def _contract_network(

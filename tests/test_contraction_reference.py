@@ -9,17 +9,26 @@ tuple, regrouped by party and binned).  On seeded networks from the
 trees, on PR-box chains and on the paradox, the contraction must give the
 same behavior tables, the same joint tables in the same key order, the
 same totals and the same error text.
+
+``reference_contract`` is the greedy pairwise contraction as it ran
+before contractions were planned once per shape: on every network built
+here, each planned contraction must give its array, dtype and sequence
+of pair choices.
 """
 from __future__ import annotations
 
 import random
+import string
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 import pytest
 
+from boxnet import network
 from boxnet.network import (
     JointDistribution,
     Network,
@@ -27,6 +36,7 @@ from boxnet.network import (
     induced_behavior,
     joint_distribution,
     joint_probability,
+    relabel_network,
 )
 from boxnet.resource import (
     Alphabet,
@@ -373,3 +383,140 @@ def test_denominators_beyond_int64():
     assert_agrees(net)
     beh = induced_behavior(net)
     assert any(v.denominator % (p31 * p61) == 0 for col in beh.table.values() for v in col.values())
+
+
+# -- the planned contraction against the greedy contraction it replaced ---------------
+
+
+def reference_einsum(operands, output) -> np.ndarray:
+    """``np.einsum`` over labelled operands, the labels renamed to letters
+    for this call only."""
+    letter: dict = {}
+    for _, labels in operands:
+        for label in labels:
+            letter.setdefault(label, string.ascii_letters[len(letter)])
+    spec = ",".join("".join(letter[l] for l in labels) for _, labels in operands)
+    return np.einsum(spec + "->" + "".join(letter[l] for l in output),
+                     *(arr for arr, _ in operands))
+
+
+def reference_contract(operands, output, choices: list) -> np.ndarray:
+    """The greedy contraction as it ran before plans: chosen afresh on
+    every call and on the arrays themselves; appends each step's pair
+    ``(i, j)`` to ``choices``."""
+    sizes = {l: n for arr, labels in operands for l, n in zip(labels, arr.shape)}
+    ops = []
+    for arr, labels in operands:
+        labels = tuple(l for l in labels if sizes[l] > 1)
+        ops.append((arr.reshape([sizes[l] for l in labels]), labels))
+    out = tuple(l for l in output if sizes[l] > 1)
+    while len(ops) > 1:
+        uses = Counter(out)
+        for _, labels in ops:
+            uses.update(labels)
+        pairs = list(combinations(range(len(ops)), 2))
+        pairs = [(i, j) for i, j in pairs
+                 if not set(ops[i][1]).isdisjoint(ops[j][1])] or pairs
+        best = None
+        for i, j in pairs:
+            (a, la), (b, lb) = ops[i], ops[j]
+            kept = tuple(l for l in dict.fromkeys(la + lb)
+                         if uses[l] > (l in la) + (l in lb))
+            cost = prod(sizes[l] for l in kept) - a.size - b.size
+            if best is None or cost < best[0]:
+                best = cost, i, j, kept
+        _, i, j, kept = best
+        choices.append((i, j))
+        pair = [ops[i], ops[j]]
+        ops = [op for k, op in enumerate(ops) if k not in (i, j)]
+        ops.append((reference_einsum(pair, kept), kept))
+    return reference_einsum(ops, out).reshape([sizes[l] for l in output])
+
+
+def plan_of(operands, output) -> network._Plan:
+    ids: dict = {}
+    patterns = tuple(tuple(ids.setdefault(l, len(ids)) for l in labels) for _, labels in operands)
+    return network._plan(patterns, tuple(arr.shape for arr, _ in operands),
+                         tuple(ids[l] for l in output))
+
+
+def all_built_networks(monkeypatch) -> list[Network]:
+    """Every network the tests of this file build, collected by running
+    them with their checks replaced by a recorder."""
+    nets = {}
+    record = lambda net, *args, **kw: nets.setdefault(id(net), net)  # noqa: E731
+    with monkeypatch.context() as m:
+        for check in ("assert_agrees", "assert_same_behavior", "assert_same_joint"):
+            m.setattr(sys.modules[__name__], check, record)
+        for case in range(CASES):
+            test_random_networks_binned_and_unbinned(case)
+        test_small_and_pairwise_networks()
+        test_labeled_and_default_labeled_trees()
+        test_alphabets_with_gaps()
+        for k in (1, 2, 3, 4):
+            test_pr_chains(k)
+        test_more_labels_than_einsum_letters()
+        test_denominators_beyond_int64()
+        test_paradox_joint_unnormalized()
+        record(forged_paradox())
+    return list(nets.values())
+
+
+def test_planned_contraction_matches_the_greedy_reference(monkeypatch):
+    """On every network this file builds, each contraction of every joint
+    distribution and induced behavior gives the reference's array, with
+    its dtype, from the same pairs in the same order."""
+    planned = network._contract
+    seen = Counter()
+
+    def compare(operands, output):
+        got = planned(operands, output)
+        choices = []
+        ref = reference_contract(operands, output, choices)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert [(i, j) for i, j, _ in plan_of(operands, output).steps] == choices
+        seen[got.dtype.kind] += 1
+        return got
+
+    nets = all_built_networks(monkeypatch)
+    assert len(nets) == 97
+    monkeypatch.setattr(network, "_contract", compare)
+    for net in nets:
+        for settings in net.settings_space():
+            joint_distribution(net, settings, allow_unnormalized=True)
+        if all(r.nonsignaling_checked for r in net.resources):
+            try:
+                induced_behavior(net)
+            except NetworkError as err:   # the forged paradox, after its contraction
+                assert "at settings (1, 0) sums to 0" in str(err)
+    assert seen["i"] > 500 and seen["O"] == 5
+
+
+def test_networks_differing_in_names_and_dtype_share_one_plan():
+    """Renamed parties and resources (in the same sorted order), and a
+    coin whose denominator sends the contraction to Python ints, reuse the
+    plan of the first network; each still gets its own exact behavior."""
+    rng = random.Random(9900)
+    resources = {"g": make_pr_box(id="g", parties=("A", "B")),
+                 "c": make_shared_randomness(("A", "B"), {(0, 0): "1/3", (1, 1): "2/3"}, id="c")}
+    trees = {p: random_tree(rng, p, set(resources), (0, 1), resources) for p in ("A", "B")}
+    net = Network(("A", "B"), list(resources.values()), trees, {"A": BITS, "B": BITS})
+    renamed = relabel_network(net, {"A": "Alice", "B": "Bob"}, {"g": "gate", "c": "coin"})
+    p61 = 2 ** 61 - 1
+    wide_coin = make_shared_randomness(("A", "B"), {(0, 0): Fraction(1, p61),
+                                                    (1, 1): 1 - Fraction(1, p61)}, id="c")
+    wide = fresh(net, resources=[resources["g"], wide_coin])
+
+    network._plan.cache_clear()
+    first = induced_behavior(net)
+    cold = network._plan.cache_info()
+    assert (cold.hits, cold.misses, cold.currsize) == (0, 1, 1)
+    for other in (renamed, wide):
+        before = network._plan.cache_info()
+        behavior = induced_behavior(other)
+        after = network._plan.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, 1, 1)
+        assert_same_behavior(other)
+    assert induced_behavior(renamed).table == first.table
+    assert not behavior.same_table(first)
+    assert network._plan.cache_info().maxsize == 1024

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from boxnet.network import (
@@ -148,6 +149,30 @@ def test_joint_probability_refuses_settings_and_outputs_outside_the_alphabets():
     for outside in (((7, 0), (0,)), ((0, 2), (0,)), ((0, 0), (5,))):
         with pytest.raises(KeyError):
             joint_probability(net, (3, 0), outside)
+
+
+def test_settings_that_are_not_integers_are_refused_not_truncated():
+    net = worked_network()
+    outputs = next(iter(net.output_assignments()))
+    for settings in ((0.9, 0.9, 0.9), (0, 1.0, 0), (True, 0, 0), (0, 0, "1")):
+        with pytest.raises(NetworkError, match=r"^settings: alphabet symbol .* is not an integer"):
+            joint_distribution(net, settings)
+        with pytest.raises(NetworkError, match="is not an integer"):
+            joint_probability(net, settings, outputs)
+    exact = joint_distribution(net, (1, 0, 1))
+    assert joint_distribution(net, (np.int64(1), np.uint8(0), 1)).table == exact.table
+
+
+def test_bins_that_are_not_integers_are_refused_not_truncated():
+    space = list(product((0, 1), (0, 1, 2)))
+    for bad in ({tr: 0.5 if tr == (1, 2) else 0 for tr in space},
+                {(a + 0.5, b): a for a, b in space},
+                {tr: True for tr in space}):
+        with pytest.raises(NetworkError, match=r"^bins for 'A1': alphabet symbol .* is not an integer"):
+            worked_network(bins={"A1": bad})
+    net = worked_network(bins={"A1": {(np.int64(a), b): np.int8(a) for a, b in space}})
+    assert net.bins["A1"] == {tr: tr[0] for tr in space}
+    assert all(type(k[0]) is int and type(v) is int for k, v in net.bins["A1"].items())
 
 
 def test_two_shared_coins_give_correlated_uniform():

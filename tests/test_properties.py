@@ -8,12 +8,16 @@ counts (skipped when Hypothesis is not installed).
    retired view-based writer's.
 3. Any JSON given as a resource, tree or scenario file makes ``main``
    return 0, 1 or 2, never raise.
+4. On generated networks, no contraction step exceeds its plan's largest
+   intermediate, and the induced behavior is normalized, nonsignaling and
+   has the same marginals by both of ``marginal_without_party``'s routes.
 """
 from __future__ import annotations
 
 import json
 import shutil
 import tempfile
+from unittest import mock
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -28,9 +32,15 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import boxnet  # noqa: E402
+from boxnet import network  # noqa: E402
 from boxnet.cli import main  # noqa: E402
 from boxnet.ghz import FloatBehavior  # noqa: E402
-from boxnet.resource import Alphabet, NonsignalingResource  # noqa: E402
+from boxnet.resource import (  # noqa: E402
+    Alphabet,
+    NonsignalingResource,
+    marginal,
+    validate_nonsignaling,
+)
 from boxnet.wiring import (  # noqa: E402
     DecisionTree,
     Internal,
@@ -39,6 +49,8 @@ from boxnet.wiring import (  # noqa: E402
     tree_to_json_dict,
 )
 
+from netgen import random_network, random_small_network  # noqa: E402
+from test_contraction_reference import plan_of  # noqa: E402
 from test_json_writer_reference import reference_to_json_dict  # noqa: E402
 from test_tree_walk_reference import assert_walks_agree  # noqa: E402
 
@@ -330,3 +342,43 @@ def test_any_json_input_gives_an_exit_code(case):
         for argv in (["validate", str(d)], ["behavior", str(d)], ["decompose", str(d / name)],
                      ["ineq", "eval", "--ineq", "mao", "--behavior", str(d / name)]):
             assert main(argv) in (0, 1, 2), argv
+
+
+# -- 4. planned contractions on generated networks -------------------------------------
+
+
+@bounded(60)
+@given(st.randoms(use_true_random=False), st.sampled_from([random_network, random_small_network]))
+def test_generated_networks_stay_within_the_plan_normalized_and_nonsignaling(rng, generate):
+    """Each ``np.einsum`` a contraction runs (its plan's pair steps and the
+    last one) yields at most the plan's ``largest`` elements, and the
+    largest step yields exactly that; the induced behavior is normalized
+    and nonsignaling, and ``marginal_without_party``'s two routes agree
+    for every party."""
+    net = generate(rng, "hyp")
+    planned, einsum = network._contract, np.einsum
+
+    def recording(operands, output):
+        sizes = []
+
+        def counted(*args):
+            result = einsum(*args)
+            sizes.append(result.size)
+            return result
+
+        with mock.patch.object(np, "einsum", counted):
+            result = planned(operands, output)
+        plan = plan_of(operands, output)
+        assert len(sizes) == len(plan.steps) + 1
+        assert all(size <= plan.largest for size in sizes) and max(sizes) == plan.largest
+        return result
+
+    with mock.patch.object(network, "_contract", recording):
+        behavior = network.induced_behavior(net)
+        assert all(sum(column.values()) == 1 for column in behavior.table.values())
+        assert validate_nonsignaling(behavior).passed
+        if len(net.parties) > 1:
+            for p in net.parties:
+                rest = [q for q in net.parties if q != p]
+                assert network.marginal_without_party(net, p).same_table(
+                    marginal(behavior, rest))
