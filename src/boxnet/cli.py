@@ -9,7 +9,8 @@ to the fixtures shipped with the package.
 
 Exit codes: 0 success; 1 domain failure (validation failed, LP
 infeasible, inequality violated); 2 input error (missing file,
-malformed JSON, bad flags).
+malformed JSON, bad flags, a ``NONSIG_VERTEX_CAP`` that is not a
+non-negative integer).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Union
 
 from .decompose import (
+    CapSettingError,
     Infeasible,
     Mixture,
     VertexSet,
@@ -465,7 +467,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, CapSettingError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, AssertionError) as e:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import Mapping, Sequence
@@ -118,8 +118,22 @@ class LocalityResult:
         return self.local
 
 
+class CapSettingError(ValueError):
+    """The vertex cap variable is set to something other than a
+    non-negative integer."""
+
+
 def _vertex_cap() -> int:
-    return int(os.environ.get(VERTEX_CAP_ENV, DEFAULT_VERTEX_CAP))
+    raw = os.environ.get(VERTEX_CAP_ENV)
+    if raw is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise CapSettingError(f"{VERTEX_CAP_ENV}={raw!r} is not a non-negative integer")
+    return cap
 
 
 def _deterministic_hits(in_alphas: Sequence[Alphabet],
@@ -183,7 +197,7 @@ def local_deterministic_vertices(
                       for j in range(len(hit))], ["deterministic"] * len(hit))
 
 
-@cache
+@lru_cache(maxsize=1)
 def ns_vertices_222() -> VertexSet:
     """The 24 extreme points of the bipartite binary nonsignaling polytope:
     16 deterministic vertices plus the 8 PR-class boxes.  Each PR-class

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import prod
 from typing import Mapping, Sequence, Union
 
@@ -143,20 +145,34 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([start, values], axis=-1), axis=-1)[..., -1]
 
 
-def _term_rows(b: Behavior, supports: Sequence[tuple]) -> tuple[list[int], np.ndarray]:
+def _term_rows(b: Behavior, supports: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Each (parties, settings) correlator compiled for b's signature: the
     flat row of its input tuple (other parties at their first setting) and
-    its +/-1 sign over the flat outputs, read from each output symbol."""
+    its +/-1 sign over the flat outputs, read from each output symbol.
+    Both arrays are read-only and shared by every behavior of the same
+    parties and alphabets."""
+    supports = tuple((tuple(parties), tuple(settings)) for parties, settings in supports)
+    return _compiled_rows(supports, b.parties, b.input_alphabets, b.output_alphabets)
+
+
+@lru_cache(maxsize=256)
+def _compiled_rows(supports: tuple[tuple[tuple, tuple], ...], parties: tuple[str, ...],
+                   input_alphabets: tuple[Alphabet, ...],
+                   output_alphabets: tuple[Alphabet, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``_term_rows`` for one signature, cached."""
     rows, signs = [], []
-    for parties, settings in supports:
-        idx = [b.party_index(p) for p in parties]
-        x = [0] * len(b.parties)
+    outputs = list(product(*(a.values for a in output_alphabets)))
+    for term_parties, settings in supports:
+        idx = [parties.index(p) for p in term_parties]
+        x = [0] * len(parties)
         for i, s in zip(idx, settings):
-            x[i] = b.input_alphabets[i].values.index(s)
-        rows.append(int(np.ravel_multi_index(x, [len(a) for a in b.input_alphabets])))
-        signs.append([prod(SIGN[a[i]] for i in idx) for a in b.output_space()])
-    width = prod(len(a) for a in b.output_alphabets)
-    return rows, np.array(signs, dtype=np.int64).reshape(len(rows), width)
+            x[i] = input_alphabets[i].values.index(s)
+        rows.append(int(np.ravel_multi_index(x, [len(a) for a in input_alphabets])))
+        signs.append([prod(SIGN[a[i]] for i in idx) for a in outputs])
+    rows = np.array(rows, dtype=np.intp)
+    signs = np.array(signs, dtype=np.int64).reshape(len(rows), len(outputs))
+    rows.flags.writeable = signs.flags.writeable = False
+    return rows, signs
 
 
 def _dots(behaviors: Sequence[Behavior], rows: Sequence[int], vectors: np.ndarray) -> np.ndarray:

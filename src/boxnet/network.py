@@ -225,7 +225,8 @@ class Network:
             w = np.zeros([len(a) for a in alphabets], dtype=np.int64)
             for (s, transcript), (inputs, outcome) in self._paths[p].items():
                 symbols = (s, outcome, *inputs, *transcript)
-                w[tuple(pos[v] for pos, v in zip(positions, symbols))] = 1
+                # each symbol's position in its alphabet
+                w[tuple(map(dict.__getitem__, positions, symbols))] = 1
             self._wirings[p] = w
         return w
 
@@ -293,14 +294,16 @@ class _Plan(NamedTuple):
     shapes: each operand's shape without its size-one axes; the pair
     steps, each ``(i, j, subscripts)``, which remove operands i < j from
     the list and append their ``np.einsum``; the subscripts that take the
-    one operand left to the output; the output shape; and the most
-    elements any step's result holds."""
+    one operand left to the output; the output shape; the most
+    elements any step's result holds; and the product of the sizes of
+    the labels summed out."""
 
     shapes: tuple[tuple[int, ...], ...]
     steps: tuple[tuple[int, int, str], ...]
     final: str
     shape: tuple[int, ...]
     largest: int
+    summed: int
 
 
 def _subscripts(inputs: Sequence[tuple[int, ...]], output: tuple[int, ...]) -> str:
@@ -350,24 +353,40 @@ def _plan(patterns: tuple[tuple[int, ...], ...], shapes: tuple[tuple[int, ...], 
         largest = max(largest, size)
         ops = [labels for k, labels in enumerate(ops) if k not in (i, j)] + [kept]
     return _Plan(reshapes, tuple(steps), _subscripts(ops, out),
-                 tuple(sizes[l] for l in output), largest)
+                 tuple(sizes[l] for l in output), largest,
+                 prod(n for l, n in sizes.items() if l not in output))
 
 
-def _contract(operands: Sequence[tuple[np.ndarray, tuple]], output: Sequence) -> np.ndarray:
+class _Operands(list):
+    """``(array, labels)`` operands with the ``plan`` already looked up
+    for them and their output, which ``_contract`` then reuses."""
+
+    def __init__(self, operands: Iterable[tuple[np.ndarray, tuple]], plan: _Plan):
+        super().__init__(operands)
+        self.plan = plan
+
+
+def _plan_for(operands: Sequence[tuple[np.ndarray, tuple]], output: Sequence) -> _Plan:
+    """The cached plan for these operands and output labels, the labels
+    renamed to ints by first appearance."""
+    ids: dict = {}
+    patterns = tuple(tuple(ids.setdefault(l, len(ids)) for l in labels)
+                     for _, labels in operands)
+    return _plan(patterns, tuple(arr.shape for arr, _ in operands),
+                 tuple(ids[l] for l in output))
+
+
+def _contract(operands: _Operands, output: Sequence) -> np.ndarray:
     """Sum over every label not in ``output`` of the product of the
     operands, as an array with one axis per ``output`` label.
 
     Each operand is an array with one hashable label per axis; a label
-    shared by several operands is one index.  The labels are renamed to
-    ints by first appearance, so the plan (cached per label pattern and
-    shape, not per name or dtype) is shared by every contraction of the
-    same shape; its steps are then replayed on the arrays.
+    shared by several operands is one index.  The operands carry the plan
+    ``_plan_for`` looked up for them and ``output`` (cached per label
+    pattern and shape, not per name or dtype, so it is shared by every
+    contraction of the same shape); its steps are replayed on the arrays.
     """
-    ids: dict = {}
-    patterns = tuple(tuple(ids.setdefault(l, len(ids)) for l in labels)
-                     for _, labels in operands)
-    plan = _plan(patterns, tuple(arr.shape for arr, _ in operands),
-                 tuple(ids[l] for l in output))
+    plan = operands.plan
     arrays = [arr.reshape(shape) for (arr, _), shape in zip(operands, plan.shapes)]
     for i, j, spec in plan.steps:
         b, a = arrays.pop(j), arrays.pop(i)
@@ -387,20 +406,19 @@ def _contract_network(
 
     Resource r's axes are labelled ("x", r.id, q) and ("a", r.id, q) for
     its members q.  No entry of any intermediate exceeds the product of
-    the denominators times the product of the summed labels' sizes; int64
-    is used when that bound is below 2**63, exact Python ints otherwise.
+    the denominators times the plan's product of the summed labels'
+    sizes; the int64 operands are contracted as they are when that bound
+    is below 2**63, as exact Python ints otherwise.
     """
     operands = [(r.numerators, (*(("x", r.id, q) for q in r.parties),
                                 *(("a", r.id, q) for q in r.parties)))
                 for r in net.resources]
     operands += wirings
     den = prod(r.denominator for r in net.resources)
-    sizes = {l: n for arr, labels in operands for l, n in zip(labels, arr.shape)}
-    kept = set(output)
-    bound = den * prod(n for l, n in sizes.items() if l not in kept)
-    dtype = np.int64 if bound < 2 ** 63 else object
-    operands = [(arr.astype(dtype, copy=False), labels) for arr, labels in operands]
-    return _Tensor(_contract(operands, output), den)
+    plan = _plan_for(operands, output)
+    if den * plan.summed >= 2 ** 63:
+        operands = [(arr.astype(object, copy=False), labels) for arr, labels in operands]
+    return _Tensor(_contract(_Operands(operands, plan), output), den)
 
 
 def _refuse_unchecked(net: Network) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -30,6 +31,8 @@ Symbol = int
 Party = str
 
 _INT64 = 2 ** 63
+_INT_TYPE, _TUPLE_TYPE = {int}, {tuple}
+_EXACT_TYPES = {int, Fraction}
 
 
 class TableError(ValueError):
@@ -96,6 +99,14 @@ class Alphabet:
 
     @classmethod
     def of_size(cls, n: int) -> "Alphabet":
+        """The symbols 0..n-1.  Alphabets are immutable, so one is shared
+        per size; ``n`` is parsed by ``operator.index`` before the lookup,
+        so a size that is not an integer always raises ``TypeError``."""
+        return cls._of_size(operator.index(n))
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def _of_size(cls, n: int) -> "Alphabet":
         return cls(tuple(range(n)))
 
     @property
@@ -153,7 +164,17 @@ class ValidationReport:
 
 
 def _key_tuple(values: Sequence[Symbol]) -> tuple[Symbol, ...]:
-    return tuple(int(v) for v in values)
+    """A table key as a tuple of symbols, each parsed by ``_symbol``."""
+    return tuple(_symbol(v) for v in values)
+
+
+def _plain_keys(keys: Iterable) -> bool:
+    """Whether every key is already a tuple of ``int`` symbols, which
+    ``_key_tuple`` would return unchanged.  A ``bool``, float or
+    ``Fraction`` symbol can equal and hash like an ``int``, so the types
+    are checked, not looked up."""
+    return (set(map(type, keys)) <= _TUPLE_TYPE
+            and set(map(type, chain.from_iterable(keys))) <= _INT_TYPE)
 
 
 def _align(parties: Sequence[Party], alphabets) -> tuple[Alphabet, ...]:
@@ -225,14 +246,29 @@ def _first_signal(arr: np.ndarray, movers: Sequence[int], watched: Sequence[int]
     return x0, x1, outputs, (base[c, 0, o], rest[c, m, o])
 
 
+def _input_moves_marginal(arr: np.ndarray, j: int) -> bool:
+    """Whether party j's input changes the exact array's marginal with
+    party j's output summed out: the cheap test that precedes the
+    locator."""
+    marg = arr.sum(axis=arr.ndim // 2 + j)
+    head = (slice(None),) * j
+    return bool((marg[head + (slice(1, None),)] != marg[head + (slice(0, 1),)]).any())
+
+
 def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
                        atol=0) -> SignalingWitness | None:
     """First violation of the one-party condition in the table ``arr``: for
     each party j in order, party j's input moves and the other parties'
     outputs are watched.  ``value`` turns a scanned marginal into the
-    witness's value."""
-    for j, party in enumerate(parties):
-        others = [i for i in range(len(parties)) if i != j]
+    witness's value.  An exact array (``atol`` 0) is tested for every
+    party before the locator runs, from the first party that fails."""
+    n = len(parties)
+    first = 0
+    if not atol:
+        first = next((j for j in range(n) if _input_moves_marginal(arr, j)), n)
+    for j in range(first, n):
+        party = parties[j]
+        others = [i for i in range(n) if i != j]
         hit = _first_signal(arr, [j], others, atol)
         if hit is not None:
             x0, x1, outputs, (v0, v1) = hit
@@ -346,21 +382,36 @@ class ProbabilityTable:
     def _columns(self, table: Mapping) -> Iterator[tuple[tuple[Symbol, ...], Iterator]]:
         """A mapping table's columns in input order: each input tuple with
         an iterator of its entries as (flat array position, output tuple,
-        value).  A missing input tuple, an output tuple outside the output
-        alphabets (when its entry is reached) and, after the last column,
-        an input tuple outside the input alphabets raise ``TableError``."""
+        value).  An input key that is not a tuple of integer symbols, a
+        missing input tuple, an output key that is not a tuple of integer
+        symbols or lies outside the output alphabets (when its entry is
+        reached) and, after the last column, an input tuple outside the
+        input alphabets raise ``TableError``."""
         width = prod(len(a) for a in self.output_alphabets)
         out_index = {a: i for i, a in enumerate(self.output_space())}
-        raw = {_key_tuple(x): column for x, column in table.items()}
+
+        def key(k, what: str) -> tuple[Symbol, ...]:
+            try:
+                return _key_tuple(k)
+            except (TypeError, ValueError) as err:
+                raise TableError(f"resource {self.id!r}: {what} key {k!r}: {err}") from None
+
+        raw = (table if _plain_keys(table)
+               else {key(x, "input"): column for x, column in table.items()})
 
         def entries(row: int, x: tuple[Symbol, ...]):
-            for a, value in raw[x].items():
-                a = _key_tuple(a)
-                if a not in out_index:
-                    raise TableError(
-                        f"resource {self.id!r}: output tuple {a} at input {x} "
-                        f"is outside the output alphabets")
-                yield row * width + out_index[a], a, value
+            column = raw[x]
+            plain = _plain_keys(column)
+            for a, value in column.items():
+                i = out_index.get(a) if plain else None
+                if i is None:
+                    a = key(a, f"input {x}: output")
+                    if a not in out_index:
+                        raise TableError(
+                            f"resource {self.id!r}: output tuple {a} at input {x} "
+                            f"is outside the output alphabets")
+                    i = out_index[a]
+                yield row * width + i, a, value
 
         for row, x in enumerate(self.input_space()):
             if x not in raw:
@@ -441,28 +492,36 @@ class NonsignalingResource(ProbabilityTable):
 
     def _parse_table(self, table) -> _Tensor:
         """A mapping table, checked column by column for totality, range
-        and a unit sum, as numerators over the lcm of its denominators."""
-        cells: dict[int, Fraction] = {}   # flat position -> entry
-        for x, entries in self._columns(table):
-            column: dict[int, Fraction] = {}
+        and a unit sum, as numerators over the lcm of its denominators.
+
+        An ``int`` or ``Fraction`` entry in [0, 1] is read as its numerator
+        and denominator; any other entry, or one out of range, goes through
+        ``as_probability``, which parses it or raises.  Each column is
+        summed over the lcm of its own denominators."""
+        width = prod(len(a) for a in self.output_alphabets)
+        size = width * prod(len(a) for a in self.input_alphabets)
+        nums, dens = [0] * size, [1] * size   # flat position -> entry
+        for row, (x, entries) in enumerate(self._columns(table)):
             for i, a, value in entries:
-                try:
-                    column[i] = as_probability(value)
-                except (ValueError, TypeError) as exc:
-                    raise TableError(
-                        f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
-                    ) from exc
-            total = sum(v for v in column.values() if v)
-            if total != 1:
-                raise TableError(
-                    f"resource {self.id!r}: column at input {x} sums to {total}, not 1")
-            cells.update(column)
-        den = lcm(*(v.denominator for v in cells.values()))
-        size = prod(len(a) for a in self.input_alphabets + self.output_alphabets)
-        nums = np.zeros(size, dtype=np.int64 if den < _INT64 else object)
-        for i, v in cells.items():
-            nums[i] = v.numerator * (den // v.denominator)
-        return _Tensor(nums, den)
+                if type(value) in _EXACT_TYPES and 0 <= value.numerator <= value.denominator:
+                    v = value
+                else:
+                    try:
+                        v = as_probability(value)
+                    except (ValueError, TypeError) as exc:
+                        raise TableError(
+                            f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
+                        ) from exc
+                nums[i], dens[i] = v.numerator, v.denominator
+            column = slice(row * width, (row + 1) * width)
+            den = lcm(*dens[column])
+            total = sum(n * (den // d) for n, d in zip(nums[column], dens[column]))
+            if total != den:
+                raise TableError(f"resource {self.id!r}: column at input {x} sums to "
+                                 f"{Fraction(total, den)}, not 1")
+        den = lcm(*dens)
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+        return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object), den)
 
     def _rows(self, form=lambda v: v) -> Iterable[Iterable]:
         """The Fractions of each input tuple, one shared Fraction per value,
@@ -686,8 +745,8 @@ def condition(
     keep_idx = [i for i in range(len(r.parties)) if i not in obs_idx]
     if not keep_idx:
         raise ValueError("conditioning on every party leaves no resource")
-    obs_in = dict(zip(obs_idx, (int(v) for v in inputs)))
-    obs_out = dict(zip(obs_idx, (int(v) for v in outputs)))
+    obs_in = dict(zip(obs_idx, map(_symbol, inputs)))
+    obs_out = dict(zip(obs_idx, map(_symbol, outputs)))
     for i in obs_idx:
         if obs_in[i] not in r.input_alphabets[i]:
             raise ValueError(f"input {obs_in[i]} outside alphabet of {r.parties[i]!r}")

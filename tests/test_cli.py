@@ -495,3 +495,32 @@ def test_repeated_literal_key_exits_two(tmp_path, capsys):
 def test_shipped_fixtures_repeat_no_key():
     for path in sorted(FIXTURES.rglob("*.json")):
         _load_json(path)
+
+
+def test_non_integer_table_key_exits_two(tmp_path, capsys):
+    r = _pr_ab()
+    r["table"]["1,1"]["0.9,1"] = r["table"]["1,1"].pop("0,1")
+    assert main(["decompose", _write(tmp_path / "r.json", r)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("cap", ["lots", "-1", "1e6", ""])
+def test_bad_vertex_cap_exits_two(monkeypatch, cap):
+    """NONSIG_VERTEX_CAP must be a non-negative integer; anything else is
+    an input error naming the variable, on one line."""
+    monkeypatch.setenv("NONSIG_VERTEX_CAP", cap)
+    done = _cli_process("decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"input error: NONSIG_VERTEX_CAP={cap!r} is not a "
+                           f"non-negative integer\n")
+
+
+@pytest.mark.parametrize("cap, rc", [("16", 1), ("15", 1), (" 16 ", 1)])
+def test_vertex_cap_within_and_past_the_count(monkeypatch, capsys, cap, rc):
+    """The PR box has 16 deterministic vertices: a cap of 16 runs the LP
+    (the box is not local, exit 1), a cap of 15 refuses it (exit 1 too,
+    with the cap's message)."""
+    monkeypatch.setenv("NONSIG_VERTEX_CAP", cap)
+    assert main(["decompose", str(FIXTURES / "wired-pr" / "pr_ab.json")]) == rc
+    err = capsys.readouterr().err
+    assert ("exceed the cap 15" in err) == (cap == "15")

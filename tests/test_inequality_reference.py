@@ -6,6 +6,8 @@ walked the dense ``table`` view of a behavior entry by entry:
 ``correlator``, ``evaluate``, ``evaluate_cao_s14``,
 ``functional_difference`` and the dict construction of a
 ``FloatBehavior`` (with the per-entry GHZ table it was built from).
+``ref_term_rows`` compiles correlator rows and signs afresh on every
+call, as ``_term_rows`` did before its results were cached.
 Exact results must be ``==`` to the references with the same type, and
 float results bit-identical: the references add left to right from 0, as
 the built-in ``sum`` of Python 3.11 does, and so must the arrays.
@@ -29,10 +31,12 @@ import pytest
 
 from boxnet.decompose import local_deterministic_vertices, ns_vertices_222
 from boxnet.ghz import ATOL_NORM, FloatBehavior, QuantumStrategy, _GHZ, _observable, ghz_behavior
+from boxnet import inequality
 from boxnet.inequality import (
     LinearInequality,
     _functional_step,
     _term,
+    _term_rows,
     _values,
     cao_inequality,
     cao_s14_linearized,
@@ -451,3 +455,43 @@ def test_functional_difference_on_mixed_denominators():
         assert functional_difference(first, second, behaviors) == \
             ref_functional_difference(first, second, behaviors)
         assert functional_difference(first, first, behaviors) is None
+
+
+def ref_term_rows(b, supports):
+    rows, signs = [], []
+    for parties, settings in supports:
+        idx = [b.party_index(p) for p in parties]
+        x = [0] * len(b.parties)
+        for i, s in zip(idx, settings):
+            x[i] = b.input_alphabets[i].values.index(s)
+        rows.append(int(np.ravel_multi_index(x, [len(a) for a in b.input_alphabets])))
+        signs.append([math.prod(SIGN[a[i]] for i in idx) for a in b.output_space()])
+    width = math.prod(len(a) for a in b.output_alphabets)
+    return rows, np.array(signs, dtype=np.int64).reshape(len(rows), width)
+
+
+def test_cached_term_rows_match_the_uncached_build():
+    """Over behaviors of many signatures (gapped inputs, output alphabets
+    (0, 1), (1, 0) and single symbols), every support list gives the
+    rows and signs compiled afresh, read-only, from a bounded cache."""
+    compiled = inequality._compiled_rows
+    compiled.cache_clear()
+    rng = random.Random(11)
+    behaviors = [b for counts in (S222, S232, {"A": 3, "B": 2})
+                 for gapped in (False, True) for b in exact_family(rng, counts, 20, gapped=gapped)]
+    calls = 0
+    for b in behaviors:
+        every = [(named, tuple(b.input_alphabet(p).values[k] for p, k in zip(named, ks)))
+                 for named, ks in supports({p: len(b.input_alphabet(p)) for p in b.parties})]
+        for terms in (every, rng.sample(every, 5), rng.sample(every, 3)):
+            for _ in range(2):   # the second call is read from the cache
+                rows, signs = _term_rows(b, terms)
+                want_rows, want_signs = ref_term_rows(b, terms)
+                assert rows.tolist() == want_rows
+                assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
+                assert not rows.flags.writeable and not signs.flags.writeable
+                calls += 1
+    info = compiled.cache_info()
+    assert info.hits + info.misses == calls and info.hits >= calls // 2
+    assert info.maxsize == 256 and info.currsize == min(info.misses, 256)
+    assert info.misses > 256   # more signatures and support lists than the cache holds

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from boxnet.resource import (
@@ -55,6 +56,12 @@ def test_alphabet_symbols_are_integers():
     for bad in (1.5, 1.0, "1", True, None):
         with pytest.raises(ValueError, match="not an integer"):
             Alphabet((0, bad))
+
+
+def test_alphabet_of_size_refuses_a_float_size_after_an_int_one():
+    assert Alphabet.of_size(2).values == (0, 1)
+    with pytest.raises(TypeError):
+        Alphabet.of_size(2.0)
 
 
 def test_pr_box_is_nonsignaling_by_direct_summation():
@@ -281,3 +288,42 @@ def test_ternary_output_alphabet():
     assert validate_nonsignaling(r).passed
     m = marginal(r, ["A"])
     assert m.prob((0,), (2,)) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("inputs, outputs, bad", [
+    ([True], [0], "True"), ([0.9], [0], "0.9"), ([0], [True], "True"), ([0], ["1"], "'1'")])
+def test_condition_refuses_non_integer_symbols(inputs, outputs, bad):
+    with pytest.raises(ValueError, match=f"alphabet symbol {bad} is not an integer"):
+        condition(make_pr_box(), ["A"], outputs, inputs)
+
+
+def test_condition_accepts_numpy_integers():
+    got = condition(make_pr_box(), ["B"], [np.int64(0)], [np.int8(1)])
+    assert got.same_table(condition(make_pr_box(), ["B"], [0], [1]))
+
+
+@pytest.mark.parametrize("table, message", [
+    ({(0.9,): {(0,): 1}, (1,): {(0,): 1}}, "input key (0.9,): alphabet symbol 0.9 is not"),
+    ({(True,): {(0,): 1}, (0,): {(0,): 1}}, "input key (True,): alphabet symbol True"),
+    ({0: {(0,): 1}, 1: {(0,): 1}}, "input key 0: 'int' object is not iterable"),
+    ({(0,): {(0,): 1}, (1,): {(True,): 1}}, "input (1,): output key (True,): alphabet symbol True"),
+    ({(0,): {(Fraction(0),): 1}, (1,): {(0,): 1}}, "output key (Fraction(0, 1),): alphabet symbol"),
+    ({(0,): {("0",): 1}, (1,): {(0,): 1}}, "output key ('0',): alphabet symbol '0'"),
+])
+def test_table_keys_must_be_integer_symbols(table, message):
+    """A key that equals and hashes like an int tuple, such as (True,) or
+    (1.0,), is refused, not looked up or truncated."""
+    with pytest.raises(TableError) as err:
+        NonsignalingResource.make("k", ("A",), [BITS], [BITS], table)
+    assert str(err.value).startswith("resource 'k': ") and message in str(err.value)
+
+
+def test_table_keys_of_numpy_integers_are_parsed():
+    table = {(np.int64(x),): {(np.int8(x),): Fraction(1)} for x in (0, 1)}
+    got = NonsignalingResource.make("k", ("A",), [BITS], [BITS], table)
+    assert got.prob((1,), (1,)) == 1 and got.prob((0,), (1,)) == 0
+
+
+def test_shared_randomness_refuses_non_integer_outcomes():
+    with pytest.raises(ValueError, match="alphabet symbol 0.5 is not an integer"):
+        make_shared_randomness(("A",), {(0.5,): 1})
