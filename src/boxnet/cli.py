@@ -28,7 +28,7 @@ from .decompose import (
     Mixture,
     VertexSet,
     decompose_extremal,
-    local_deterministic_vertices,
+    decompose_local,
     ns_vertices_222,
 )
 from .ghz import FloatBehavior, QuantumStrategy, ghz_behavior, search_max_violation
@@ -264,9 +264,6 @@ def cmd_behavior(args) -> int:
 
 
 def _vertex_set_for(r: NonsignalingResource, kind: str, base: Path) -> VertexSet:
-    if kind == "local":
-        return local_deterministic_vertices(r.parties, r.input_alphabets,
-                                            r.output_alphabets)
     if kind == "ns222":
         vs = ns_vertices_222()
     else:
@@ -289,8 +286,11 @@ def _vertex_set_for(r: NonsignalingResource, kind: str, base: Path) -> VertexSet
 def cmd_decompose(args) -> int:
     r = _from_json(NonsignalingResource.from_json_dict,
                    _load_json(Path(args.resource)), args.resource)
-    vs = _vertex_set_for(r, args.vertices, Path(args.resource).parent)
-    result = decompose_extremal(r, vs)
+    if args.vertices == "local":
+        result = decompose_local(r)
+    else:
+        vs = _vertex_set_for(r, args.vertices, Path(args.resource).parent)
+        result = decompose_extremal(r, vs)
     if isinstance(result, Mixture):
         payload = {"feasible": True,
                    "components": [{"weight": str(w), "vertex": v.to_json_dict()}

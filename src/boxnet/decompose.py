@@ -1,14 +1,18 @@
 """Convex structure: vertex enumeration, polytope membership, and rewriting
 networks into mixtures of simpler ones.
 
-Membership questions ("is this box a mixture of these vertices?") are
-answered by the exact feasibility solver, so every positive answer comes
-with reconstructing weights and every negative answer with a separating
-linear functional — a Bell-type expression scoring the box strictly above
-everything in the hull.  The two network-level operations (pulling shared
-randomness out in front, replacing resources by their extremal components)
-both return mixtures of networks and verify exact behavior preservation
-before returning.
+Membership questions ("is this box a mixture of these vertices?") all go
+through ``_hull``: one call of the exact solver ``solve_columns``, then
+each guard once.  Every positive answer comes with weights that are
+checked to rebuild the box entry by entry, and every negative answer with
+a separating linear functional — a Bell-type expression scoring the box
+strictly above everything in the hull — checked against every vertex in
+one pricing pass.  ``decompose_extremal`` reads its vertices as dense
+columns; ``decompose_local`` and ``is_local`` read the local deterministic
+vertices as implicit 0/1 columns.  The two network-level operations
+(pulling shared randomness out in front, replacing resources by their
+extremal components) both return mixtures of networks and verify exact
+behavior preservation before returning.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from boxnet.linprog import Feasible, IncidenceColumns, solve_columns, solve_feasibility
+from boxnet.linprog import DenseColumns, Feasible, IncidenceColumns, solve_columns
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
     Alphabet,
@@ -224,15 +228,9 @@ def decompose_extremal(
     vs: VertexSet,
 ) -> Mixture | Infeasible:
     """Express r as an exact convex combination of the vertices, or prove
-    none exists.
-
-    Feasibility system: one equality row per (input tuple, output tuple)
-    entry plus normalization, columns indexed by vertices.  A feasible
-    basic solution is pruned of zero weights and re-checked entry by
-    entry; an infeasible outcome is converted into the separating
-    functional read off the Farkas certificate, re-checked against every
-    vertex.  (Weights are whatever basic solution the pivot rule reaches
-    first — decompositions are generally non-unique.)
+    none exists: the hull question of ``_hull`` over the vertices' dense
+    table columns.  (Weights are whatever basic solution the pivot rule
+    reaches first — decompositions are generally non-unique.)
     """
     first = vs.vertices[0]
     if not r.same_signature(first):
@@ -242,63 +240,52 @@ def decompose_extremal(
     for v in vs.vertices:
         if r.same_table(v):
             return Mixture([(Fraction(1), v)])
+    rows = [*zip(*(_probabilities(v) for v in vs.vertices)), [1] * len(vs)]
+    return _hull(r, DenseColumns(rows, len(vs)), vs.vertices.__getitem__)
 
-    # One row per entry of the numerator tensors in C order, which is
-    # input_space() x output_space() order, plus normalization.
-    columns = [_probabilities(v) for v in vs.vertices]
-    rows = [list(row) for row in zip(*columns)]
-    rows.append([1] * len(columns))
-    rhs = _probabilities(r) + [1]
 
-    res = solve_feasibility(rows, rhs)
+def _hull(r: NonsignalingResource, columns, vertex) -> Mixture | Infeasible:
+    """Is r in the hull of the vertices of ``columns``?
+
+    Column j is vertex j's entries in C order of its numerator tensor
+    (input_space() x output_space() order) and a 1 for normalization, all
+    times ``columns.scale``; ``vertex(j)`` builds vertex j.  One LP, whose
+    answer is checked once: a feasible basic solution, pruned of zero
+    weights, must rebuild r entry by entry; a Farkas certificate y is
+    priced against every column in one pass (the first j with y . A_j > 0
+    is the first vertex its functional fails on), then must separate r.
+    """
+    k = columns.scale
+    res = solve_columns(columns, [k * v for v in _probabilities(r)] + [k])
     if isinstance(res, Feasible):
-        components = [(w, v) for w, v in zip(res.solution, vs.vertices) if w > 0]
-        # Every entry in integers: sum_v w_v N_v / d_v == N_r / d_r, all
-        # over the common denominator den.
-        den = lcm(r.denominator, *(w.denominator * v.denominator for w, v in components))
-        got = sum(v.numerators.ravel().astype(object)
-                  * (w.numerator * (den // (w.denominator * v.denominator)))
-                  for w, v in components)
-        _check_reconstruction(r, got, den)
-        return Mixture(components)
+        picked = [(w, j) for j, w in enumerate(res.solution) if w > 0]
+        # Every entry in integers: sum_j w_j * column j == k * r, over den.
+        den = k * lcm(r.denominator, *(w.denominator for w, _ in picked))
+        got = np.zeros(r.numerators.size + 1, dtype=object)
+        for w, j in picked:
+            rows, vals = columns.column(j)
+            got[rows] += vals.astype(object) * (w.numerator * (den // (k * w.denominator)))
+        want = r.numerators.ravel().astype(object) * (den // r.denominator)
+        bad = np.flatnonzero(got[:-1] != want)
+        if bad.size:
+            i = bad[0]
+            x, a = _entry_keys(r)[i]
+            raise AssertionError(
+                f"reconstruction mismatch at {x},{a}: "
+                f"{Fraction(got[i], den)} != {Fraction(want[i], den)}")
+        return Mixture([(w, vertex(j)) for w, j in picked])
 
-    cert, functional, bound = _separating_functional(r, res.certificate)
-    scores = np.stack([v.numerators.ravel() for v in vs.vertices]).astype(object) @ functional
-    for v, score in zip(vs.vertices, scores):
-        if score > bound * v.denominator:
-            raise AssertionError(f"certificate fails on vertex {v.id!r}")
-    return _separating(cert)
-
-
-def _check_reconstruction(r: NonsignalingResource, got: np.ndarray, den: int) -> None:
-    """Raise at the first entry where ``got / den`` differs from r."""
-    want = r.numerators.ravel().astype(object) * (den // r.denominator)
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        k = bad[0]
-        x, a = _entry_keys(r)[k]
-        raise AssertionError(
-            f"reconstruction mismatch at {x},{a}: "
-            f"{Fraction(got[k], den)} != {Fraction(want[k], den)}")
-
-
-def _separating_functional(r: NonsignalingResource, y: Sequence[Fraction]):
-    """The functional of a Farkas certificate y over r's entries and the
-    normalization row, with its integer form: y = ys / den, so G(q) <=
-    threshold reads ys[:-1] . N_q <= -ys[-1] * d_q for a table q = N_q / d_q.
-    Returns (certificate, ys[:-1], -ys[-1])."""
-    coeffs = {key: yi for key, yi in zip(_entry_keys(r), y[:-1]) if yi != 0}
+    # G(q) = sum y_i q_i <= -y[-1] on every vertex, with y = ys / den.
+    y = res.certificate
     den = lcm(*(yi.denominator for yi in y))
     ys = np.array([yi.numerator * (den // yi.denominator) for yi in y], dtype=object)
-    functional = ys[:-1]
+    fails = columns.price(ys)
+    if fails is not None:
+        raise AssertionError(f"certificate fails on vertex {vertex(fails).id!r}")
+    coeffs = {key: yi for key, yi in zip(_entry_keys(r), y[:-1]) if yi != 0}
     cert = Infeasible(coefficients=coeffs, threshold=-y[-1],
-                      value=Fraction(functional @ r.numerators.ravel().astype(object),
+                      value=Fraction(ys[:-1] @ r.numerators.ravel().astype(object),
                                      den * r.denominator))
-    return cert, functional, -ys[-1]
-
-
-def _separating(cert: Infeasible) -> Infeasible:
-    """cert, once the target scores strictly above its threshold."""
     if not cert.value > cert.threshold:
         raise AssertionError("certificate does not separate the target")
     return cert
@@ -318,48 +305,37 @@ def _entry_keys(q: NonsignalingResource) -> list[tuple[tuple[Symbol, ...], tuple
     return list(product(q.input_space(), q.output_space()))
 
 
-def is_local(r: NonsignalingResource) -> LocalityResult:
-    """Membership in the local polytope of r's signature.  False comes
-    with a Bell-type functional scoring r strictly above every
-    deterministic vertex.
-
-    The same system as ``decompose_extremal`` over
-    ``local_deterministic_vertices``, with the same answer, but the
-    vertices are LP columns read from their ``hit`` rows: only those with
-    positive weight are built as resources."""
-    r.require_nonsignaling("is_local")
+def decompose_local(r: NonsignalingResource) -> Mixture | Infeasible:
+    """``decompose_extremal`` over ``local_deterministic_vertices``, with the
+    same answer, for any table r, nonsignaling or not.  The vertices are LP
+    columns read from their ``hit`` rows: only those with positive weight
+    are built as resources."""
     hit = _deterministic_hits(r.input_alphabets, r.output_alphabets)
 
     def vertex(j):
         return _deterministic_vertex(j, hit, r.parties, r.input_alphabets, r.output_alphabets)
 
-    flat = r.numerators.ravel()
     if r.denominator == 1:
         # A deterministic r is a vertex: its support is its hit row.
-        support = np.flatnonzero(flat)
+        support = np.flatnonzero(r.numerators)
         same = np.flatnonzero((hit == support).all(axis=1)) \
             if support.size == hit.shape[1] else ()
         if len(same):
-            return LocalityResult(True, mixture=Mixture([(Fraction(1), vertex(int(same[0])))]))
-
+            return Mixture([(Fraction(1), vertex(int(same[0])))])
     # Column j: a 1 at each entry of hit[j] and at the normalization row.
-    rows = np.column_stack([hit, np.full(len(hit), flat.size)])
-    res = solve_columns(IncidenceColumns(rows), _probabilities(r) + [1])
-    if isinstance(res, Feasible):
-        picked = [(w, j) for j, w in enumerate(res.solution) if w > 0]
-        den = lcm(r.denominator, *(w.denominator for w, _ in picked))
-        got = np.zeros(flat.size, dtype=object)
-        for w, j in picked:
-            got[hit[j]] += w.numerator * (den // w.denominator)
-        _check_reconstruction(r, got, den)
-        return LocalityResult(True, mixture=Mixture([(w, vertex(j)) for w, j in picked]))
+    rows = np.column_stack([hit, np.full(len(hit), r.numerators.size)])
+    return _hull(r, IncidenceColumns(rows), vertex)
 
-    cert, functional, bound = _separating_functional(r, res.certificate)
-    scores = functional[hit].sum(axis=1)
-    over = np.flatnonzero(scores > bound)
-    if over.size:
-        raise AssertionError(f"certificate fails on vertex 'det{over[0]}'")
-    return LocalityResult(False, certificate=_separating(cert))
+
+def is_local(r: NonsignalingResource) -> LocalityResult:
+    """Membership of a nonsignaling r in the local polytope of its
+    signature, by ``decompose_local``.  False comes with a Bell-type
+    functional scoring r strictly above every deterministic vertex."""
+    r.require_nonsignaling("is_local")
+    res = decompose_local(r)
+    if isinstance(res, Mixture):
+        return LocalityResult(True, mixture=res)
+    return LocalityResult(False, certificate=res)
 
 
 # -- network-level rewriting -------------------------------------------------------

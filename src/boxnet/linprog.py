@@ -14,12 +14,17 @@ products cannot overflow; wider ones come as Python integers.  Two
 sources exist:
 
 - ``DenseColumns``, a matrix given by rows.  Its rows are scaled by the
-  common denominator of its entries, and ``solve_feasibility`` scales
-  the right-hand side with them.  That is the same system with the same
+  common denominator ``scale`` of its entries, and the caller scales the
+  right-hand side with them.  That is the same system with the same
   pivots, duals and solution.
-- ``IncidenceColumns``, 0/1 columns given by the rows where they hold a 1.
-  ``boxnet.decompose.is_local`` prices the local deterministic vertices
-  this way without building them.
+- ``IncidenceColumns``, 0/1 columns given by the rows where they hold a 1
+  (``scale`` 1).  ``boxnet.decompose`` prices the local deterministic
+  vertices this way without building them.
+
+``solve_columns`` does not check its answer: ``boxnet.decompose`` checks
+each answer once, against the vertices.  ``solve_feasibility`` is the
+dense entry point for direct callers, which checks its answer against the
+matrix it was given; nothing in ``boxnet.decompose`` uses it.
 
 What the solver keeps is the artificial block of the phase-1 tableau
 (B^-1, row-scaled), its right-hand side and its cost row: (m+1) x (m+2)
@@ -135,6 +140,8 @@ class DenseColumns:
 class IncidenceColumns:
     """0/1 columns, never built: column j is 1 at the row indices
     ``rows[j]`` (distinct, the same number for every j) and 0 elsewhere."""
+
+    scale = 1
 
     def __init__(self, rows: np.ndarray):
         self.rows, self.n, self.norm = rows, len(rows), rows.shape[1]

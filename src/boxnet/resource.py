@@ -460,8 +460,11 @@ class NonsignalingResource(ProbabilityTable):
         check_nonsignaling: bool = True,
     ):
         self._set_signature(id, parties, input_alphabets, output_alphabets)
-        # Library-derived resources pass a _Tensor; reduce to the canonical denominator.
-        nums, den = table if isinstance(table, _Tensor) else self._parse_table(table)
+        # Library-derived resources pass a _Tensor; reduce to the canonical
+        # denominator.  A mapping table is checked for structure as it is
+        # parsed, so only a _Tensor gets the structural check below.
+        tensor = isinstance(table, _Tensor)
+        nums, den = table if tensor else self._parse_table(table)
         nums = nums.reshape([len(a) for a in self.input_alphabets + self.output_alphabets])
         g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
         if g > 1:
@@ -469,7 +472,7 @@ class NonsignalingResource(ProbabilityTable):
         nums = nums.astype(np.int64 if den < _INT64 else object, copy=False)
         nums.flags.writeable = False
         self.numerators, self.denominator = nums, den
-        problem = _structure_problem(self)
+        problem = _structure_problem(self) if tensor else None
         if problem is not None:
             raise TableError(f"resource {self.id!r}: {problem}")
         if check_nonsignaling:

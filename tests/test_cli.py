@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import boxnet
+import boxnet.decompose as decompose
 from boxnet.cli import _load_json, main
-from boxnet.decompose import local_deterministic_vertices
+from boxnet.decompose import Mixture, decompose_extremal, local_deterministic_vertices
 from boxnet.ghz import QuantumStrategy, ghz_behavior
 from boxnet.inequality import evaluate, mao_inequality
 from boxnet.resource import Alphabet, NonsignalingResource, validate_nonsignaling
@@ -163,6 +164,61 @@ def test_decompose_vertex_file(tmp_path, capsys):
     assert data["feasible"] is True
     total = sum(Fraction(c["weight"]) for c in data["components"])
     assert total == 1
+
+
+RESOURCE_FIXTURES = sorted(p for p in FIXTURES.glob("*/*.json")
+                           if "table" in json.loads(p.read_text()))
+
+
+def _decompose_payload(res) -> tuple[int, dict]:
+    """The exit code and JSON of ``boxnet decompose`` for the answer res."""
+    if isinstance(res, Mixture):
+        return 0, {"feasible": True,
+                   "components": [{"weight": str(w), "vertex": v.to_json_dict()}
+                                  for w, v in res]}
+    return 1, {"feasible": False,
+               "certificate": {
+                   "coefficients": {",".join(map(str, x)) + "|" + ",".join(map(str, a)): str(c)
+                                    for (x, a), c in res.coefficients.items()},
+                   "threshold": str(res.threshold),
+                   "value": str(res.value)}}
+
+
+def test_resource_fixtures_are_all_found():
+    assert [f"{p.parent.name}/{p.name}" for p in RESOURCE_FIXTURES] == [
+        "paradox/w1.json", "paradox/w2.json", "wired-pr/coin.json", "wired-pr/pr_ab.json",
+        "wired-pr/pr_ac.json", "wired-pr/pr_bc.json", "worked/r1.json", "worked/r2.json"]
+
+
+@pytest.mark.parametrize("path", RESOURCE_FIXTURES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_decompose_local_matches_the_dense_vertex_set(capsys, path):
+    """``--vertices local`` prints what decompose_extremal gives over the
+    materialized local vertices, signaling boxes (paradox) included."""
+    r = NonsignalingResource.from_json_dict(json.loads(path.read_text()))
+    want = decompose_extremal(r, local_deterministic_vertices(
+        r.parties, r.input_alphabets, r.output_alphabets))
+    rc, payload = _decompose_payload(want)
+    assert main(["decompose", str(path), "--vertices", "local"]) == rc
+    assert capsys.readouterr().out == json.dumps(payload) + "\n"
+    if path.parent.name == "paradox":
+        assert rc == 1 and not r.nonsignaling_checked
+
+
+def test_decompose_builds_only_the_vertices_with_weight(monkeypatch, capsys):
+    built = []
+    real = decompose._deterministic_vertex
+
+    def spy(j, *args):
+        built.append(j)
+        return real(j, *args)
+
+    monkeypatch.setattr(decompose, "_deterministic_vertex", spy)
+    # The PR box is not local: none of its 16 vertices is built.
+    rc, data = run_json(capsys, "decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"))
+    assert rc == 1 and built == []
+    rc, data = run_json(capsys, "decompose", str(FIXTURES / "wired-pr" / "coin.json"))
+    assert rc == 0
+    assert built == [int(c["vertex"]["id"][3:]) for c in data["components"]] == [0, 7]
 
 
 def test_ineq_derive(capsys):

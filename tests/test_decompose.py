@@ -144,7 +144,7 @@ def test_noisy_pr_local_iff_half():
 
 def _answer_with(monkeypatch, result):
     """Make decompose_extremal's LP return ``result``, right or wrong."""
-    monkeypatch.setattr(decompose, "solve_feasibility", lambda rows, rhs: result)
+    monkeypatch.setattr(decompose, "solve_columns", lambda columns, rhs: result)
 
 
 def test_reconstruction_guard_checks_every_entry(monkeypatch):

@@ -26,7 +26,7 @@ from boxnet.decompose import (
     local_deterministic_vertices,
     ns_vertices_222,
 )
-from boxnet.linprog import FarkasInfeasible, Feasible, solve_feasibility
+from boxnet.linprog import FarkasInfeasible, Feasible, solve_columns, solve_feasibility
 from boxnet.resource import Alphabet, NonsignalingResource, make_pr_box
 
 F = Fraction
@@ -279,11 +279,14 @@ def reference_decompose(r, vs):
 def assert_decompose_matches(r, vs, monkeypatch):
     seen = []
 
-    def spy(rows, rhs):
-        seen.append((rows, rhs))
-        return solve_feasibility(rows, rhs)
+    def spy(columns, rhs):
+        # The system as the rational rows it was scaled from.
+        k = columns.scale
+        seen.append(([[F(v, k) for v in row] for row in columns.matrix.tolist()],
+                     [F(v) / k for v in rhs]))
+        return solve_columns(columns, rhs)
 
-    monkeypatch.setattr(decompose, "solve_feasibility", spy)
+    monkeypatch.setattr(decompose, "solve_columns", spy)
     out = decompose.decompose_extremal(r, vs)
     if not seen:        # r is one of the vertices
         assert isinstance(out, Mixture) and len(out) == 1

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+import boxnet.resource as resource
 from boxnet.resource import (
     Alphabet,
     NonsignalingResource,
@@ -21,6 +23,7 @@ from boxnet.resource import (
     make_pr_box,
     make_shared_randomness,
     marginal,
+    _Tensor,
     validate_nonsignaling,
 )
 
@@ -327,3 +330,28 @@ def test_table_keys_of_numpy_integers_are_parsed():
 def test_shared_randomness_refuses_non_integer_outcomes():
     with pytest.raises(ValueError, match="alphabet symbol 0.5 is not an integer"):
         make_shared_randomness(("A",), {(0.5,): 1})
+
+
+@pytest.mark.parametrize("nums, message", [
+    ([[1, 1], [2, 1]], "column at input (1,) sums to 3/2, not 1"),
+    ([[3, -1], [1, 1]], "entry at input (0,), output (0,) is 3/2"),
+])
+def test_malformed_tensor_is_refused(nums, message):
+    want = f"resource 't': {message}"
+    with pytest.raises(TableError, match=f"^{re.escape(want)}$"):
+        NonsignalingResource.make("t", ("A",), [BITS], [BITS], _Tensor(np.array(nums), 2))
+
+
+def test_structure_is_checked_once_per_construction(monkeypatch):
+    """A mapping table is checked as it is parsed; only a _Tensor gets the
+    structural check, and validate_nonsignaling re-runs it on demand."""
+    seen = []
+    real = resource._structure_problem
+    monkeypatch.setattr(resource, "_structure_problem", lambda r: seen.append(r.id) or real(r))
+    half = {(x,): {(a,): Fraction(1, 2) for a in (0, 1)} for x in (0, 1)}
+    mapped = NonsignalingResource.make("m", ("A",), [BITS], [BITS], half)
+    tensor = NonsignalingResource.make("t", ("A",), [BITS], [BITS],
+                                       _Tensor(np.ones((2, 2), dtype=np.int64), 2))
+    assert seen == ["t"] and mapped.same_table(tensor)
+    assert validate_nonsignaling(mapped).passed
+    assert seen == ["t", "m"]
