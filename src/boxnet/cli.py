@@ -48,9 +48,10 @@ from .resource import (
     SignalingError,
     TableError,
     _parse_keys,
+    _parse_symbol,
     validate_nonsignaling,
 )
-from .wiring import _json_symbol, tree_from_json_dict
+from .wiring import tree_from_json_dict
 
 INEQ_CHOICES = ("mao", "cr-corr", "cr-prob", "cao", "cao-s14")
 
@@ -98,7 +99,7 @@ def _resolve_scenario(arg: str) -> Path:
 def _parse_transcript_key(key: str) -> tuple:
     if key == "":
         return ()
-    return tuple(int(x) for x in key.split(","))
+    return tuple(map(_parse_symbol, key.split(",")))
 
 
 def _from_json(make, data, source) -> object:
@@ -147,7 +148,7 @@ def _read_scenario(arg: str) -> tuple[dict, dict]:
                  for p in parties}
         bins = None
         if d.get("bins"):
-            bins = {p: {k: _json_symbol(v) for k, v in
+            bins = {p: {k: _parse_symbol(v) for k, v in
                         _parse_keys(mapping, _parse_transcript_key).items()}
                     for p, mapping in d["bins"].items()}
         return {"parties": parties, "resources": resources, "trees": trees,
@@ -217,7 +218,7 @@ def cmd_validate(args) -> int:
 def cmd_joint(args) -> int:
     net = load_scenario(args.scenario)
     try:
-        raw = tuple(int(x) for x in args.settings.split(","))
+        raw = tuple(map(_parse_symbol, args.settings.split(",")))
     except ValueError as e:
         raise InputError(f"--settings must be comma-separated integers: {e}") from e
     if len(raw) != len(net.parties):

@@ -7,9 +7,11 @@ each guard once.  Every positive answer comes with weights that are
 checked to rebuild the box entry by entry, and every negative answer with
 a separating linear functional — a Bell-type expression scoring the box
 strictly above everything in the hull — checked against every vertex in
-one pricing pass.  ``decompose_extremal`` reads its vertices as dense
-columns; ``decompose_local`` and ``is_local`` read the local deterministic
-vertices as implicit 0/1 columns.  The two network-level operations
+one pricing pass.  Both read the vertices as ``linprog.Columns``:
+``decompose_extremal`` gives each vertex's integer numerators over the
+vertices' common denominator; ``decompose_local`` and ``is_local`` give
+each local deterministic vertex, never built, as the rows where it holds
+a 1.  The two network-level operations
 (pulling shared randomness out in front, replacing resources by their
 extremal components) both return mixtures of networks and verify exact
 behavior preservation before returning.
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from boxnet.linprog import DenseColumns, Feasible, IncidenceColumns, solve_columns
+from boxnet.linprog import Columns, Feasible, column_sum, integers, solve_columns
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
     Alphabet,
@@ -240,8 +242,12 @@ def decompose_extremal(
     for v in vs.vertices:
         if r.same_table(v):
             return Mixture([(Fraction(1), v)])
-    rows = [*zip(*(_probabilities(v) for v in vs.vertices)), [1] * len(vs)]
-    return _hull(r, DenseColumns(rows, len(vs)), vs.vertices.__getitem__)
+    # Column j: vertex j's numerators over the common denominator, then normalization.
+    den = lcm(*(v.denominator for v in vs.vertices))
+    values = np.array([[*(v.numerators.ravel().astype(object) * (den // v.denominator)), den]
+                       for v in vs.vertices], dtype=object)
+    rows = np.broadcast_to(np.arange(values.shape[1]), values.shape)
+    return _hull(r, Columns(rows, values, den), vs.vertices.__getitem__)
 
 
 def _hull(r: NonsignalingResource, columns, vertex) -> Mixture | Infeasible:
@@ -250,54 +256,37 @@ def _hull(r: NonsignalingResource, columns, vertex) -> Mixture | Infeasible:
     Column j is vertex j's entries in C order of its numerator tensor
     (input_space() x output_space() order) and a 1 for normalization, all
     times ``columns.scale``; ``vertex(j)`` builds vertex j.  One LP, whose
-    answer is checked once: a feasible basic solution, pruned of zero
-    weights, must rebuild r entry by entry; a Farkas certificate y is
-    priced against every column in one pass (the first j with y . A_j > 0
-    is the first vertex its functional fails on), then must separate r.
+    answer is checked once: a feasible basic solution must rebuild r entry
+    by entry; a Farkas certificate y is priced against every column in one
+    pass (the first j with y . A_j > 0 is the first vertex its functional
+    fails on), then must separate r.
     """
-    k = columns.scale
-    res = solve_columns(columns, [k * v for v in _probabilities(r)] + [k])
+    k, nums = columns.scale, r.numerators.ravel().astype(object)
+    res = solve_columns(columns, [Fraction(k * v, r.denominator) for v in nums] + [k])
     if isinstance(res, Feasible):
-        picked = [(w, j) for j, w in enumerate(res.solution) if w > 0]
-        # Every entry in integers: sum_j w_j * column j == k * r, over den.
-        den = k * lcm(r.denominator, *(w.denominator for w, _ in picked))
-        got = np.zeros(r.numerators.size + 1, dtype=object)
-        for w, j in picked:
-            rows, vals = columns.column(j)
-            got[rows] += vals.astype(object) * (w.numerator * (den // (k * w.denominator)))
-        want = r.numerators.ravel().astype(object) * (den // r.denominator)
-        bad = np.flatnonzero(got[:-1] != want)
+        # Every entry in integers: sum_j w_j * column j / k == r.
+        got, den = column_sum(columns, res.solution, nums.size + 1)
+        bad = np.flatnonzero(got[:-1] * r.denominator != nums * den)
         if bad.size:
             i = bad[0]
             x, a = _entry_keys(r)[i]
             raise AssertionError(
                 f"reconstruction mismatch at {x},{a}: "
-                f"{Fraction(got[i], den)} != {Fraction(want[i], den)}")
-        return Mixture([(w, vertex(j)) for w, j in picked])
+                f"{Fraction(got[i], den)} != {Fraction(nums[i], r.denominator)}")
+        return Mixture([(w, vertex(j)) for j, w in enumerate(res.solution) if w > 0])
 
     # G(q) = sum y_i q_i <= -y[-1] on every vertex, with y = ys / den.
     y = res.certificate
-    den = lcm(*(yi.denominator for yi in y))
-    ys = np.array([yi.numerator * (den // yi.denominator) for yi in y], dtype=object)
+    ys, den = integers(y)
     fails = columns.price(ys)
     if fails is not None:
         raise AssertionError(f"certificate fails on vertex {vertex(fails).id!r}")
     coeffs = {key: yi for key, yi in zip(_entry_keys(r), y[:-1]) if yi != 0}
     cert = Infeasible(coefficients=coeffs, threshold=-y[-1],
-                      value=Fraction(ys[:-1] @ r.numerators.ravel().astype(object),
-                                     den * r.denominator))
+                      value=Fraction(ys[:-1] @ nums, den * r.denominator))
     if not cert.value > cert.threshold:
         raise AssertionError("certificate does not separate the target")
     return cert
-
-
-def _probabilities(q: NonsignalingResource) -> list:
-    """q's entries in C order of its numerator tensor: ints when its
-    denominator is 1, Fractions otherwise."""
-    flat = q.numerators.ravel().tolist()
-    if q.denominator == 1:
-        return flat
-    return [Fraction(k, q.denominator) for k in flat]
 
 
 def _entry_keys(q: NonsignalingResource) -> list[tuple[tuple[Symbol, ...], tuple[Symbol, ...]]]:
@@ -324,7 +313,7 @@ def decompose_local(r: NonsignalingResource) -> Mixture | Infeasible:
             return Mixture([(Fraction(1), vertex(int(same[0])))])
     # Column j: a 1 at each entry of hit[j] and at the normalization row.
     rows = np.column_stack([hit, np.full(len(hit), r.numerators.size)])
-    return _hull(r, IncidenceColumns(rows), vertex)
+    return _hull(r, Columns(rows, np.ones_like(rows)), vertex)
 
 
 def is_local(r: NonsignalingResource) -> LocalityResult:

@@ -201,7 +201,11 @@ def search_max_violation(ineq: LinearInequality, *, grid: int = 16,
     coordinate descent halving the step down to ``step_floor``.  Ties on
     the grid break toward the lexicographically smallest angle tuple.
     ``grid`` must be at least 1 and ``step_floor`` positive and finite,
-    else the descent would never stop."""
+    else the descent would never stop.  The descent finds a local
+    maximum only.  Measured for ``mao``: from grids of 1 to 4 points it
+    stops at the stationary value 4.0; grids of 5 to 13 and of 16 points
+    reach 2 + 2*sqrt(2), and on 5 points the descent climbs there from
+    the grid's best."""
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
     if not (math.isfinite(step_floor) and step_floor > 0):

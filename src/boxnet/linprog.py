@@ -5,26 +5,26 @@ Solves: find x >= 0 with A x = b.  Either a basic feasible solution or a
 Farkas certificate y (y^T A <= 0 componentwise while y^T b > 0, proving no
 solution exists) is returned — never neither.
 
-The solver never holds A.  A column source has ``n`` integer columns of
-length m, the largest column 1-norm ``norm``, and answers two calls:
-``price(y)``, the least j with y . A_j > 0 (or None), and ``column(j)``,
-the nonzero rows of column j and their values.  Its columns are int64
-only while ``norm`` is below 2**31, so that int64 pricing and column
-products cannot overflow; wider ones come as Python integers.  Two
-sources exist:
+The solver never holds A.  It reads A from one column source,
+``Columns``: n integer columns, each given by the same number of row
+indices and the integers at them, standing for those integers over a
+common ``scale``.  The source knows the largest column 1-norm ``norm``
+and answers two calls: ``price(y)``, the least j with y . A_j > 0 (or
+None), and ``column(j)``, the rows of column j and their values.  Its
+values are int64 only while ``norm`` is below 2**31, so that int64
+pricing and column products cannot overflow; wider ones are Python
+integers.  The caller scales the right-hand side by ``scale`` too: the
+same system, with the same pivots, duals and solution.
+``boxnet.decompose`` gives a vertex set as dense columns over the
+vertices' common denominator, and the local deterministic vertices,
+never built, as the rows where they hold a 1.
 
-- ``DenseColumns``, a matrix given by rows.  Its rows are scaled by the
-  common denominator ``scale`` of its entries, and the caller scales the
-  right-hand side with them.  That is the same system with the same
-  pivots, duals and solution.
-- ``IncidenceColumns``, 0/1 columns given by the rows where they hold a 1
-  (``scale`` 1).  ``boxnet.decompose`` prices the local deterministic
-  vertices this way without building them.
-
-``solve_columns`` does not check its answer: ``boxnet.decompose`` checks
-each answer once, against the vertices.  ``solve_feasibility`` is the
-dense entry point for direct callers, which checks its answer against the
-matrix it was given; nothing in ``boxnet.decompose`` uses it.
+``solve_columns`` does not check its answer: the caller does, through
+the same two calls.  ``column_sum`` rebuilds A x from ``column(j)`` for
+the mixture check, and ``price(y)`` scores a Farkas certificate on every
+column in one pass.  ``boxnet.decompose`` checks each answer once this
+way, and so does ``solve_feasibility``, the dense entry point for direct
+callers, which parses its rows into ``Columns`` first.
 
 What the solver keeps is the artificial block of the phase-1 tableau
 (B^-1, row-scaled), its right-hand side and its cost row: (m+1) x (m+2)
@@ -112,46 +112,43 @@ def _first_positive(n: int, scores) -> int | None:
     return None
 
 
-class DenseColumns:
-    """The columns of a dense matrix, all scaled by the lcm ``scale`` of
-    its entries' denominators."""
+class Columns:
+    """n integer columns, given sparse: column j holds the integers
+    ``values[j]`` at the distinct row indices ``rows[j]`` (the same number
+    of rows for every j, zeros allowed) and stands for that column divided
+    by ``scale``.  ``values`` comes as Python integers or as int64 small
+    enough that its 1-norms do not overflow."""
 
-    def __init__(self, a_rows: Sequence[Sequence], n: int):
-        exact = [_exact(row) for row in a_rows]
-        self.scale = lcm(1, *(v.denominator for row in exact for v in row))
-        ints = [[v.numerator * (self.scale // v.denominator) for v in row] for row in exact]
-        # int64 only while every column's 1-norm stays below _INT64_SAFE.
-        self.norm = max((sum(map(abs, col)) for col in zip(*ints)), default=0)
-        wide = self.norm >= _INT64_SAFE
-        self.matrix = np.array(ints, dtype=object if wide else np.int64).reshape(len(ints), n)
-        self.n = n
+    def __init__(self, rows: np.ndarray, values: np.ndarray, scale: int = 1):
+        self.rows, self.n, self.scale = rows, len(rows), scale
+        self.norm = int(np.abs(values).sum(axis=1).max()) if self.n else 0
+        self.values = values.astype(np.int64 if self.norm < _INT64_SAFE else object, copy=False)
 
     def price(self, y: np.ndarray) -> int | None:
-        mat = self.matrix
-        if y.dtype == object or mat.dtype == object:
-            y, mat = y.astype(object), mat.astype(object)
-        return _first_positive(self.n, lambda start, stop: y @ mat[:, start:stop])
+        return _first_positive(self.n, lambda start, stop: (
+            y[self.rows[start:stop]] * self.values[start:stop]).sum(axis=1))
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.flatnonzero(self.matrix[:, j])
-        return rows, self.matrix[rows, j]
+        return self.rows[j], self.values[j]
 
 
-class IncidenceColumns:
-    """0/1 columns, never built: column j is 1 at the row indices
-    ``rows[j]`` (distinct, the same number for every j) and 0 elsewhere."""
+def integers(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """(ints, d) with values == ints / d: Python integers over the lcm d of
+    the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (d // v.denominator) for v in values], dtype=object), d
 
-    scale = 1
 
-    def __init__(self, rows: np.ndarray):
-        self.rows, self.n, self.norm = rows, len(rows), rows.shape[1]
-        self._ones = np.ones(rows.shape[1], dtype=np.int64)
-
-    def price(self, y: np.ndarray) -> int | None:
-        return _first_positive(self.n, lambda start, stop: y[self.rows[start:stop]].sum(axis=1))
-
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.rows[j], self._ones
+def column_sum(columns, x: Sequence[Fraction], m: int) -> tuple[np.ndarray, int]:
+    """sum_j x_j * A_j / scale, the m entries as Python integers over one
+    denominator: (sums, den)."""
+    xs, d = integers(x)
+    got = np.zeros(m, dtype=object)
+    for j, w in enumerate(xs.tolist()):
+        if w:
+            rows, vals = columns.column(j)
+            got[rows] += vals.astype(object) * w
+    return got, d * columns.scale
 
 
 def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
@@ -290,8 +287,8 @@ def solve_feasibility(
     a_rows: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
 ) -> Feasible | FarkasInfeasible:
-    """Solve a dense system and verify the answer against it, exactly,
-    before handing it back."""
+    """Solve a dense system and verify the answer against its columns,
+    exactly, before handing it back."""
     m = len(a_rows)
     if m == 0:
         return Feasible([])
@@ -300,30 +297,28 @@ def solve_feasibility(
         raise ValueError("ragged constraint matrix")
     if len(b) != m:
         raise ValueError(f"{len(b)} rhs entries for {m} rows")
-    columns = DenseColumns(a_rows, n)
-    k, rhs = columns.scale, _exact(b)
-    mat = columns.matrix.astype(object)
+    values, k = integers(_exact(v for col in zip(*a_rows) for v in col))
+    columns = Columns(np.broadcast_to(np.arange(m), (n, m)), values.reshape(n, m), k)
+    rhs = _exact(b)
     res = solve_columns(columns, [k * v for v in rhs])
 
     if res:
         x = res.solution
         if any(v < 0 for v in x):
             raise RuntimeError("negative component in basic solution")
-        # Every row in integers: x = xs / d, row i = k A_i.
-        d = lcm(*(v.denominator for v in x))
-        xs = np.array([v.numerator * (d // v.denominator) for v in x], dtype=object)
-        for i, got in enumerate((mat @ xs).tolist()):
-            if Fraction(got, d * k) != rhs[i]:
-                raise RuntimeError(f"solution fails row {i}: {Fraction(got, d * k)} != {b[i]}")
+        got, den = column_sum(columns, x, m)
+        for i, dot in enumerate(got.tolist()):
+            if Fraction(dot, den) != rhs[i]:
+                raise RuntimeError(f"solution fails row {i}: {Fraction(dot, den)} != {b[i]}")
         return res
 
-    y = res.certificate
-    d = lcm(*(v.denominator for v in y))
-    ys = np.array([v.numerator * (d // v.denominator) for v in y], dtype=object)
-    for j, dot in enumerate((ys @ mat).tolist()):
-        if dot > 0:
-            raise RuntimeError(f"certificate fails on column {j}: {Fraction(dot, d * k)} > 0")
-    gap = sum(yi * bi for yi, bi in zip(y, rhs))
+    ys, d = integers(res.certificate)
+    j = columns.price(ys)
+    if j is not None:
+        rows, vals = columns.column(j)
+        dot = ys[rows] @ vals.astype(object)
+        raise RuntimeError(f"certificate fails on column {j}: {Fraction(dot, d * k)} > 0")
+    gap = sum(yi * bi for yi, bi in zip(res.certificate, rhs))
     if gap <= 0:
         raise RuntimeError(f"certificate has nonpositive gap {gap}")
     return res

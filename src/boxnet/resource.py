@@ -80,6 +80,17 @@ def _symbol(value) -> Symbol:
     raise ValueError(f"alphabet symbol {value!r} is not an integer")
 
 
+def _parse_symbol(value) -> Symbol:
+    """A symbol read from JSON or the command line: an integer as for
+    ``_symbol``, or a string spelling one as an optional "-" and ASCII
+    digits, nothing else."""
+    if not isinstance(value, str):
+        return _symbol(value)
+    if not (value.isascii() and value.removeprefix("-").isdigit()):
+        raise ValueError(f"{value!r} does not spell a symbol (an optional '-' and ASCII digits)")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered finite set of symbols (small non-negative integers).
@@ -587,7 +598,10 @@ def _parse_keys(mapping: Mapping, parse) -> dict:
     to the same value, such as "0,0" and "00,0", raise ``ValueError``."""
     parsed, spelled = {}, {}
     for k, v in mapping.items():
-        key = parse(k)
+        try:
+            key = parse(k)
+        except ValueError as e:
+            raise ValueError(f"key {k!r}: {e}") from None
         if key in spelled:
             raise ValueError(f"keys {spelled[key]!r} and {k!r} both parse to {key}")
         parsed[key], spelled[key] = v, k
@@ -598,7 +612,7 @@ def _json_parts(data: Mapping, value) -> tuple:
     """The parties, input and output alphabets and table of a table's JSON
     object, each entry parsed by ``value``."""
     def key(s: str) -> tuple[Symbol, ...]:
-        return tuple(int(x) for x in s.split(","))
+        return tuple(map(_parse_symbol, s.split(",")))
 
     parties = list(data["parties"])
     return (parties,

@@ -31,7 +31,7 @@ from boxnet.resource import (
     Symbol,
     ValidationReport,
     _parse_keys,
-    _symbol,
+    _parse_symbol,
     _Tensor,
 )
 
@@ -332,22 +332,16 @@ def _node_to_json(node: Node) -> dict:
     }
 
 
-def _json_symbol(value) -> Symbol:
-    """A symbol from JSON: an integer, or a string spelling one (terminal
-    labels are written as strings); a float or a bool raises ValueError."""
-    return _symbol(int(value) if isinstance(value, str) else value)
-
-
 def _node_from_json(data: Mapping) -> Node:
     if "resource" in data:
         return Internal(
             resource_choice=str(data["resource"]),
-            input_choice=_json_symbol(data["input"]),
+            input_choice=_parse_symbol(data["input"]),
             children={out: _node_from_json(c)
-                      for out, c in _parse_keys(data["children"], int).items()},
+                      for out, c in _parse_keys(data["children"], _parse_symbol).items()},
         )
     if "outcome" in data:
-        return Terminal(outcome=_json_symbol(data["outcome"]))
+        return Terminal(outcome=_parse_symbol(data["outcome"]))
     return Terminal()
 
 
@@ -362,7 +356,7 @@ def tree_from_json_dict(data: Mapping, *, party: Party | None = None) -> Decisio
     """Load a tree; the scope is inferred from the resources the tree
     actually consults (validation separately enforces that every path
     consults all of them)."""
-    root = {s: _node_from_json(n) for s, n in _parse_keys(data["settings"], int).items()}
+    root = {s: _node_from_json(n) for s, n in _parse_keys(data["settings"], _parse_symbol).items()}
 
     scope: set[str] = set()
 

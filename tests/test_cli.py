@@ -473,8 +473,8 @@ def test_tree_keys_parsing_alike_exit_two(tmp_path, capsys, where):
 
 def test_bins_keys_parsing_alike_exit_two(tmp_path, capsys):
     d = _fixture_copy(tmp_path, "wired-pr")
-    _edit(d / "scenario.json", lambda s: s["bins"]["B"].update({"0,0,+1": s["bins"]["B"]["0,0,1"]}))
-    _assert_duplicate_keys_refused(capsys, ["validate", str(d)], "0,0,1", "0,0,+1")
+    _edit(d / "scenario.json", lambda s: s["bins"]["B"].update({"0,0,01": s["bins"]["B"]["0,0,1"]}))
+    _assert_duplicate_keys_refused(capsys, ["validate", str(d)], "0,0,1", "0,0,01")
 
 
 def _infinite_tree_input(d: Path) -> None:
@@ -558,6 +558,66 @@ def test_non_integer_table_key_exits_two(tmp_path, capsys):
     r["table"]["1,1"]["0.9,1"] = r["table"]["1,1"].pop("0,1")
     assert main(["decompose", _write(tmp_path / "r.json", r)]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+# Spellings that int() reads as a symbol, each with the plain symbol it
+# would stand for; a symbol is spelled by an optional "-" and ASCII digits.
+SPELLINGS = [("+1", "1"), ("0_1", "1"), (" 1 ", "1"), ("٠", "0")]
+
+
+def _rename(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+def _respelled_input_key(tmp_path, spelling, plain):
+    r = _pr_ab()
+    _rename(r["table"], f"{plain},0", f"{spelling},0")
+    return ["decompose", _write(tmp_path / "r.json", r)], f"{spelling},0"
+
+
+def _respelled_output_key(tmp_path, spelling, plain):
+    r = _pr_ab()
+    _rename(r["table"]["0,0"], f"0,{plain}", f"0,{spelling}")
+    return ["decompose", _write(tmp_path / "r.json", r)], f"0,{spelling}"
+
+
+def _respelled_in_worked_tree(change):
+    def argv(tmp_path, spelling, plain):
+        d = _fixture_copy(tmp_path, "worked")
+        _edit(d / "bob.json", lambda t: change(t, spelling, plain))
+        return ["validate", str(d)], spelling
+    return argv
+
+
+def _label_leaves(t, spelling, plain):
+    t["settings"]["0"]["children"] = {"0": {"outcome": spelling}, "1": {"outcome": spelling}}
+
+
+def _respelled_bins_key(tmp_path, spelling, plain):
+    d = _fixture_copy(tmp_path, "wired-pr")
+    _edit(d / "scenario.json", lambda s: _rename(s["bins"]["B"], f"0,0,{plain}", f"0,0,{spelling}"))
+    return ["validate", str(d)], f"0,0,{spelling}"
+
+
+def _respelled_setting(tmp_path, spelling, plain):
+    return ["joint", "worked", "--settings", f"0,0,{spelling}"], spelling
+
+
+@pytest.mark.parametrize("spelling, plain", SPELLINGS)
+@pytest.mark.parametrize("respell", [
+    _respelled_input_key,
+    _respelled_output_key,
+    _respelled_in_worked_tree(lambda t, s, p: _rename(t["settings"], p, s)),
+    _respelled_in_worked_tree(lambda t, s, p: _rename(t["settings"]["0"]["children"], p, s)),
+    _respelled_in_worked_tree(lambda t, s, p: t["settings"][p].update({"input": s})),
+    _respelled_in_worked_tree(_label_leaves),
+    _respelled_bins_key,
+    _respelled_setting,
+], ids=["table-input", "table-output", "tree-setting", "tree-child", "tree-input",
+        "tree-outcome", "bins", "cli-settings"])
+def test_symbols_spelled_other_than_digits_exit_two(tmp_path, capsys, respell, spelling, plain):
+    argv, key = respell(tmp_path, spelling, plain)
+    _assert_refused_naming(capsys, argv, repr(key), "does not spell a symbol")
 
 
 @pytest.mark.parametrize("cap", ["lots", "-1", "1e6", ""])

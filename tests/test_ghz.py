@@ -190,6 +190,24 @@ def test_search_coarser_grid_same_optimum():
     assert res.value == pytest.approx(SNAPSHOT_VALUE, abs=1e-9)
 
 
+def test_search_descent_climbs_off_a_coarse_grid(monkeypatch):
+    # The 5-point grid misses the optimum: coordinate descent, starting at
+    # the grid's own best (the first value it scores), climbs to 2 + 2*sqrt(2).
+    import boxnet.ghz as ghz
+
+    scored = []
+    closed_form = ghz._closed_form_value
+
+    def spy(ineq, angle_of):
+        scored.append(closed_form(ineq, angle_of))
+        return scored[-1]
+
+    monkeypatch.setattr(ghz, "_closed_form_value", spy)
+    res = search_max_violation(mao_inequality(), grid=5)
+    assert scored[0] < SNAPSHOT_VALUE - 0.01
+    assert res.value == pytest.approx(SNAPSHOT_VALUE, abs=1e-9)
+
+
 def test_search_respects_trivial_bound():
     triv = LinearInequality("triv", (_term(1, A=0, B=0),), frac(1),
                             {"A": 2, "B": 2, "C": 2})

@@ -280,10 +280,14 @@ def assert_decompose_matches(r, vs, monkeypatch):
     seen = []
 
     def spy(columns, rhs):
-        # The system as the rational rows it was scaled from.
+        # The system as the rational rows it was scaled from, rebuilt
+        # from the columns, so that any column source reads the same.
         k = columns.scale
-        seen.append(([[F(v, k) for v in row] for row in columns.matrix.tolist()],
-                     [F(v) / k for v in rhs]))
+        rows = [[F(0)] * columns.n for _ in rhs]
+        for j in range(columns.n):
+            for i, v in zip(*(part.tolist() for part in columns.column(j))):
+                rows[i][j] = F(v, k)
+        seen.append((rows, [F(v) / k for v in rhs]))
         return solve_columns(columns, rhs)
 
     monkeypatch.setattr(decompose, "solve_columns", spy)
