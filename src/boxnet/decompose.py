@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -130,16 +130,13 @@ class CapSettingError(ValueError):
 
 
 def _vertex_cap() -> int:
+    """The cap from its variable: ASCII digits only, as symbols are spelled."""
     raw = os.environ.get(VERTEX_CAP_ENV)
     if raw is None:
         return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
+    if not (raw.isascii() and raw.isdigit()):
         raise CapSettingError(f"{VERTEX_CAP_ENV}={raw!r} is not a non-negative integer")
-    return cap
+    return int(raw)
 
 
 def _deterministic_hits(in_alphas: Sequence[Alphabet],
@@ -296,21 +293,14 @@ def _entry_keys(q: NonsignalingResource) -> list[tuple[tuple[Symbol, ...], tuple
 
 def decompose_local(r: NonsignalingResource) -> Mixture | Infeasible:
     """``decompose_extremal`` over ``local_deterministic_vertices``, with the
-    same answer, for any table r, nonsignaling or not.  The vertices are LP
-    columns read from their ``hit`` rows: only those with positive weight
-    are built as resources."""
+    same answer, for any table r, nonsignaling or not, deterministic or not.
+    The vertices are LP columns read from their ``hit`` rows: only those
+    with positive weight are built as resources."""
     hit = _deterministic_hits(r.input_alphabets, r.output_alphabets)
 
     def vertex(j):
         return _deterministic_vertex(j, hit, r.parties, r.input_alphabets, r.output_alphabets)
 
-    if r.denominator == 1:
-        # A deterministic r is a vertex: its support is its hit row.
-        support = np.flatnonzero(r.numerators)
-        same = np.flatnonzero((hit == support).all(axis=1)) \
-            if support.size == hit.shape[1] else ()
-        if len(same):
-            return Mixture([(Fraction(1), vertex(int(same[0])))])
     # Column j: a 1 at each entry of hit[j] and at the normalization row.
     rows = np.column_stack([hit, np.full(len(hit), r.numerators.size)])
     return _hull(r, Columns(rows, np.ones_like(rows)), vertex)
@@ -391,16 +381,14 @@ def factor_out_shared_randomness(net: Network) -> Mixture:
     """
     free = [r for r in net.resources if r.is_input_free()]
     if not free:
-        mix = Mixture([(Fraction(1), net)])
-        return mix
+        return Mixture([(Fraction(1), net)])
 
     base = _frozen_unbinned(net)
     kept = [r for r in base.resources if not r.is_input_free()]
+    inputs = [tuple(x.first for x in r.input_alphabets) for r in free]  # each one's only input
     components = []
     for sample in product(*(list(r.output_space()) for r in free)):
-        weight = Fraction(1)
-        for r, a in zip(free, sample):
-            weight *= r.prob(tuple([0] * len(r.parties)), a)
+        weight = prod(map(NonsignalingResource.prob, free, inputs, sample), start=Fraction(1))
         if weight == 0:
             continue
         observed = {r.id: dict(zip(r.parties, a)) for r, a in zip(free, sample)}
@@ -444,13 +432,9 @@ def expand_to_extremal_mixture(
 
     components = []
     for combo in product(*per_resource):
-        weight = Fraction(1)
-        for w, _ in combo:
-            weight *= w
-        replaced = [v for _, v in combo]
-        components.append((weight, Network(
+        components.append((prod((w for w, _ in combo), start=Fraction(1)), Network(
             parties=net.parties,
-            resources=replaced,
+            resources=[v for _, v in combo],
             trees=net.trees,
             settings_alphabets=net.settings_alphabets,
             bins=net.bins or None,

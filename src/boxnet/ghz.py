@@ -115,6 +115,9 @@ class FloatBehavior(ProbabilityTable):
                 raise TableError(f"column {x} sums to {total}, not 1")
         self.require_nonsignaling("construction")
 
+    def _value(self, pos: tuple[int, ...]) -> float:
+        return float(self.probabilities[pos])
+
     def _rows(self) -> list[list[float]]:
         width = math.prod(len(a) for a in self.output_alphabets)
         return self.probabilities.reshape(-1, width).tolist()

@@ -21,6 +21,12 @@ in exact integer arithmetic; their cost follows the widest intermediate
 tensor, not the number of transcripts.  ``joint_probability`` evaluates
 one transcript directly.
 
+Each network numbers the tensors' axes once, as int labels, in the order
+the operands first name them: every resource's input axes and then its
+output axes, resource by resource, then every party's setting and
+outcome.  The plan of a contraction is cached by those labels and the
+shapes, so networks that differ only in names share it.
+
 The induced behavior is itself a nonsignaling resource over the parties'
 settings, and is validated as such on construction.
 """
@@ -32,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -205,6 +211,15 @@ class Network:
             self._outcome_alphabets[p] = Alphabet(tuple(sorted(set(outcomes))))
         self._wirings: dict[Party, np.ndarray] = {}
 
+        # The contraction labels (module docstring) of each table's and each wiring's axes.
+        ends = list(accumulate((2 * len(r.parties) for r in self.resources), initial=0))
+        self._table_labels = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+        self._party_labels = tuple(
+            (ends[-1] + 2 * i, ends[-1] + 2 * i + 1,
+             *(ends[ri] + pos for ri, pos in self._component[p]),
+             *((ends[ri] + ends[ri + 1]) // 2 + pos for ri, pos in self._component[p]))
+            for i, p in enumerate(self.parties))
+
     # -- core evaluation ------------------------------------------------------
 
     def _party_transcript(self, p: Party, outputs: OutputAssignment) -> Transcript:
@@ -229,11 +244,6 @@ class Network:
                 w[tuple(map(dict.__getitem__, positions, symbols))] = 1
             self._wirings[p] = w
         return w
-
-    def _wiring_labels(self, p: Party) -> tuple:
-        rids = self._scope_sorted[p]
-        return (("s", p), ("o", p), *(("x", rid, p) for rid in rids),
-                *(("a", rid, p) for rid in rids))
 
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
         """The party's final outcome for a transcript: the bin when one is
@@ -274,29 +284,26 @@ def joint_probability(
     to learn the input each resource received, then multiply the resource
     table entries.  Exact."""
     settings = net._check_settings(settings)
-    inputs_by_resource: list[list[Symbol]] = [
-        [0] * len(r.parties) for r in net.resources
-    ]
+    inputs_by_resource = [[0] * len(r.parties) for r in net.resources]
     for p, s in zip(net.parties, settings):
         inputs, _ = net._paths[p][s, net._party_transcript(p, outputs)]
         for (ri, pos), x in zip(net._component[p], inputs):
             inputs_by_resource[ri][pos] = x
     prob = Fraction(1)
     for ri, r in enumerate(net.resources):
-        prob *= r.table[tuple(inputs_by_resource[ri])][tuple(outputs[ri])]
+        prob *= r.prob(inputs_by_resource[ri], outputs[ri])
         if prob == 0:
             return prob
     return prob
 
 
 class _Plan(NamedTuple):
-    """How ``_contract`` contracts operands of given label patterns and
-    shapes: each operand's shape without its size-one axes; the pair
-    steps, each ``(i, j, subscripts)``, which remove operands i < j from
-    the list and append their ``np.einsum``; the subscripts that take the
-    one operand left to the output; the output shape; the most
-    elements any step's result holds; and the product of the sizes of
-    the labels summed out."""
+    """How ``_contract`` contracts operands of given labels and shapes:
+    each operand's shape without its size-one axes; the pair steps, each
+    ``(i, j, subscripts)``, which remove operands i < j from the list and
+    append their ``np.einsum``; the subscripts that take the one operand
+    left to the output; the output shape; the most elements any step's
+    result holds; and the product of the sizes of the labels summed out."""
 
     shapes: tuple[tuple[int, ...], ...]
     steps: tuple[tuple[int, int, str], ...]
@@ -320,13 +327,15 @@ def _subscripts(inputs: Sequence[tuple[int, ...]], output: tuple[int, ...]) -> s
 @lru_cache(maxsize=1024)
 def _plan(patterns: tuple[tuple[int, ...], ...], shapes: tuple[tuple[int, ...], ...],
           output: tuple[int, ...]) -> _Plan:
-    """The contraction of operands with these label patterns and shapes to
-    the ``output`` labels; see ``_contract``.  Axes of size one are
-    dropped first.  Operands are then contracted two at a time, greedily
-    as in ``np.einsum_path``'s "greedy" order: among the pairs that share
-    a label, the one whose result is smallest relative to its inputs, the
-    first such pair on ties.  Each step is one ``np.einsum`` over the
-    labels of two operands, so the network may use any number of labels."""
+    """The contraction of operands with these labels (one int per axis; an
+    int shared by several operands is one index) and shapes to the
+    ``output`` labels, cached per labels and shapes, not per name or dtype;
+    see ``_contract``.  Axes of size one are dropped first.  Operands are
+    then contracted two at a time, greedily as in ``np.einsum_path``'s
+    "greedy" order: among the pairs that share a label, the one whose
+    result is smallest relative to its inputs, the first such pair on
+    ties.  Each step is one ``np.einsum`` over the labels of two operands,
+    so the network may use any number of labels."""
     sizes = {l: n for labels, shape in zip(patterns, shapes) for l, n in zip(labels, shape)}
     ops = [tuple(l for l in labels if sizes[l] > 1) for labels in patterns]
     reshapes = tuple(tuple(sizes[l] for l in labels) for labels in ops)
@@ -357,37 +366,10 @@ def _plan(patterns: tuple[tuple[int, ...], ...], shapes: tuple[tuple[int, ...], 
                  prod(n for l, n in sizes.items() if l not in output))
 
 
-class _Operands(list):
-    """``(array, labels)`` operands with the ``plan`` already looked up
-    for them and their output, which ``_contract`` then reuses."""
-
-    def __init__(self, operands: Iterable[tuple[np.ndarray, tuple]], plan: _Plan):
-        super().__init__(operands)
-        self.plan = plan
-
-
-def _plan_for(operands: Sequence[tuple[np.ndarray, tuple]], output: Sequence) -> _Plan:
-    """The cached plan for these operands and output labels, the labels
-    renamed to ints by first appearance."""
-    ids: dict = {}
-    patterns = tuple(tuple(ids.setdefault(l, len(ids)) for l in labels)
-                     for _, labels in operands)
-    return _plan(patterns, tuple(arr.shape for arr, _ in operands),
-                 tuple(ids[l] for l in output))
-
-
-def _contract(operands: _Operands, output: Sequence) -> np.ndarray:
-    """Sum over every label not in ``output`` of the product of the
-    operands, as an array with one axis per ``output`` label.
-
-    Each operand is an array with one hashable label per axis; a label
-    shared by several operands is one index.  The operands carry the plan
-    ``_plan_for`` looked up for them and ``output`` (cached per label
-    pattern and shape, not per name or dtype, so it is shared by every
-    contraction of the same shape); its steps are replayed on the arrays.
-    """
-    plan = operands.plan
-    arrays = [arr.reshape(shape) for (arr, _), shape in zip(operands, plan.shapes)]
+def _contract(arrays: Sequence[np.ndarray], plan: _Plan) -> np.ndarray:
+    """Replay ``plan``'s steps on ``arrays``, the operands it was made for,
+    in their order."""
+    arrays = [arr.reshape(shape) for arr, shape in zip(arrays, plan.shapes)]
     for i, j, spec in plan.steps:
         b, a = arrays.pop(j), arrays.pop(i)
         arrays.append(np.einsum(spec, a, b))
@@ -396,29 +378,27 @@ def _contract(operands: _Operands, output: Sequence) -> np.ndarray:
 
 def _contract_network(
     net: Network,
-    wirings: Sequence[tuple[np.ndarray, tuple]],
-    output: Sequence,
+    wirings: Sequence[np.ndarray],
+    labels: Sequence[tuple[int, ...]],
+    output: Sequence[int],
 ) -> _Tensor:
     """Sum over every label not in ``output`` of the product of all
-    resource tables and the given wiring tensors: exact integer
-    numerators with one axis per ``output`` label, and their denominator,
-    the product of the tables' denominators.
+    resource tables and the given wiring tensors, whose axes have the
+    network's ``labels``: exact integer numerators with one axis per
+    ``output`` label, over the product of the tables' denominators.
 
-    Resource r's axes are labelled ("x", r.id, q) and ("a", r.id, q) for
-    its members q.  No entry of any intermediate exceeds the product of
-    the denominators times the plan's product of the summed labels'
-    sizes; the int64 operands are contracted as they are when that bound
-    is below 2**63, as exact Python ints otherwise.
+    No entry of any intermediate exceeds the product of the denominators
+    times the plan's product of the summed labels' sizes; the int64
+    operands are contracted as they are when that bound is below 2**63,
+    as exact Python ints otherwise.
     """
-    operands = [(r.numerators, (*(("x", r.id, q) for q in r.parties),
-                                *(("a", r.id, q) for q in r.parties)))
-                for r in net.resources]
-    operands += wirings
+    arrays = [r.numerators for r in net.resources] + list(wirings)
+    plan = _plan(net._table_labels + tuple(labels), tuple(arr.shape for arr in arrays),
+                 tuple(output))
     den = prod(r.denominator for r in net.resources)
-    plan = _plan_for(operands, output)
     if den * plan.summed >= 2 ** 63:
-        operands = [(arr.astype(object, copy=False), labels) for arr, labels in operands]
-    return _Tensor(_contract(_Operands(operands, plan), output), den)
+        arrays = [arr.astype(object, copy=False) for arr in arrays]
+    return _Tensor(_contract(arrays, plan), den)
 
 
 def _refuse_unchecked(net: Network) -> None:
@@ -455,11 +435,10 @@ def joint_distribution(
     settings = net._check_settings(settings)
     if not allow_unnormalized:
         _refuse_unchecked(net)
-    wirings = [(net._wiring(p)[net.settings_alphabets[p].values.index(s)].sum(axis=0),
-                net._wiring_labels(p)[2:])
+    wirings = [net._wiring(p)[net.settings_alphabets[p].values.index(s)].sum(axis=0)
                for p, s in zip(net.parties, settings)]
-    output = [("a", r.id, q) for r in net.resources for q in r.parties]
-    nums, den = _contract_network(net, wirings, output)
+    output = [l for labels in net._table_labels for l in labels[len(labels) // 2:]]
+    nums, den = _contract_network(net, wirings, [l[2:] for l in net._party_labels], output)
     nums = nums.reshape(-1).tolist()
     total = sum(nums)
     if not allow_unnormalized:
@@ -481,9 +460,9 @@ def induced_behavior(net: Network) -> Behavior:
     trusted, on every call.
     """
     _refuse_unchecked(net)
-    wirings = [(net._wiring(p), net._wiring_labels(p)) for p in net.parties]
-    output = [("s", p) for p in net.parties] + [("o", p) for p in net.parties]
-    behavior = _contract_network(net, wirings, output)
+    labels = net._party_labels
+    behavior = _contract_network(net, [net._wiring(p) for p in net.parties], labels,
+                                 [l[0] for l in labels] + [l[1] for l in labels])
     width = prod(len(net.outcome_alphabet(p)) for p in net.parties)
     totals = behavior.numerators.reshape(-1, width).sum(axis=1).tolist()
     for settings, total in zip(net.settings_space(), totals):

@@ -318,7 +318,7 @@ def _structure_problem(r: "NonsignalingResource") -> str | None:
 class ProbabilityTable:
     """What every behavior kind shares: parties, alphabets and one array
     indexed [x_1..x_n, a_1..a_n] by alphabet position, which a subclass
-    stores, reads as values (``_rows``) and scans (``_find_signaling_witness``).
+    stores, reads (``_value``, ``_rows``) and scans (``_find_signaling_witness``).
     """
 
     __slots__ = ("id", "parties", "input_alphabets", "output_alphabets", "_table",
@@ -354,7 +354,15 @@ class ProbabilityTable:
         return self._table
 
     def prob(self, inputs: Sequence[Symbol], outputs: Sequence[Symbol]):
-        return self.table[_key_tuple(inputs)][_key_tuple(outputs)]
+        """The value at one input and output tuple, read from the array at
+        the symbols' alphabet positions; ``KeyError`` outside the table."""
+        pos = []
+        for key, alphabets in ((_key_tuple(inputs), self.input_alphabets),
+                               (_key_tuple(outputs), self.output_alphabets)):
+            if len(key) != len(alphabets) or not all(map(Alphabet.__contains__, alphabets, key)):
+                raise KeyError(key)
+            pos += (a.values.index(s) for a, s in zip(alphabets, key))
+        return self._value(tuple(pos))
 
     def party_index(self, party: Party) -> int:
         try:
@@ -536,6 +544,9 @@ class NonsignalingResource(ProbabilityTable):
         den = lcm(*dens)
         nums = [n * (den // d) for n, d in zip(nums, dens)]
         return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object), den)
+
+    def _value(self, pos: tuple[int, ...]) -> Fraction:
+        return Fraction(int(self.numerators[pos]), self.denominator)
 
     def _rows(self, form=lambda v: v) -> Iterable[Iterable]:
         """The Fractions of each input tuple, one shared Fraction per value,

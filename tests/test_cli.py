@@ -620,10 +620,12 @@ def test_symbols_spelled_other_than_digits_exit_two(tmp_path, capsys, respell, s
     _assert_refused_naming(capsys, argv, repr(key), "does not spell a symbol")
 
 
-@pytest.mark.parametrize("cap", ["lots", "-1", "1e6", ""])
+@pytest.mark.parametrize("cap", ["lots", "-1", "1e6", "", " 16 ", "+16", "1_6", "\u0661\u0662"])
 def test_bad_vertex_cap_exits_two(monkeypatch, cap):
-    """NONSIG_VERTEX_CAP must be a non-negative integer; anything else is
-    an input error naming the variable, on one line."""
+    """NONSIG_VERTEX_CAP must be a non-negative integer spelled in ASCII
+    digits only, as symbols are; anything else (spaces, a sign, an
+    underscore, other scripts' digits) is an input error naming the
+    variable, on one line."""
     monkeypatch.setenv("NONSIG_VERTEX_CAP", cap)
     done = _cli_process("decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"))
     assert done.returncode == 2 and done.stdout == ""
@@ -631,7 +633,7 @@ def test_bad_vertex_cap_exits_two(monkeypatch, cap):
                            f"non-negative integer\n")
 
 
-@pytest.mark.parametrize("cap, rc", [("16", 1), ("15", 1), (" 16 ", 1)])
+@pytest.mark.parametrize("cap, rc", [("16", 1), ("15", 1)])
 def test_vertex_cap_within_and_past_the_count(monkeypatch, capsys, cap, rc):
     """The PR box has 16 deterministic vertices: a cap of 16 runs the LP
     (the box is not local, exit 1), a cap of 15 refuses it (exit 1 too,

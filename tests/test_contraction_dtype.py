@@ -23,7 +23,7 @@ from boxnet.network import Network, NetworkError, induced_behavior, joint_distri
 from boxnet.resource import make_pr_box, make_shared_randomness
 
 from netgen import BITS, random_tree
-from test_contraction_reference import all_built_networks
+from test_contraction_reference import all_built_networks, labelled_contractions
 
 
 def checking_contract(monkeypatch, den_of) -> list[str]:
@@ -33,16 +33,16 @@ def checking_contract(monkeypatch, den_of) -> list[str]:
     planned = network._contract
     seen = []
 
-    def check(operands, output):
+    def check(operands, output, plan):
         sizes = {l: n for arr, labels in operands for l, n in zip(labels, arr.shape)}
         summed = prod(n for l, n in sizes.items() if l not in set(output))
         want = np.dtype(np.int64 if den_of() * summed < 2 ** 63 else object)
-        assert operands.plan.summed == summed
+        assert plan.summed == summed
         assert {arr.dtype for arr, _ in operands} == {want}
         seen.append(want.kind)
-        return planned(operands, output)
+        return planned([arr for arr, _ in operands], plan)
 
-    monkeypatch.setattr(network, "_contract", check)
+    labelled_contractions(monkeypatch, check)
     return seen
 
 

@@ -359,8 +359,8 @@ def test_more_labels_than_einsum_letters():
                 0: Terminal()})})}) for o in (0, 1)})},
             frozenset({"coin", u.id, v.id, w.id}))
     net = Network(parties, resources, trees, {p: one for p in parties}, name="wide")
-    labels = {lab for p in parties for lab, n in zip(net._wiring_labels(p), net._wiring(p).shape)
-              if n > 1}
+    labels = {lab for p, axes in zip(parties, net._party_labels)
+              for lab, n in zip(axes, net._wiring(p).shape) if n > 1}
     assert len(labels) == 55
     assert_agrees(net)
 
@@ -434,10 +434,28 @@ def reference_contract(operands, output, choices: list) -> np.ndarray:
 
 
 def plan_of(operands, output) -> network._Plan:
+    """The plan for labelled operands, the labels renamed to ints by
+    first appearance."""
     ids: dict = {}
     patterns = tuple(tuple(ids.setdefault(l, len(ids)) for l in labels) for _, labels in operands)
     return network._plan(patterns, tuple(arr.shape for arr, _ in operands),
                          tuple(ids[l] for l in output))
+
+
+def labelled_contractions(m, check) -> None:
+    """Route each ``network._contract(arrays, plan)`` through
+    ``check(operands, output, plan)``, which returns its result: the
+    operands pair the arrays with their labels, and both the labels and
+    ``output`` come from the ``_contract_network`` call being made."""
+    contract_network, call = network._contract_network, {}
+
+    def labelled(net, wirings, labels, output):
+        call.update(labels=net._table_labels + tuple(labels), output=tuple(output))
+        return contract_network(net, wirings, labels, output)
+
+    m.setattr(network, "_contract_network", labelled)
+    m.setattr(network, "_contract", lambda arrays, plan: check(
+        list(zip(arrays, call["labels"])), call["output"], plan))
 
 
 def all_built_networks(monkeypatch) -> list[Network]:
@@ -465,22 +483,25 @@ def all_built_networks(monkeypatch) -> list[Network]:
 def test_planned_contraction_matches_the_greedy_reference(monkeypatch):
     """On every network this file builds, each contraction of every joint
     distribution and induced behavior gives the reference's array, with
-    its dtype, from the same pairs in the same order."""
+    its dtype, from the same pairs in the same order.  The network's own
+    label numbering gives the plan of the labels renamed by first
+    appearance."""
     planned = network._contract
     seen = Counter()
 
-    def compare(operands, output):
-        got = planned(operands, output)
+    def compare(operands, output, plan):
+        got = planned([arr for arr, _ in operands], plan)
         choices = []
         ref = reference_contract(operands, output, choices)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert [(i, j) for i, j, _ in plan_of(operands, output).steps] == choices
+        assert plan == plan_of(operands, output)
+        assert [(i, j) for i, j, _ in plan.steps] == choices
         seen[got.dtype.kind] += 1
         return got
 
     nets = all_built_networks(monkeypatch)
     assert len(nets) == 97
-    monkeypatch.setattr(network, "_contract", compare)
+    labelled_contractions(monkeypatch, compare)
     for net in nets:
         for settings in net.settings_space():
             joint_distribution(net, settings, allow_unnormalized=True)

@@ -246,6 +246,19 @@ def test_factor_out_prunes_zero_probability_samples():
     assert len(mix) == 1  # the probability-0 branch is gone
 
 
+def test_factor_out_coin_whose_one_input_is_not_zero():
+    """An input-free resource's one input symbol need not be 0: each
+    sample is weighed at the symbols the coin's alphabets hold."""
+    one = Alphabet((1,))
+    coin = NonsignalingResource.make("c", ("A", "B"), [one, one], [BITS, BITS],
+                                     {(1, 1): {(0, 0): F(1, 3), (1, 1): F(2, 3)}})
+    trees = {p: DecisionTree(p, {0: Internal("c", 1, {0: Terminal(), 1: Terminal()})},
+                             frozenset({"c"})) for p in "AB"}
+    net = Network(("A", "B"), [coin], trees, {"A": Alphabet((0,)), "B": Alphabet((0,))})
+    mix = factor_out_shared_randomness(net)  # asserts behavior equality itself
+    assert [w for w, _ in mix] == [F(1, 3), F(2, 3)]
+
+
 def test_factor_out_random_networks():
     rng = random.Random(3)
     for i in range(10):

@@ -29,6 +29,7 @@ from boxnet.decompose import (
     Infeasible,
     Mixture,
     decompose_extremal,
+    decompose_local,
     is_local,
     local_deterministic_vertices,
     ns_vertices_222,
@@ -157,6 +158,16 @@ def test_vertices_decompose_as_themselves():
         res = is_local(v)
         assert [(w, u.id) for w, u in res.mixture] == [(F(1), v.id)]
         assert_matches_dense(v, vs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_vertex_decomposes_through_the_lp_as_itself(n):
+    """A deterministic box takes the LP like any other: each local vertex
+    of the binary n-party signature comes back alone, with weight 1."""
+    vs = local_deterministic_vertices("ABC"[:n], [BITS] * n, [BITS] * n)
+    for v in vs.vertices:
+        (w, u), = decompose_local(v)
+        assert (w, u.id) == (1, v.id) and u.same_table(v)
 
 
 @pytest.mark.parametrize("settings, v, local", [

@@ -50,7 +50,6 @@ from boxnet.wiring import (  # noqa: E402
 )
 
 from netgen import random_network, random_small_network  # noqa: E402
-from test_contraction_reference import plan_of  # noqa: E402
 from test_json_writer_reference import reference_to_json_dict  # noqa: E402
 from test_tree_walk_reference import assert_walks_agree  # noqa: E402
 
@@ -358,7 +357,7 @@ def test_generated_networks_stay_within_the_plan_normalized_and_nonsignaling(rng
     net = generate(rng, "hyp")
     planned, einsum = network._contract, np.einsum
 
-    def recording(operands, output):
+    def recording(arrays, plan):
         sizes = []
 
         def counted(*args):
@@ -367,8 +366,7 @@ def test_generated_networks_stay_within_the_plan_normalized_and_nonsignaling(rng
             return result
 
         with mock.patch.object(np, "einsum", counted):
-            result = planned(operands, output)
-        plan = plan_of(operands, output)
+            result = planned(arrays, plan)
         assert len(sizes) == len(plan.steps) + 1
         assert all(size <= plan.largest for size in sizes) and max(sizes) == plan.largest
         return result

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import boxnet.resource as resource
+from boxnet.ghz import FloatBehavior
 from boxnet.resource import (
     Alphabet,
     NonsignalingResource,
@@ -325,6 +326,31 @@ def test_table_keys_of_numpy_integers_are_parsed():
     table = {(np.int64(x),): {(np.int8(x),): Fraction(1)} for x in (0, 1)}
     got = NonsignalingResource.make("k", ("A",), [BITS], [BITS], table)
     assert got.prob((1,), (1,)) == 1 and got.prob((0,), (1,)) == 0
+
+
+def test_prob_reads_the_array_as_the_table_view_does():
+    """``prob`` reads each kind's array at the symbols' alphabet positions,
+    without building the ``table`` view, and agrees with that view on
+    every entry: a Fraction for an exact table, a float for a float
+    behavior."""
+    gaps, tern = Alphabet((3, 1)), Alphabet((2, 0, 5))
+    uniform = {x: {a: Fraction(1, 6) for a in product(tern, BITS)} for x in product(gaps, BITS)}
+    exact = NonsignalingResource.make("u", ("A", "B"), [gaps, BITS], [tern, BITS], uniform)
+    floats = FloatBehavior("f", ("A",), [gaps], [tern], [[0.25, 0.5, 0.25], [0.5, 0.0, 0.5]])
+    for r, kind in ((exact, Fraction), (make_pr_box(), Fraction), (floats, float)):
+        got = {(x, a): r.prob(x, a) for x in r.input_space() for a in r.output_space()}
+        assert r._table is None
+        assert got == {(x, a): v for x, column in r.table.items() for a, v in column.items()}
+        assert {type(v) for v in got.values()} == {kind}
+
+
+@pytest.mark.parametrize("inputs, outputs, error", [
+    ((0, 2), (0, 0), KeyError), ((0,), (0, 0), KeyError), ((0, 0, 0), (0, 0), KeyError),
+    ((0, 0), (0, 2), KeyError), ((0, 0), (0,), KeyError),
+    ((True, 0), (0, 0), ValueError), ((0, 0), (0.0, 0), ValueError), ((0, 0), 0, TypeError)])
+def test_prob_refuses_tuples_outside_the_table(inputs, outputs, error):
+    with pytest.raises(error):
+        make_pr_box().prob(inputs, outputs)
 
 
 def test_shared_randomness_refuses_non_integer_outcomes():
