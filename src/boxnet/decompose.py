@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 from typing import Mapping, Sequence
@@ -95,6 +95,16 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def columns(self) -> Columns:
+        """``decompose_extremal``'s LP columns, built once: column j is vertex
+        j's numerators over the common denominator, then normalization."""
+        den = lcm(*(v.denominator for v in self.vertices))
+        values = np.array([[*(v.numerators.ravel().astype(object) * (den // v.denominator)), den]
+                           for v in self.vertices], dtype=object)
+        rows = np.broadcast_to(np.arange(values.shape[1]), values.shape)
+        return Columns(rows, values, den)
 
 
 @dataclass
@@ -239,12 +249,7 @@ def decompose_extremal(
     for v in vs.vertices:
         if r.same_table(v):
             return Mixture([(Fraction(1), v)])
-    # Column j: vertex j's numerators over the common denominator, then normalization.
-    den = lcm(*(v.denominator for v in vs.vertices))
-    values = np.array([[*(v.numerators.ravel().astype(object) * (den // v.denominator)), den]
-                       for v in vs.vertices], dtype=object)
-    rows = np.broadcast_to(np.arange(values.shape[1]), values.shape)
-    return _hull(r, Columns(rows, values, den), vs.vertices.__getitem__)
+    return _hull(r, vs.columns, vs.vertices.__getitem__)
 
 
 def _hull(r: NonsignalingResource, columns, vertex) -> Mixture | Infeasible:

@@ -17,9 +17,10 @@ party a 0/1 wiring tensor W_p[s_p, o_p, x_p, a_p] that is 1 where p's tree,
 at setting s_p and with outputs a_p, hands the inputs x_p to its
 resources and yields the outcome o_p.  The joint distribution and the
 induced behavior are both contractions of these tensors, done pairwise
-in exact integer arithmetic; their cost follows the widest intermediate
-tensor, not the number of transcripts.  ``joint_probability`` evaluates
-one transcript directly.
+in exact integer arithmetic, each pair step one batched matrix product
+(``np.matmul``) between transposes; their cost follows the widest
+intermediate tensor, not the number of transcripts.
+``joint_probability`` evaluates one transcript directly.
 
 Each network numbers the tensors' axes once, as int labels, in the order
 the operands first name them: every resource's input axes and then its
@@ -33,7 +34,6 @@ settings, and is validated as such on construction.
 
 from __future__ import annotations
 
-import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -282,8 +282,11 @@ def joint_probability(
 ) -> Fraction:
     """Probability of one complete transcript: look up every party's path
     to learn the input each resource received, then multiply the resource
-    table entries.  Exact."""
+    table entries.  Exact.  ``KeyError`` unless the outputs are one tuple
+    per resource, of one symbol per party, in the resource's alphabets."""
     settings = net._check_settings(settings)
+    if [len(o) for o in outputs] != [len(r.parties) for r in net.resources]:
+        raise KeyError(f"output assignment {outputs} does not have the shape of the resources")
     inputs_by_resource = [[0] * len(r.parties) for r in net.resources]
     for p, s in zip(net.parties, settings):
         inputs, _ = net._paths[p][s, net._party_transcript(p, outputs)]
@@ -300,28 +303,36 @@ def joint_probability(
 class _Plan(NamedTuple):
     """How ``_contract`` contracts operands of given labels and shapes:
     each operand's shape without its size-one axes; the pair steps, each
-    ``(i, j, subscripts)``, which remove operands i < j from the list and
-    append their ``np.einsum``; the subscripts that take the one operand
-    left to the output; the output shape; the most elements any step's
-    result holds; and the product of the sizes of the labels summed out."""
+    ``(i, j, (a, b, shape, axes))``, which remove operands i < j from the
+    list and append the ``np.matmul`` of operand i by recipe ``a`` and
+    operand j by recipe ``b``, reshaped to ``shape`` and transposed by
+    ``axes``; the recipe that takes the one operand left to the output;
+    the most elements any step's result holds; and the product of the
+    sizes of the labels summed out."""
 
     shapes: tuple[tuple[int, ...], ...]
-    steps: tuple[tuple[int, int, str], ...]
-    final: str
-    shape: tuple[int, ...]
+    steps: tuple[tuple[int, int, tuple], ...]
+    final: tuple
     largest: int
     summed: int
 
 
-def _subscripts(inputs: Sequence[tuple[int, ...]], output: tuple[int, ...]) -> str:
-    """``np.einsum`` subscripts for labelled operands, the labels renamed
-    to letters by first appearance."""
-    letter: dict = {}
-    for labels in inputs:
-        for label in labels:
-            letter.setdefault(label, string.ascii_letters[len(letter)])
-    spec = ",".join("".join(letter[l] for l in labels) for labels in inputs)
-    return spec + "->" + "".join(letter[l] for l in output)
+def _recipe(labels: tuple[int, ...], groups: Sequence[Sequence[int]],
+            sizes: Mapping[int, int]) -> tuple:
+    """How ``_apply`` gives an operand with these ``labels`` one axis per
+    group of labels: the axes of labels in no group, summed out (left at
+    size one, last); the transpose to group order; the shape."""
+    order = [l for group in groups for l in group]
+    summed = tuple(k for k, l in enumerate(labels) if l not in order)
+    return (summed, tuple(map(labels.index, order)) + summed,
+            tuple(prod(sizes[l] for l in group) for group in groups))
+
+
+def _apply(arr: np.ndarray, summed: tuple[int, ...], axes: tuple[int, ...],
+           shape: tuple[int, ...]) -> np.ndarray:
+    if summed:
+        arr = arr.sum(summed, keepdims=True)
+    return arr.transpose(axes).reshape(shape)
 
 
 @lru_cache(maxsize=1024)
@@ -334,8 +345,10 @@ def _plan(patterns: tuple[tuple[int, ...], ...], shapes: tuple[tuple[int, ...], 
     then contracted two at a time, greedily as in ``np.einsum_path``'s
     "greedy" order: among the pairs that share a label, the one whose
     result is smallest relative to its inputs, the first such pair on
-    ties.  Each step is one ``np.einsum`` over the labels of two operands,
-    so the network may use any number of labels."""
+    ties.  Each step is one batched matrix product, (batch, rows, inner)
+    by (batch, inner, cols): the batch is the shared labels the step
+    keeps, the inner axis those it sums out, and labels one operand holds
+    alone are its rows or columns if kept, else summed out first."""
     sizes = {l: n for labels, shape in zip(patterns, shapes) for l, n in zip(labels, shape)}
     ops = [tuple(l for l in labels if sizes[l] > 1) for labels in patterns]
     reshapes = tuple(tuple(sizes[l] for l in labels) for labels in ops)
@@ -358,22 +371,34 @@ def _plan(patterns: tuple[tuple[int, ...], ...], shapes: tuple[tuple[int, ...], 
             if best is None or cost < best[0]:
                 best = cost, i, j, kept, size
         _, i, j, kept, size = best
-        steps.append((i, j, _subscripts((ops[i], ops[j]), kept)))
+        la, lb = ops[i], ops[j]
+        batch = [l for l in kept if l in la and l in lb]
+        rows = [l for l in kept if l not in lb]
+        cols = [l for l in kept if l not in la]
+        inner = [l for l in la if l in lb and l not in kept]
+        product_labels = batch + rows + cols
+        steps.append((i, j, (_recipe(la, (batch, rows, inner), sizes),
+                             _recipe(lb, (batch, inner, cols), sizes),
+                             tuple(sizes[l] for l in product_labels),
+                             tuple(map(product_labels.index, kept)))))
         largest = max(largest, size)
         ops = [labels for k, labels in enumerate(ops) if k not in (i, j)] + [kept]
-    return _Plan(reshapes, tuple(steps), _subscripts(ops, out),
-                 tuple(sizes[l] for l in output), largest,
+    final = _recipe(ops[0], [(l,) if l in out else () for l in output], sizes)
+    return _Plan(reshapes, tuple(steps), final, largest,
                  prod(n for l, n in sizes.items() if l not in output))
 
 
 def _contract(arrays: Sequence[np.ndarray], plan: _Plan) -> np.ndarray:
     """Replay ``plan``'s steps on ``arrays``, the operands it was made for,
-    in their order."""
+    in their order: each step as sums, transposes and reshapes around one
+    ``np.matmul``, then the last operand summed over its leftover labels
+    and transposed to the output."""
     arrays = [arr.reshape(shape) for arr, shape in zip(arrays, plan.shapes)]
-    for i, j, spec in plan.steps:
-        b, a = arrays.pop(j), arrays.pop(i)
-        arrays.append(np.einsum(spec, a, b))
-    return np.einsum(plan.final, *arrays).reshape(plan.shape)
+    for i, j, (a, b, shape, axes) in plan.steps:
+        right, left = arrays.pop(j), arrays.pop(i)
+        arrays.append(np.matmul(_apply(left, *a), _apply(right, *b))
+                      .reshape(shape).transpose(axes))
+    return _apply(arrays[0], *plan.final)
 
 
 def _contract_network(

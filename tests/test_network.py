@@ -149,6 +149,11 @@ def test_joint_probability_refuses_settings_and_outputs_outside_the_alphabets():
     for outside in (((7, 0), (0,)), ((0, 2), (0,)), ((0, 0), (5,))):
         with pytest.raises(KeyError):
             joint_probability(net, (3, 0), outside)
+    net = worked_network()
+    assert joint_probability(net, (0, 0, 0), ((0, 0, 0), (0, 0))) == Fraction(1, 12)
+    for misshapen in (((0, 0, 0), (0, 0), (0,)), ((0, 0, 0),), ((0, 0, 0), (0,))):
+        with pytest.raises(KeyError, match="does not have the shape"):
+            joint_probability(net, (0, 0, 0), misshapen)
 
 
 def test_settings_that_are_not_integers_are_refused_not_truncated():

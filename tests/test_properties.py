@@ -11,6 +11,8 @@ counts (skipped when Hypothesis is not installed).
 4. On generated networks, no contraction step exceeds its plan's largest
    intermediate, and the induced behavior is normalized, nonsignaling and
    has the same marginals by both of ``marginal_without_party``'s routes.
+5. One planned pair step, with every kind of label, equals ``np.einsum``
+   exactly and in dtype.
 """
 from __future__ import annotations
 
@@ -349,24 +351,25 @@ def test_any_json_input_gives_an_exit_code(case):
 @bounded(60)
 @given(st.randoms(use_true_random=False), st.sampled_from([random_network, random_small_network]))
 def test_generated_networks_stay_within_the_plan_normalized_and_nonsignaling(rng, generate):
-    """Each ``np.einsum`` a contraction runs (its plan's pair steps and the
-    last one) yields at most the plan's ``largest`` elements, and the
-    largest step yields exactly that; the induced behavior is normalized
-    and nonsignaling, and ``marginal_without_party``'s two routes agree
-    for every party."""
+    """Each product a contraction yields (the ``np.matmul`` of every pair
+    step of its plan, and the result of the last step) holds at most the
+    plan's ``largest`` elements, and the largest holds exactly that; the
+    induced behavior is normalized and nonsignaling, and
+    ``marginal_without_party``'s two routes agree for every party."""
     net = generate(rng, "hyp")
-    planned, einsum = network._contract, np.einsum
+    planned, matmul = network._contract, np.matmul
 
     def recording(arrays, plan):
         sizes = []
 
         def counted(*args):
-            result = einsum(*args)
+            result = matmul(*args)
             sizes.append(result.size)
             return result
 
-        with mock.patch.object(np, "einsum", counted):
+        with mock.patch.object(np, "matmul", counted):
             result = planned(arrays, plan)
+        sizes.append(result.size)
         assert len(sizes) == len(plan.steps) + 1
         assert all(size <= plan.largest for size in sizes) and max(sizes) == plan.largest
         return result
@@ -380,3 +383,49 @@ def test_generated_networks_stay_within_the_plan_normalized_and_nonsignaling(rng
                 rest = [q for q in net.parties if q != p]
                 assert network.marginal_without_party(net, p).same_table(
                     marginal(behavior, rest))
+
+
+# -- 5. one pair step against np.einsum ----------------------------------------------
+
+# A label's kind: held by both operands and kept (batch) or summed (inner),
+# or held by one operand only and kept or summed.
+KINDS = ("batch", "inner", "a kept", "a summed", "b kept", "b summed")
+
+
+@st.composite
+def pair_steps(draw):
+    """Two labelled operands of int64 or Python ints, and the output
+    labels in any order: up to two labels of each kind, of sizes 1 to 3."""
+    kinds = [kind for kind in KINDS for _ in range(draw(st.integers(0, 2)))]
+    sizes = [draw(st.integers(1, 3)) for _ in kinds]
+
+    def held_by(*kinds_held):
+        return draw(st.permutations([l for l, kind in enumerate(kinds) if kind in kinds_held]))
+
+    la = held_by("batch", "inner", "a kept", "a summed")
+    lb = held_by("batch", "inner", "b kept", "b summed")
+    output = held_by("batch", "a kept", "b kept")
+    hypothesis.assume(prod(sizes) <= 4096)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrays = [rng.integers(-50, 51, [sizes[l] for l in labels]) for labels in (la, lb)]
+    if draw(st.booleans()):   # Python ints beyond int64
+        arrays = [np.array(arr.astype(object) * 2 ** 64 + 1, dtype=object) for arr in arrays]
+    return (tuple(la), tuple(lb)), arrays, tuple(output)
+
+
+@bounded(200)
+@given(pair_steps())
+def test_one_pair_step_equals_einsum_exactly_and_in_dtype(case):
+    """Batch, inner, kept and summed own labels, outer products (no shared
+    label) and size-one axes: the planned step and the final transpose give
+    ``np.einsum``'s array and dtype, in int64 and in Python ints."""
+    (la, lb), arrays, output = case
+    plan = network._plan((la, lb), tuple(arr.shape for arr in arrays), output)
+    assert len(plan.steps) == 1
+    letter = {l: chr(ord("a") + l) for l in (*la, *lb)}
+    spec = ",".join("".join(map(letter.get, labels)) for labels in (la, lb))
+    want = np.einsum(spec + "->" + "".join(map(letter.get, output)), *arrays)
+    if not isinstance(want, np.generic | np.ndarray):   # a 0-d sum of Python ints
+        want = np.array(want, dtype=object)
+    got = network._contract(arrays, plan)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
