@@ -4,7 +4,7 @@ A network is n parties, m shared resources, and one decision tree per
 party.  The probability of a complete transcript (every resource's full
 output tuple) under a settings choice is the product of the resource
 tables, each evaluated at the inputs its member parties' trees handed it
-along their paths; each tree is walked once, into a table of its paths.
+along their paths; each tree is walked once, by the walk that checks it.
 Everything here is exact rational arithmetic; normalization (sum over all
 transcripts equals one) is *asserted*, not assumed, each time a
 distribution is built — for well-formed networks of nonsignaling
@@ -20,7 +20,8 @@ induced behavior are both contractions of these tensors, done pairwise
 in exact integer arithmetic, each pair step one batched matrix product
 (``np.matmul``) between transposes; their cost follows the widest
 intermediate tensor, not the number of transcripts.
-``joint_probability`` evaluates one transcript directly.
+``joint_probability`` evaluates one transcript directly, reading each
+party's path table: its paths' flat indices in W_p.
 
 Each network numbers the tensors' axes once, as int labels, in the order
 the operands first name them: every resource's input axes and then its
@@ -50,6 +51,7 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
+    _plain_keys,
     _symbol,
     _Tensor,
 )
@@ -95,7 +97,7 @@ class Network:
     Invariants enforced at construction: resource ids unique; party p's
     tree scope is exactly the set of resources p is a member of; every
     tree validates against the shared resources; bins (when given) are
-    total over the party's transcript space.
+    total over the party's transcript space and have no other key.
     """
 
     def __init__(
@@ -140,7 +142,7 @@ class Network:
                         f"resource {r.id!r} names {q!r}, which is not a network party")
 
         # Scope consistency: p consults exactly the resources it shares.
-        tree_paths = {}
+        walks = {}
         for p in self.parties:
             member_of = {r.id for r in self.resources if p in r.parties}
             scope = self.trees[p].resource_scope
@@ -149,67 +151,59 @@ class Network:
                     f"party {p!r}: tree scope {sorted(scope)} != shared resources "
                     f"{sorted(member_of)} (use append_unused or bottom_encode "
                     f"to cover unconsulted shares)")
-            tree_paths[p], error = _tree_paths(self.trees[p], self.settings_alphabets[p],
-                                               self.resources_by_id)
-            if error is not None:
-                raise NetworkError(f"tree of {p!r} invalid: {error}")
+            walks[p] = _tree_paths(self.trees[p], self.settings_alphabets[p], self.resources_by_id)
+            if walks[p][2] is not None:
+                raise NetworkError(f"tree of {p!r} invalid: {walks[p][2]}")
 
         self.bins: dict[Party, dict[Transcript, int]] = {}
         if bins:
             for p, mapping in bins.items():
                 if p not in self.parties:
                     raise NetworkError(f"bins name unknown party {p!r}")
+                if _plain_keys(mapping) and set(map(type, mapping.values())) <= {int}:
+                    self.bins[p] = dict(mapping)
+                    continue
                 try:
                     self.bins[p] = {tuple(_symbol(s) for s in k): _symbol(v)
                                     for k, v in mapping.items()}
                 except ValueError as err:
                     raise NetworkError(f"bins for {p!r}: {err}") from None
 
-        # Per party: its sorted resource ids; for each, where in an output
-        # assignment the party's component lives; and the path table, from
-        # the walk that validated the tree: (setting, transcript) -> (the
-        # inputs handed to the resources in sorted-id order, the outcome).
-        # The outcome is the bin when one is supplied, else the terminal
-        # label, else the transcript's index in the product order of the
-        # party's output alphabets.
-        self._scope_sorted: dict[Party, tuple[str, ...]] = {}
+        # Per party: where its component of each resource in scope, in sorted-id
+        # order, is in an output assignment; its outcome alphabet (bins, else labels,
+        # else transcript indices); its wiring tensor; and its path table.
         self._component: dict[Party, tuple[tuple[int, int], ...]] = {}
-        self._paths: dict[Party, dict[tuple[Symbol, Transcript],
-                                      tuple[tuple[Symbol, ...], Symbol]]] = {}
         self._outcome_alphabets: dict[Party, Alphabet] = {}
+        self._wirings: dict[Party, np.ndarray] = {}
+        self._tables: dict[Party, list[int]] = {}
         res_index = {r.id: i for i, r in enumerate(self.resources)}
         for p in self.parties:
-            rids = tuple(sorted(self.trees[p].resource_scope))
-            self._scope_sorted[p] = rids
+            rids = sorted(self.trees[p].resource_scope)
             self._component[p] = tuple(
-                (res_index[rid], self.resources_by_id[rid].party_index(p))
-                for rid in rids
-            )
-            outs = [self.resources_by_id[rid].output_alphabet(p).values for rid in rids]
+                (res_index[rid], self.resources_by_id[rid].parties.index(p)) for rid in rids)
+            paths, shape, _ = walks[p]
+            size = prod(shape[len(rids):])  # of the transcript space
             party_bins = self.bins.get(p)
             if party_bins is not None:
-                missing = [tr for tr in product(*outs) if tr not in party_bins]
-                if missing:
-                    raise NetworkError(
-                        f"bins for {p!r} not total: missing transcript {missing[0]}")
-            position = [{a: i for i, a in enumerate(o)} for o in outs]
-            paths = {}
-            for s, inputs, outputs, label in tree_paths[p]:
-                transcript = tuple(outputs[rid] for rid in rids)
-                if party_bins is not None:
-                    outcome = party_bins[transcript]
-                elif label is not None:
-                    outcome = label
-                else:
-                    outcome = 0
-                    for o, pos, a in zip(outs, position, transcript):
-                        outcome = outcome * len(o) + pos[a]
-                paths[s, transcript] = tuple(inputs[rid] for rid in rids), outcome
-            self._paths[p] = paths
-            outcomes = (party_bins.values() if party_bins is not None
-                        else (o for _, o in paths.values()))
-            self._outcome_alphabets[p] = Alphabet(tuple(sorted(set(outcomes))))
-        self._wirings: dict[Party, np.ndarray] = {}
+                space = list(product(*(self.resources_by_id[rid].output_alphabet(p).values
+                                       for rid in rids)))
+                binned = [party_bins.get(tr) for tr in space]
+                if None in binned:
+                    raise NetworkError(f"bins for {p!r} not total: missing transcript "
+                                       f"{space[binned.index(None)]}")
+                if len(party_bins) > size:
+                    stray = min(set(party_bins) - set(space))
+                    raise NetworkError(f"bins for {p!r}: key {stray} is not a transcript of {p!r}")
+                outcomes = [binned[offset % size] for _, offset, _ in paths]
+            else:
+                outcomes = [offset % size if label is None else label for _, offset, label in paths]
+            self._outcome_alphabets[p] = alphabet = Alphabet(tuple(sorted(set(outcomes))))
+            shape = (len(self.settings_alphabets[p].values), len(alphabet.values), *shape)
+            position, block = alphabet.sorted_positions, prod(shape[2:])
+            self._tables[p] = table = [0] * (shape[0] * size)
+            for (s, offset, _), o in zip(paths, outcomes):
+                table[s * size + offset % size] = (s * shape[1] + position[o]) * block + offset
+            self._wirings[p] = np.bincount(table, minlength=prod(shape)).reshape(shape)
 
         # The contraction labels (module docstring) of each table's and each wiring's axes.
         ends = list(accumulate((2 * len(r.parties) for r in self.resources), initial=0))
@@ -222,33 +216,28 @@ class Network:
 
     # -- core evaluation ------------------------------------------------------
 
-    def _party_transcript(self, p: Party, outputs: OutputAssignment) -> Transcript:
-        return tuple(outputs[ri][pos] for ri, pos in self._component[p])
-
-    def _wiring(self, p: Party) -> np.ndarray:
-        """Party p's 0/1 wiring tensor W[s, o, x_r..., a_r...], with r over
-        p's scope in sorted-id order and every axis indexed by position in
-        its alphabet: 1 where p's tree, at setting s and with outputs a,
-        hands input x_r to each resource r and yields outcome o."""
-        w = self._wirings.get(p)
-        if w is None:
-            rids = self._scope_sorted[p]
-            alphabets = [self.settings_alphabets[p], self._outcome_alphabets[p],
-                         *(self.resources_by_id[rid].input_alphabet(p) for rid in rids),
-                         *(self.resources_by_id[rid].output_alphabet(p) for rid in rids)]
-            positions = [{v: i for i, v in enumerate(a.values)} for a in alphabets]
-            w = np.zeros([len(a) for a in alphabets], dtype=np.int64)
-            for (s, transcript), (inputs, outcome) in self._paths[p].items():
-                symbols = (s, outcome, *inputs, *transcript)
-                # each symbol's position in its alphabet
-                w[tuple(map(dict.__getitem__, positions, symbols))] = 1
-            self._wirings[p] = w
-        return w
+    def _path(self, p: Party, setting: Symbol,
+              transcript: Transcript) -> tuple[tuple[Symbol, ...], Symbol]:
+        """The inputs, in sorted-id order, and the outcome of p's path at a
+        setting and transcript, read from p's path table.  ``KeyError`` for
+        a symbol outside p's alphabets or a transcript of the wrong length."""
+        component = self._component[p]
+        if len(transcript) != len(component):
+            raise KeyError(f"transcript {transcript} of {p!r} has the wrong length")
+        row = self.settings_alphabets[p].sorted_positions[setting]
+        for (ri, pos), symbol in zip(component, transcript):
+            outs = self.resources[ri].output_alphabets[pos]
+            row = row * len(outs.values) + outs.sorted_positions[symbol]
+        # The wiring tensor's index of the path: setting, outcome, inputs, outputs.
+        index = np.unravel_index(self._tables[p][row], self._wirings[p].shape)
+        inputs = tuple(self.resources[ri].input_alphabets[pos].values[i]
+                       for (ri, pos), i in zip(component, index[2:]))
+        return inputs, self._outcome_alphabets[p].values[index[1]]
 
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
         """The party's final outcome for a transcript: the bin when one is
         supplied, else the terminal label, else the transcript's index."""
-        return self._paths[p][setting, transcript][1]
+        return self._path(p, setting, transcript)[1]
 
     def outcome_alphabet(self, p: Party) -> Alphabet:
         return self._outcome_alphabets[p]
@@ -289,7 +278,7 @@ def joint_probability(
         raise KeyError(f"output assignment {outputs} does not have the shape of the resources")
     inputs_by_resource = [[0] * len(r.parties) for r in net.resources]
     for p, s in zip(net.parties, settings):
-        inputs, _ = net._paths[p][s, net._party_transcript(p, outputs)]
+        inputs, _ = net._path(p, s, tuple(outputs[ri][pos] for ri, pos in net._component[p]))
         for (ri, pos), x in zip(net._component[p], inputs):
             inputs_by_resource[ri][pos] = x
     prob = Fraction(1)
@@ -460,7 +449,7 @@ def joint_distribution(
     settings = net._check_settings(settings)
     if not allow_unnormalized:
         _refuse_unchecked(net)
-    wirings = [net._wiring(p)[net.settings_alphabets[p].values.index(s)].sum(axis=0)
+    wirings = [net._wirings[p][net.settings_alphabets[p].values.index(s)].sum(axis=0)
                for p, s in zip(net.parties, settings)]
     output = [l for labels in net._table_labels for l in labels[len(labels) // 2:]]
     nums, den = _contract_network(net, wirings, [l[2:] for l in net._party_labels], output)
@@ -486,7 +475,7 @@ def induced_behavior(net: Network) -> Behavior:
     """
     _refuse_unchecked(net)
     labels = net._party_labels
-    behavior = _contract_network(net, [net._wiring(p) for p in net.parties], labels,
+    behavior = _contract_network(net, [net._wirings[p] for p in net.parties], labels,
                                  [l[0] for l in labels] + [l[1] for l in labels])
     width = prod(len(net.outcome_alphabet(p)) for p in net.parties)
     totals = behavior.numerators.reshape(-1, width).sum(axis=1).tolist()
@@ -598,7 +587,7 @@ def freeze_outcomes(net: Network, p: Party) -> DecisionTree:
     operations while index-based default labeling does not.
     """
     tree = net.trees[p]
-    rids = net._scope_sorted[p]
+    rids = sorted(tree.resource_scope)
 
     def walk(node: Node, outs: dict[str, Symbol], setting: Symbol) -> Node:
         if isinstance(node, Terminal):

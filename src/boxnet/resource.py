@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -119,6 +119,11 @@ class Alphabet:
     @lru_cache(maxsize=64)
     def _of_size(cls, n: int) -> "Alphabet":
         return cls(tuple(range(n)))
+
+    @cached_property
+    def sorted_positions(self) -> dict[Symbol, int]:
+        """Each symbol's position in ``values``, keyed in sorted order."""
+        return dict(sorted(zip(self.values, range(len(self.values)))))
 
     @property
     def first(self) -> Symbol:

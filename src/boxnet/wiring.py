@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -83,62 +84,67 @@ def _tree_paths(
     t: DecisionTree,
     settings_alphabet: Alphabet,
     resources: Mapping[str, NonsignalingResource],
-) -> tuple[list[tuple[Symbol, dict[str, Symbol], dict[str, Symbol], int | None]], str | None]:
-    """One checked walk of a tree: every maximal path as (setting, inputs
-    and outputs keyed by resource id, terminal label) and None; or no
-    paths and the first violation `validate_tree` reports."""
-    for rid in sorted(t.resource_scope):
+) -> tuple[list[tuple[int, int, int | None]], tuple[int, ...], str | None]:
+    """One checked walk of a tree: every maximal path as (setting position,
+    offset, terminal label), the shape the offsets index and None; or ([],
+    (), the first violation `validate_tree` reports).  The shape is [x_r...,
+    a_r...]: the inputs, then the outputs, of the resources r in scope in
+    sorted-id order, by alphabet position; an offset is a flat index into it."""
+    rids = sorted(t.resource_scope)
+    for rid in rids:
         if rid not in resources:
-            return [], f"scope names unknown resource {rid!r}"
+            return [], (), f"scope names unknown resource {rid!r}"
         if t.party not in resources[rid].parties:
-            return [], f"party {t.party!r} is not a member of resource {rid!r}"
+            return [], (), f"party {t.party!r} is not a member of resource {rid!r}"
 
     if set(t.root) != set(settings_alphabet.values):
-        return [], (f"root edges {sorted(t.root)} do not match the settings "
-                    f"alphabet {list(settings_alphabet.values)}")
+        return [], (), (f"root edges {sorted(t.root)} do not match the settings "
+                        f"alphabet {list(settings_alphabet.values)}")
 
-    paths = []
+    # Per resource: its bit in the mask of those consulted, its inputs, the
+    # offset's steps for an input and an output, its outputs' positions.  A
+    # walk returns None, or the first violation and the edges back up to it.
+    ins = [resources[rid].input_alphabet(t.party).values for rid in rids]
+    outs = [resources[rid].output_alphabet(t.party).sorted_positions for rid in rids]
+    shape = (*map(len, ins), *map(len, outs))
+    compiled = {rid: (1 << i, ins[i], prod(shape[i + 1:]), prod(shape[len(rids) + i + 1:]),
+                      outs[i]) for i, rid in enumerate(rids)}
+    everything, paths = (1 << len(rids)) - 1, []
 
-    def at(setting: Symbol, outputs: dict[str, Symbol], problem: str) -> str:
-        trail = "".join(f" -> {rid}:{out}" for rid, out in outputs.items())
-        return f"path [setting {setting}{trail}] {problem}"
-
-    def walk(node: Node, setting: Symbol, inputs: dict[str, Symbol],
-             outputs: dict[str, Symbol]) -> str | None:
+    def walk(node: Node, consulted: int, offset: int) -> list | None:
         if isinstance(node, Terminal):
-            if len(inputs) < len(t.resource_scope):
-                missing = sorted(t.resource_scope.difference(inputs))
-                return at(setting, outputs, f"ends without consulting {missing}")
-            paths.append((setting, inputs, outputs, node.outcome))
+            if consulted != everything:
+                return [f"ends without consulting "
+                        f"{[rid for i, rid in enumerate(rids) if not consulted >> i & 1]}"]
+            paths.append((position, offset, node.outcome))
             return None
         rid = node.resource_choice
-        if rid not in t.resource_scope:
-            return at(setting, outputs, f"consults {rid!r}, which is outside the scope")
-        if rid in inputs:
-            return at(setting, outputs, f"consults {rid!r} twice")
-        r = resources[rid]
-        if node.input_choice not in r.input_alphabet(t.party):
-            return at(setting, outputs, f"gives {rid!r} input {node.input_choice}, outside "
-                      f"this party's alphabet {list(r.input_alphabet(t.party).values)}")
-        expected = set(r.output_alphabet(t.party).values)
-        if set(node.children) != expected:
-            return at(setting, outputs, f"node for {rid!r} has output edges "
-                      f"{sorted(node.children)}, expected {sorted(expected)}")
-        inputs = {**inputs, rid: node.input_choice}
-        for out, child in sorted(node.children.items()):
-            error = walk(child, setting, inputs, {**outputs, rid: out})
+        if rid not in compiled:
+            return [f"consults {rid!r}, which is outside the scope"]
+        bit, inputs, in_step, out_step, positions = compiled[rid]
+        if consulted & bit:
+            return [f"consults {rid!r} twice"]
+        if node.input_choice not in inputs:
+            return [f"gives {rid!r} input {node.input_choice}, outside "
+                    f"this party's alphabet {list(inputs)}"]
+        if node.children.keys() != positions.keys():
+            return [f"node for {rid!r} has output edges "
+                    f"{sorted(node.children)}, expected {list(positions)}"]
+        offset += inputs.index(node.input_choice) * in_step
+        for out, j in positions.items():  # in sorted order
+            error = walk(node.children[out], consulted | bit, offset + j * out_step)
             if error is not None:
-                return error
+                return [*error, f" -> {rid}:{out}"]
         return None
 
-    for setting in settings_alphabet.values:
-        error = walk(t.root[setting], setting, {}, {})
+    for position, setting in enumerate(settings_alphabet.values):
+        error = walk(t.root[setting], 0, 0)
         if error is not None:
-            return [], error
+            return [], (), f"path [setting {setting}{''.join(reversed(error[1:]))}] {error[0]}"
 
     if len({label is None for *_, label in paths}) == 2:
-        return [], "terminals are partially labeled: label all of them or none"
-    return paths, None
+        return [], (), "terminals are partially labeled: label all of them or none"
+    return paths, shape, None
 
 
 def validate_tree(
@@ -163,7 +169,7 @@ def validate_tree(
     """
     if not isinstance(settings_alphabet, Alphabet):
         settings_alphabet = Alphabet(tuple(settings_alphabet))
-    error = _tree_paths(t, settings_alphabet, resources)[1]
+    error = _tree_paths(t, settings_alphabet, resources)[2]
     return ValidationReport.ok() if error is None else ValidationReport.fail([error])
 
 

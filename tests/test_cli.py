@@ -55,6 +55,15 @@ def test_validate_rejects_signaling_fixture(capsys):
     assert "signals" in data["resources"]["W2"]
 
 
+def test_validate_fails_on_a_bins_key_outside_the_transcripts(tmp_path, capsys):
+    d = _fixture_copy(tmp_path, "worked")
+    bins = {f"{a},{b}": a for a in (0, 1) for b in (0, 1, 2)}
+    _edit(d / "scenario.json", lambda s: s.update({"bins": {"A1": {**bins, "9,9": 7}}}))
+    rc, data = run_json(capsys, "validate", str(d))
+    assert rc == 1 and data["passed"] is False
+    assert data["network"] == "bins for 'A1': key (9, 9) is not a transcript of 'A1'"
+
+
 def test_validate_allow_signaling_skips_unchecked(capsys):
     rc, data = run_json(capsys, "validate", "paradox", "--allow-signaling")
     assert rc == 0

@@ -37,6 +37,7 @@ from boxnet.network import (
     joint_distribution,
     joint_probability,
     relabel_network,
+    union_network,
 )
 from boxnet.resource import (
     Alphabet,
@@ -93,7 +94,8 @@ def reference_behavior(net: Network) -> NonsignalingResource:
             if v == 0:
                 continue
             outcome = tuple(
-                net.outcome_of(p, settings[i], net._party_transcript(p, outputs))
+                net.outcome_of(p, settings[i],
+                               tuple(outputs[ri][pos] for ri, pos in net._component[p]))
                 for i, p in enumerate(net.parties))
             column[outcome] = column.get(outcome, Fraction(0)) + v
         table[settings] = column
@@ -142,7 +144,7 @@ def reference_compiled(net: Network, p) -> tuple[np.ndarray, dict, Alphabet]:
 def assert_same_compiled(net: Network) -> None:
     for p in net.parties:
         wiring, outcomes, alphabet = reference_compiled(net, p)
-        assert np.array_equal(net._wiring(p), wiring)
+        assert np.array_equal(net._wirings[p], wiring)
         assert {key: net.outcome_of(p, *key) for key in outcomes} == outcomes
         assert net.outcome_alphabet(p) == alphabet
 
@@ -292,6 +294,52 @@ def test_path_table_matches_per_transcript_tracing(monkeypatch):
         assert_same_compiled(net)
 
 
+def lookup_networks() -> list[Network]:
+    """Output alphabets out of sorted order; labeled terminals; bins; and
+    a party that holds no resource."""
+    worked = worked_network()
+    alone = DecisionTree("Z", {0: Terminal(), 1: Terminal()}, frozenset())
+    return [unsorted_alphabet_network(),
+            fresh(worked, trees={p: labeled(t, random.Random(9900))
+                                 for p, t in worked.trees.items()}),
+            worked_network(bins={"A1": {tr: tr[0] for tr in product((0, 1), (0, 1, 2))}}),
+            union_network(worked, Network(("Z",), [], {"Z": alone}, {"Z": BITS}, name="z"))]
+
+
+def keys_outside_the_tables(net: Network):
+    """Per party, a (setting, transcript) with the setting outside its
+    alphabet, with a transcript symbol outside an output alphabet, and
+    with transcripts one symbol too long and too short."""
+    for p in net.parties:
+        settings = net.settings_alphabets[p].values
+        outs = [net.resources_by_id[rid].output_alphabet(p).values
+                for rid in sorted(net.trees[p].resource_scope)]
+        transcript = tuple(o[0] for o in outs)
+        yield p, max(settings) + 1, transcript
+        yield p, settings[0], transcript + (0,)
+        if outs:
+            yield p, settings[0], (max(outs[0]) + 1, *transcript[1:])
+            yield p, settings[0], transcript[:-1]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_path_table_lookups_match_tracing_and_refuse_keys_outside_it(case):
+    net = lookup_networks()[case]
+    assert_same_compiled(net)
+    for key in keys_outside_the_tables(net):
+        with pytest.raises(KeyError):
+            net.outcome_of(*key)
+    settings = next(iter(net.settings_space()))
+    outputs = next(iter(net.output_assignments()))
+    with pytest.raises(NetworkError, match="outside alphabet"):
+        joint_probability(net, tuple(s + 9 for s in settings), outputs)
+    for ri, r in enumerate(net.resources):
+        outside = (*outputs[ri][:-1], max(r.output_alphabets[-1].values) + 1)
+        for wrong in (outside, outputs[ri] + (0,), outputs[ri][:-1]):
+            with pytest.raises(KeyError):
+                joint_probability(net, settings, (*outputs[:ri], wrong, *outputs[ri + 1:]))
+
+
 # -- paradox and inconsistent wiring ------------------------------------------------
 
 
@@ -360,7 +408,7 @@ def test_more_labels_than_einsum_letters():
             frozenset({"coin", u.id, v.id, w.id}))
     net = Network(parties, resources, trees, {p: one for p in parties}, name="wide")
     labels = {lab for p, axes in zip(parties, net._party_labels)
-              for lab, n in zip(axes, net._wiring(p).shape) if n > 1}
+              for lab, n in zip(axes, net._wirings[p].shape) if n > 1}
     assert len(labels) == 55
     assert_agrees(net)
 

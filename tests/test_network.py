@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -140,6 +141,16 @@ def test_bins_error_names_the_first_missing_transcript_in_alphabet_order():
         unsorted_alphabet_network(bins=bins)
 
 
+@pytest.mark.parametrize("stray, named", [({(9, 9): 7}, "(9, 9)"), ({(0,): 3}, "(0,)"),
+                                           ({(9, 9): 7, (0,): 3}, "(0,)")])
+def test_bins_keys_outside_the_transcript_space_are_refused(stray, named):
+    # Accepted, they added outcomes 3 and 7 with all-zero behavior columns.
+    total = {tr: tr[0] for tr in product((0, 1), (0, 1, 2))}
+    with pytest.raises(NetworkError, match=rf"^bins for 'A1': key {re.escape(named)} "
+                                           rf"is not a transcript of 'A1'$"):
+        worked_network(bins={"A1": {**total, **stray}})
+
+
 def test_joint_probability_refuses_settings_and_outputs_outside_the_alphabets():
     net = unsorted_alphabet_network()
     outputs = ((0, 0), (0,))   # R's outputs for (A, B), then S's for A
@@ -172,7 +183,8 @@ def test_bins_that_are_not_integers_are_refused_not_truncated():
     space = list(product((0, 1), (0, 1, 2)))
     for bad in ({tr: 0.5 if tr == (1, 2) else 0 for tr in space},
                 {(a + 0.5, b): a for a, b in space},
-                {tr: True for tr in space}):
+                {tr: True for tr in space},
+                {(bool(a), b): a for a, b in space}):
         with pytest.raises(NetworkError, match=r"^bins for 'A1': alphabet symbol .* is not an integer"):
             worked_network(bins={"A1": bad})
     net = worked_network(bins={"A1": {(np.int64(a), b): np.int8(a) for a, b in space}})

@@ -8,8 +8,9 @@ the first violation, and a separate walk that lists every maximal path.
 corpora and the shipped fixtures, on one tree per violation class and on
 trees with several violations, ``validate_tree`` must give the reference's
 report (``passed`` and ``errors``) and ``_tree_paths`` the reference's
-paths or its first error.  A last test counts how often a ``Network``
-enumerates each internal node's children.
+paths, mapped to its (setting position, offset, label) form, or its
+first error.  A last test counts how often a ``Network`` reads each
+internal node's children.
 """
 from __future__ import annotations
 
@@ -143,9 +144,26 @@ def reference_maximal_paths(
 
 
 def path_multiset(paths) -> Counter:
-    """Paths as hashable tuples; inputs and outputs keep their consult order."""
-    return Counter((s, tuple(inputs.items()), tuple(outputs.items()), label)
-                   for s, inputs, outputs, label in paths)
+    """Paths as hashable tuples."""
+    return Counter(tuple(path) for path in paths)
+
+
+def as_walked(paths, t: DecisionTree, settings_alphabet: Alphabet, resources) -> tuple:
+    """Reference paths as the checked walk reports them, with the shape
+    of their offsets: (setting position, offset, label), the offset being
+    the index of the path's inputs and outputs in the row-major array
+    [x_r..., a_r...] over the scope in sorted-id order, each axis indexed
+    by alphabet position."""
+    rids = sorted(t.resource_scope)
+    axes = ([(rid, 0, resources[rid].input_alphabet(t.party)) for rid in rids]
+            + [(rid, 1, resources[rid].output_alphabet(t.party)) for rid in rids])
+    walked = []
+    for s, inputs, outputs, label in paths:
+        offset = 0
+        for rid, side, alphabet in axes:
+            offset = offset * len(alphabet) + alphabet.values.index((inputs, outputs)[side][rid])
+        walked.append((settings_alphabet.values.index(s), offset, label))
+    return walked, tuple(len(alphabet) for *_, alphabet in axes)
 
 
 def assert_walks_agree(t: DecisionTree, settings, resources) -> ValidationReport:
@@ -155,12 +173,14 @@ def assert_walks_agree(t: DecisionTree, settings, resources) -> ValidationReport
     report = validate_tree(t, settings, resources)
     assert (report.passed, report.errors) == (ref.passed, ref.errors)
     alphabet = settings if isinstance(settings, Alphabet) else Alphabet(tuple(settings))
-    paths, error = _tree_paths(t, alphabet, resources)
+    paths, shape, error = _tree_paths(t, alphabet, resources)
     if ref.passed:
         assert error is None
-        assert path_multiset(paths) == path_multiset(reference_maximal_paths(t))
+        walked, ref_shape = as_walked(reference_maximal_paths(t), t, alphabet, resources)
+        assert shape == ref_shape
+        assert path_multiset(paths) == path_multiset(walked)
     else:
-        assert (paths, error) == ([], ref.errors[0])
+        assert (paths, shape, error) == ([], (), ref.errors[0])
     return ref
 
 
@@ -297,25 +317,49 @@ def test_the_first_of_several_violations_wins(resources):
         "path [setting 1] ends without consulting ['R1']"]
 
 
+def test_children_are_walked_in_sorted_order_not_alphabet_order():
+    # A's outputs of R are (2, 0, 5): the bad input under output 0 comes
+    # first in sorted order, the one under output 2 first in alphabet order.
+    net = unsorted_alphabet_network()
+    root = Internal("R", 1, {out: Internal("S", inp, {0: Terminal(), 1: Terminal()})
+                             for out, inp in ((2, 7), (0, 9), (5, 0))})
+    t = tree("A", {3: root, 1: root}, {"R", "S"})
+    assert assert_walks_agree(t, net.settings_alphabets["A"], net.resources_by_id).errors == [
+        "path [setting 3 -> R:0] gives 'S' input 9, outside this party's alphabet [0]"]
+
+
 def test_valid_trees_of_the_worked_scenario(resources):
     for t in (alice_tree(), bob_tree(), charlie_tree()):
         assert assert_walks_agree(t, BITS, resources).passed
         assert assert_walks_agree(t, [0, 1], resources).passed
 
 
-# -- one enumeration per node ---------------------------------------------------------
+# -- one read per child ---------------------------------------------------------------
 
 
 class CountingChildren(dict):
-    """A children map that counts the calls of its ``items``."""
+    """A children map that counts the reads of each child, by key or by
+    enumeration."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.items_calls = 0
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
 
     def items(self):
-        self.items_calls += 1
+        self.reads.update(self.keys())
         return super().items()
+
+    def values(self):
+        self.reads.update(self.keys())
+        return super().values()
 
 
 def counted(node: Node, maps: list) -> Node:
@@ -335,4 +379,4 @@ def test_network_enumerates_each_nodes_children_once():
                              t.resource_scope)
              for p, t in net.trees.items()}
     Network(net.parties, net.resources, trees, net.settings_alphabets, name="counted")
-    assert maps and [m.items_calls for m in maps] == [1] * len(maps)
+    assert maps and all(m.reads == Counter(dict.fromkeys(m, 1)) for m in maps)
