@@ -52,6 +52,7 @@ from boxnet.resource import (
     Symbol,
     ValidationReport,
     _plain_keys,
+    _sum_out,
     _symbol,
     _Tensor,
 )
@@ -466,19 +467,18 @@ def joint_distribution(
 def induced_behavior(net: Network) -> Behavior:
     """The network as seen from outside: settings in, binned outcomes out.
 
-    One contraction keeps every party's setting and outcome open; each
-    settings tuple's column is asserted to sum to exactly 1, in settings
-    order.  The result is constructed as a full resource over the
-    parties, which re-runs the nonsignaling validator — so the theorem
-    that wired nonsignaling resources stay nonsignaling is checked, not
-    trusted, on every call.
+    One contraction keeps every party's setting and outcome open, in the
+    layout it leaves (not copied); each settings tuple's column, summed by
+    slice adds, is asserted to sum to exactly 1, in settings order.  The
+    result is constructed as a full resource over the parties, which
+    re-runs the structural check and the nonsignaling scan — so wired
+    nonsignaling resources are checked, not trusted, to stay nonsignaling.
     """
     _refuse_unchecked(net)
     labels = net._party_labels
     behavior = _contract_network(net, [net._wirings[p] for p in net.parties], labels,
                                  [l[0] for l in labels] + [l[1] for l in labels])
-    width = prod(len(net.outcome_alphabet(p)) for p in net.parties)
-    totals = behavior.numerators.reshape(-1, width).sum(axis=1).tolist()
+    totals = _sum_out(behavior.numerators, len(net.parties), len(net.parties)).reshape(-1).tolist()
     for settings, total in zip(net.settings_space(), totals):
         _require_normalized(settings, total, behavior.denominator)
     return NonsignalingResource.make(

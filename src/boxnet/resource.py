@@ -262,11 +262,24 @@ def _first_signal(arr: np.ndarray, movers: Sequence[int], watched: Sequence[int]
     return x0, x1, outputs, (base[c, 0, o], rest[c, m, o])
 
 
+def _sum_out(arr: np.ndarray, axis: int, count: int = 1) -> np.ndarray:
+    """``arr`` summed over ``count`` axes from ``axis`` on, by adds of basic slices."""
+    for _ in range(count):
+        head = (slice(None),) * axis
+        total = arr[head + (0,)]
+        for k in range(1, arr.shape[axis]):
+            total = total + arr[head + (k,)]
+        arr = total
+    return arr
+
+
 def _input_moves_marginal(arr: np.ndarray, j: int) -> bool:
-    """Whether party j's input changes the exact array's marginal with
-    party j's output summed out: the cheap test that precedes the
-    locator."""
-    marg = arr.sum(axis=arr.ndim // 2 + j)
+    """Whether party j's input changes the exact array's marginal with party
+    j's output summed out by slice adds (cheap on non-contiguous views): the
+    test that precedes the locator.  A party with one input symbol cannot signal."""
+    if arr.shape[j] == 1:
+        return False
+    marg = _sum_out(arr, arr.ndim // 2 + j)
     head = (slice(None),) * j
     return bool((marg[head + (slice(1, None),)] != marg[head + (slice(0, 1),)]).any())
 
@@ -300,18 +313,18 @@ def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
 
 
 def _structure_problem(r: "NonsignalingResource") -> str | None:
-    """The first structural fault of r's numerators, columns in input order:
-    a column whose sum is not the denominator (checked first), else an
-    entry outside [0, denominator]."""
-    den = r.denominator
+    """The first structural fault of r's numerators, columns in input order: a
+    column whose sum is not the denominator (first), else an entry outside [0,
+    denominator]; located only if one whole-array test (sums, min, max) fails."""
+    den, nums, n = r.denominator, r.numerators, len(r.parties)
     width = prod(len(a) for a in r.output_alphabets)
-    nums = r.numerators.reshape(-1, width)
-    sums = nums.sum(axis=1, dtype=object if den * width >= _INT64 else None)
+    sums = _sum_out(nums if den * width < _INT64 else nums.astype(object), n, n)
+    if (sums == den).all() and nums.min() >= 0 and nums.max() <= den:
+        return None
+    nums, sums = nums.reshape(-1, width), sums.reshape(-1)
     bad_sum = sums != den
     bad_entry = (nums < 0) | (nums > den)
     bad = bad_sum | bad_entry.any(axis=1)
-    if not bad.any():
-        return None
     i = int(bad.argmax())
     j = int(bad_entry[i].argmax())
     x, a = r._symbols_at(np.unravel_index(i * width + j, r.numerators.shape))
@@ -673,8 +686,10 @@ def check_subset_nonsignaling(
     out; this fixed choice is immaterial for a resource that passes the
     one-party check, which is exactly the derived property being verified.
     """
-    signalers = tuple(signalers)
-    receivers = tuple(receivers)
+    signalers, receivers = tuple(signalers), tuple(receivers)
+    for name, group in (("signalers", signalers), ("receivers", receivers)):
+        if len(set(group)) != len(group):
+            raise ValueError(f"duplicate parties in {name}: {group}")
     if set(signalers) & set(receivers):
         raise ValueError("signalers and receivers must be disjoint")
     sig_idx = [r.party_index(p) for p in signalers]
@@ -731,7 +746,7 @@ def marginal(
     pick: list = [slice(None)] * len(r.parties)
     for i in drop_idx:
         p = r.parties[i]
-        xi = fixed_inputs.get(p, r.input_alphabets[i].first)
+        xi = _symbol(fixed_inputs.get(p, r.input_alphabets[i].first))
         if xi not in r.input_alphabets[i]:
             raise ValueError(f"fixed input {xi} outside alphabet of party {p!r}")
         pick[i] = r.input_alphabets[i].values.index(xi)

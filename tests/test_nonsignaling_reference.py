@@ -8,19 +8,34 @@ three-party tables (mixtures of deterministic boxes, which are
 nonsignaling, and the same tables with probability mass moved inside one
 column, which mostly signal) the shared checker must return the same
 witness, the same float verdict and the same subset verdicts.
+
+``reference_moves`` is the exact cheap test as it was before party j's
+output axis was summed by slice adds: ``sum(axis=...)`` and one
+broadcast comparison.  On arrays stored out of C order (PR-chain
+behaviors as the contraction returns them, and random tables copied in a
+shuffled axis order), on 4-6 parties with alphabets of size one, on
+numerators beyond 2**63 and on tables with one entry's mass moved, the
+slice-add test must give ``reference_moves``'s verdict for every party
+and the scan ``reference_witness``'s witness.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
+
 from boxnet.ghz import ATOL_NS, FloatBehavior
+from boxnet.network import induced_behavior
 from boxnet.resource import (
     Alphabet,
     NonsignalingResource,
     SignalingError,
     SignalingWitness,
+    _input_moves_marginal,
+    _Tensor,
     check_subset_nonsignaling,
 )
 
@@ -114,6 +129,12 @@ def reference_subset_passes(r: NonsignalingResource, signalers, receivers) -> bo
             if receiver_marginal(x_recv, x_sig) != base:
                 return False
     return True
+
+
+def reference_moves(arr: np.ndarray, j: int) -> bool:
+    marg = arr.sum(axis=arr.ndim // 2 + j)
+    head = (slice(None),) * j
+    return bool((marg[head + (slice(1, None),)] != marg[head + (slice(0, 1),)]).any())
 
 
 # -- random tables ---------------------------------------------------------------
@@ -215,3 +236,103 @@ def test_subset_verdicts_match_reference():
                         expected = reference_subset_passes(r, signalers, receivers)
                         got = check_subset_nonsignaling(r, signalers, receivers).passed
                         assert got == expected, (r.table, signalers, receivers)
+
+
+# -- the slice-add test on wide, big and non-contiguous arrays ------------------------
+
+BIG = (2 ** 61 - 1) * (2 ** 31 - 1)   # a denominator beyond 2**63
+
+
+def relaid(nums: np.ndarray, rng: random.Random) -> np.ndarray:
+    """The same array stored in a shuffled axis order, as a transposed
+    view of a copy."""
+    order = list(range(nums.ndim))
+    while order == sorted(order):
+        rng.shuffle(order)
+    return np.ascontiguousarray(nums.transpose(order)).transpose(np.argsort(order))
+
+
+def moved(nums: np.ndarray, rng: random.Random) -> np.ndarray:
+    """A copy in the same layout with part of one positive entry's mass
+    moved to another entry of its column, if the column has another."""
+    nums = nums.copy(order="K")
+    n = nums.ndim // 2
+    column = tuple(rng.randrange(size) for size in nums.shape[:n])
+    entries = list(product(*(range(size) for size in nums.shape[n:])))
+    src = rng.choice([a for a in entries if nums[column + a] > 0])
+    dst = rng.choice([a for a in entries if a != src] or [src])
+    delta = rng.randint(1, int(nums[column + src]))
+    nums[column + src] -= delta
+    nums[column + dst] += delta
+    return nums
+
+
+def mixture_numerators(rng: random.Random, ins, outs, den: int) -> np.ndarray:
+    """A mixture of 1-3 local deterministic boxes as numerators over
+    ``den``, Python ints when ``den`` is beyond 2**63."""
+    nums = np.zeros([len(a) for a in ins + outs], dtype=object if den >= 2 ** 63 else np.int64)
+    cuts = sorted(rng.randrange(den + 1) for _ in range(rng.randint(0, 2)))
+    for weight in (b - a for a, b in zip([0, *cuts], [*cuts, den])):
+        fns = [[rng.randrange(len(o)) for _ in i.values] for i, o in zip(ins, outs)]
+        for x in product(*(range(len(a)) for a in ins)):
+            nums[x + tuple(f[xi] for f, xi in zip(fns, x))] += weight
+    return nums
+
+
+def wide_cases():
+    """4-6 parties with input and output alphabets of one or two symbols
+    (one party may have three inputs or outputs), a third over ``BIG``,
+    every array relaid; half have one entry's mass moved."""
+    rng = random.Random(31415)
+    for case in range(30):
+        n = rng.randint(4, 6)
+        ins = [Alphabet.of_size(rng.choice((1, 2, 2))) for _ in range(n)]
+        outs = [Alphabet.of_size(rng.choice((1, 2, 2))) for _ in range(n)]
+        (ins if case % 2 else outs)[rng.randrange(n)] = Alphabet.of_size(3)
+        den = BIG if case % 3 == 0 else 12
+        nums = relaid(mixture_numerators(rng, ins, outs, den), rng)
+        if rng.random() < 0.5:
+            nums = moved(nums, rng)
+        yield NonsignalingResource.new_unchecked("w", tuple("ABCDEF"[:n]), ins, outs,
+                                                 _Tensor(nums, den))
+
+
+def chain_cases():
+    """The k = 3..5 PR-chain behaviors as the contraction lays them out,
+    and two copies of each with one entry's mass moved, in that layout."""
+    from test_contraction_reference import pr_chain
+
+    rng = random.Random(2718)
+    for k in (3, 4, 5):
+        beh = induced_behavior(pr_chain(k, random.Random(9700 + k)))
+        yield beh
+        for _ in range(2):
+            yield NonsignalingResource.new_unchecked(
+                beh.id, beh.parties, beh.input_alphabets, beh.output_alphabets,
+                _Tensor(moved(beh.numerators, rng), beh.denominator))
+
+
+@lru_cache(maxsize=1)
+def kernel_cases() -> tuple:
+    """Each wide and chain case with its family and reference witness."""
+    return tuple((family, r, reference_witness(r))
+                 for family, cases in (("wide", wide_cases()), ("chain", chain_cases()))
+                 for r in cases)
+
+
+def test_kernel_families_cover_their_cases():
+    cases = kernel_cases()
+    assert not any(r.numerators.flags.c_contiguous for _, r, _ in cases)
+    assert {r.numerators.dtype == object for _, r, _ in cases} == {True, False}
+    assert {len(r.parties) for _, r, _ in cases} == {4, 5, 6}
+    assert any(1 in map(len, r.input_alphabets) for _, r, _ in cases)
+    assert any(1 in map(len, r.output_alphabets) for _, r, _ in cases)
+    for name in ("wide", "chain"):
+        assert {w is None for family, _, w in cases if family == name} == {True, False}
+
+
+def test_slice_adds_match_the_axis_sum():
+    for _, r, witness in kernel_cases():
+        for j in range(len(r.parties)):
+            assert _input_moves_marginal(r.numerators, j) == reference_moves(r.numerators, j)
+        assert r._find_signaling_witness() == witness

@@ -1,5 +1,5 @@
 """Refusals of malformed arguments: constructors, marginals, conditioning,
-mixtures, vertex sets and network composition.
+subset checks, mixtures, vertex sets and network composition.
 
 One table of cases, each a call that must raise: the test asserts the
 exception type and its whole message.
@@ -15,6 +15,7 @@ from boxnet.decompose import Mixture, VertexSet
 from boxnet.network import Network, NetworkError, marginal_without_party, union_network
 from boxnet.resource import (
     Alphabet,
+    check_subset_nonsignaling,
     condition,
     make_local_deterministic,
     make_pr_box,
@@ -76,6 +77,12 @@ CASES = {
     "marginal-fixed-input-outside-alphabet": (
         lambda: marginal(PR, ["A"], fixed_inputs={"B": 5}),
         ValueError, "fixed input 5 outside alphabet of party 'B'"),
+    "marginal-bool-fixed-input": (
+        lambda: marginal(PR, ["A"], fixed_inputs={"B": True}),
+        ValueError, "alphabet symbol True is not an integer"),
+    "marginal-float-fixed-input": (
+        lambda: marginal(PR, ["A"], fixed_inputs={"B": 1.0}),
+        ValueError, "alphabet symbol 1.0 is not an integer"),
     # condition
     "condition-empty-observed": (lambda: condition(PR, [], [], []),
                                  ValueError, "observed must be non-empty"),
@@ -97,6 +104,13 @@ CASES = {
     "condition-output-outside-alphabet": (
         lambda: condition(PR, ["A"], [5], [0]),
         ValueError, "output 5 outside alphabet of 'A'"),
+    # check_subset_nonsignaling
+    "subset-duplicate-signalers": (
+        lambda: check_subset_nonsignaling(PR, ("A", "A"), ("B",)),
+        ValueError, "duplicate parties in signalers: ('A', 'A')"),
+    "subset-duplicate-receivers": (
+        lambda: check_subset_nonsignaling(PR, ("A",), ("B", "B")),
+        ValueError, "duplicate parties in receivers: ('B', 'B')"),
     # Mixture and VertexSet
     "mixture-empty": (lambda: Mixture([]), ValueError, "empty mixture"),
     "mixture-int-weight": (lambda: Mixture([(1, "x")]),

@@ -361,11 +361,24 @@ def test_shared_randomness_refuses_non_integer_outcomes():
 @pytest.mark.parametrize("nums, message", [
     ([[1, 1], [2, 1]], "column at input (1,) sums to 3/2, not 1"),
     ([[3, -1], [1, 1]], "entry at input (0,), output (0,) is 3/2"),
+    ([[2, 2, -2], [1, 1, 0]], "entry at input (0,), output (2,) is -1"),
+    # The int64 column sum wraps around to the denominator.
+    ([[2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62 + 2], [1, 1, 0, 0]],
+     f"entry at input (0,), output (0,) is {2 ** 61}"),
 ])
 def test_malformed_tensor_is_refused(nums, message):
     want = f"resource 't': {message}"
+    outputs = Alphabet.of_size(len(nums[0]))
     with pytest.raises(TableError, match=f"^{re.escape(want)}$"):
-        NonsignalingResource.make("t", ("A",), [BITS], [BITS], _Tensor(np.array(nums), 2))
+        NonsignalingResource.make("t", ("A",), [BITS], [outputs], _Tensor(np.array(nums), 2))
+
+
+def test_column_sum_beyond_int64_is_exact():
+    den = 2 ** 61 + 1   # int64 numerators, but four of them can sum past 2**63
+    nums = np.array([[den, den, den, den - 1], [den, 0, 0, 0]])
+    want = f"resource 't': column at input (0,) sums to {Fraction(4 * den - 1, den)}, not 1"
+    with pytest.raises(TableError, match=f"^{re.escape(want)}$"):
+        NonsignalingResource.make("t", ("A",), [BITS], [Alphabet.of_size(4)], _Tensor(nums, den))
 
 
 def test_structure_is_checked_once_per_construction(monkeypatch):

@@ -37,7 +37,7 @@ from boxnet.resource import (
 )
 from boxnet.wiring import bottom_encode
 
-from test_nonsignaling_reference import reference_float_signals
+from test_nonsignaling_reference import reference_float_signals, relaid
 
 CASES = 40
 BIG = (2 ** 61 - 1) * (2 ** 31 - 1)   # a denominator beyond 2**63
@@ -358,8 +358,8 @@ def test_json_round_trip_and_same_table(name):
 def test_structural_recheck_matches_reference(name):
     """Forged numerators (one entry pushed past the denominator or below
     zero, with or without its column still summing to it) give the
-    reference's message."""
-    rng = random.Random(11235)
+    reference's message, stored in C order and out of it."""
+    rng, layout = random.Random(11235), random.Random(4242)
     for r, _ in FAMILIES[name]():
         width = len(list(r.output_space()))
         for shift in (r.denominator + 1, -r.denominator - 1):
@@ -370,11 +370,13 @@ def test_structural_recheck_matches_reference(name):
                 forged[row, (col + 1) % width] -= shift
             fake = NonsignalingResource.new_unchecked("f", r.parties, r.input_alphabets,
                                                       r.output_alphabets, r.table)
-            fake.numerators = forged.reshape(r.numerators.shape)
             table = {x: {a: Fraction(int(v), r.denominator) for a, v in zip(r.output_space(), nums)}
                      for x, nums in zip(r.input_space(), forged.tolist())}
             expected = ref_structure_errors(r.input_space(), table)
-            assert expected and validate_nonsignaling(fake).errors == expected
+            forged = forged.reshape(r.numerators.shape)
+            for stored in (forged, relaid(forged, layout)):
+                fake.numerators = stored
+                assert expected and validate_nonsignaling(fake).errors == expected
 
 
 def test_float_verdicts_on_gapped_alphabets():
