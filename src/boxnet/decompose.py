@@ -239,16 +239,16 @@ def decompose_extremal(
     """Express r as an exact convex combination of the vertices, or prove
     none exists: the hull question of ``_hull`` over the vertices' dense
     table columns.  (Weights are whatever basic solution the pivot rule
-    reaches first — decompositions are generally non-unique.)
+    reaches first — decompositions are generally non-unique.)  An extreme
+    vertex of the set is the LP's only solution for itself, at weight 1; a
+    set that also lists non-extreme or repeated points may decompose one of
+    its own points into others, still exactly and checked.
     """
     first = vs.vertices[0]
     if not r.same_signature(first):
         raise ValueError(
             f"signature mismatch: {r.id!r} vs vertex set over "
             f"{len(first.parties)} parties")
-    for v in vs.vertices:
-        if r.same_table(v):
-            return Mixture([(Fraction(1), v)])
     return _hull(r, vs.columns, vs.vertices.__getitem__)
 
 

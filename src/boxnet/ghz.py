@@ -99,9 +99,8 @@ class FloatBehavior(ProbabilityTable):
         shape = [len(a) for a in self.input_alphabets + self.output_alphabets]
         if isinstance(table, Mapping):
             flat = np.zeros(math.prod(shape))
-            for _, entries in self._columns(table):
-                for i, _, value in entries:
-                    flat[i] = float(value)
+            for i, _, _, value in self._entries(table):
+                flat[i] = float(value)
             table = flat
         self.probabilities = np.array(table, dtype=np.float64).reshape(shape)
         self.probabilities.flags.writeable = False

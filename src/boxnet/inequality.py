@@ -23,7 +23,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .decompose import local_deterministic_vertices
-from .resource import Alphabet, NonsignalingResource, ProbabilityTable, frac
+from .resource import Alphabet, NonsignalingResource, ProbabilityTable, _symbol, frac
 
 #: Either behavior kind: an exact ``NonsignalingResource`` or a ``FloatBehavior``.
 Behavior = ProbabilityTable
@@ -41,7 +41,8 @@ class CorrelatorTerm:
     """One ``coefficient * <P_s Q_t ...>`` summand.
 
     ``parties`` and ``settings`` are aligned and stored sorted by party
-    name, so terms that mean the same product compare equal.
+    name, so terms that mean the same product compare equal.  Each setting
+    is parsed by ``_symbol``: an integer, not a ``bool`` or a float.
     """
 
     coefficient: Fraction
@@ -58,7 +59,8 @@ class CorrelatorTerm:
         order = sorted(range(len(self.parties)), key=lambda i: self.parties[i])
         object.__setattr__(self, "coefficient", frac(self.coefficient))
         object.__setattr__(self, "parties", tuple(self.parties[i] for i in order))
-        object.__setattr__(self, "settings", tuple(self.settings[i] for i in order))
+        settings = tuple(map(_symbol, self.settings))
+        object.__setattr__(self, "settings", tuple(settings[i] for i in order))
 
     @property
     def support(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -76,7 +78,8 @@ class LinearInequality:
 
     ``settings_counts`` pins the scenario (number of settings per party,
     binary outcomes), so inequalities for different scenarios cannot be
-    evaluated, added, or compared by accident.
+    evaluated, added, or compared by accident.  Each count is an integer
+    of at least 1 (not a ``bool`` or a float).
     """
 
     name: str
@@ -87,7 +90,12 @@ class LinearInequality:
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "bound", frac(self.bound))
-        object.__setattr__(self, "settings_counts", dict(self.settings_counts))
+        counts = dict(self.settings_counts)
+        for p, c in counts.items():
+            if isinstance(c, bool) or not hasattr(c, "__index__") or c < 1:
+                raise InequalityError(f"party {p!r}: settings count {c!r} is not an integer >= 1")
+            counts[p] = int(c)
+        object.__setattr__(self, "settings_counts", counts)
         for t in self.terms:
             for p, s in zip(t.parties, t.settings):
                 if p not in self.settings_counts:
@@ -214,6 +222,7 @@ def correlator(b: Behavior, parties: Sequence[str],
         raise ValueError(f"repeated party in correlator {tuple(parties)}")
     if len(settings) != len(parties):
         raise ValueError("need exactly one setting per involved party")
+    settings = tuple(map(_symbol, settings))
     for p, s in zip(parties, settings):
         if s not in b.input_alphabet(p):
             raise KeyError(f"party {p!r} has no setting {s}")
@@ -394,6 +403,7 @@ def relabel_output(ineq: LinearInequality, party: str,
     the same relabeling twice restores the original inequality."""
     if party not in ineq.settings_counts:
         raise KeyError(f"unknown party {party!r}")
+    setting = _symbol(setting)
     if not 0 <= setting < ineq.settings_counts[party]:
         raise KeyError(f"party {party!r} has no setting {setting}")
     terms = []

@@ -51,7 +51,6 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
-    _plain_keys,
     _sum_out,
     _symbol,
     _Tensor,
@@ -161,9 +160,6 @@ class Network:
             for p, mapping in bins.items():
                 if p not in self.parties:
                     raise NetworkError(f"bins name unknown party {p!r}")
-                if _plain_keys(mapping) and set(map(type, mapping.values())) <= {int}:
-                    self.bins[p] = dict(mapping)
-                    continue
                 try:
                     self.bins[p] = {tuple(_symbol(s) for s in k): _symbol(v)
                                     for k, v in mapping.items()}

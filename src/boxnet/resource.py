@@ -416,14 +416,14 @@ class ProbabilityTable:
                 f"{operation}: resource {self.id!r} is signaling: {witness}")
         self.nonsignaling_checked = True
 
-    def _columns(self, table: Mapping) -> Iterator[tuple[tuple[Symbol, ...], Iterator]]:
-        """A mapping table's columns in input order: each input tuple with
-        an iterator of its entries as (flat array position, output tuple,
-        value).  An input key that is not a tuple of integer symbols, a
-        missing input tuple, an output key that is not a tuple of integer
+    def _entries(self, table: Mapping) -> Iterator[tuple[int, tuple, tuple, object]]:
+        """A mapping table's entries, columns in input order, each as (flat
+        array position, input tuple, output tuple, value).  An input key that
+        is not a tuple of integer symbols, a missing input tuple (when its
+        column is reached), an output key that is not a tuple of integer
         symbols or lies outside the output alphabets (when its entry is
-        reached) and, after the last column, an input tuple outside the
-        input alphabets raise ``TableError``."""
+        reached) and, after the last entry, an input tuple outside the input
+        alphabets raise ``TableError``."""
         width = prod(len(a) for a in self.output_alphabets)
         out_index = {a: i for i, a in enumerate(self.output_space())}
 
@@ -435,8 +435,9 @@ class ProbabilityTable:
 
         raw = (table if _plain_keys(table)
                else {key(x, "input"): column for x, column in table.items()})
-
-        def entries(row: int, x: tuple[Symbol, ...]):
+        for row, x in enumerate(self.input_space()):
+            if x not in raw:
+                raise TableError(f"resource {self.id!r}: missing input tuple {x}")
             column = raw[x]
             plain = _plain_keys(column)
             for a, value in column.items():
@@ -448,12 +449,7 @@ class ProbabilityTable:
                             f"resource {self.id!r}: output tuple {a} at input {x} "
                             f"is outside the output alphabets")
                     i = out_index[a]
-                yield row * width + i, a, value
-
-        for row, x in enumerate(self.input_space()):
-            if x not in raw:
-                raise TableError(f"resource {self.id!r}: missing input tuple {x}")
-            yield x, entries(row, x)
+                yield row * width + i, x, a, value
         extra = set(raw).difference(self.input_space())
         if extra:
             raise TableError(
@@ -496,12 +492,11 @@ class NonsignalingResource(ProbabilityTable):
         *,
         check_nonsignaling: bool = True,
     ):
+        """Parse a mapping table (a ``_Tensor`` is taken as given), reduce it
+        to the canonical denominator, then run the one structural check and,
+        unless ``check_nonsignaling`` is false, the nonsignaling scan."""
         self._set_signature(id, parties, input_alphabets, output_alphabets)
-        # Library-derived resources pass a _Tensor; reduce to the canonical
-        # denominator.  A mapping table is checked for structure as it is
-        # parsed, so only a _Tensor gets the structural check below.
-        tensor = isinstance(table, _Tensor)
-        nums, den = table if tensor else self._parse_table(table)
+        nums, den = table if isinstance(table, _Tensor) else self._parse_table(table)
         nums = nums.reshape([len(a) for a in self.input_alphabets + self.output_alphabets])
         g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
         if g > 1:
@@ -509,7 +504,7 @@ class NonsignalingResource(ProbabilityTable):
         nums = nums.astype(np.int64 if den < _INT64 else object, copy=False)
         nums.flags.writeable = False
         self.numerators, self.denominator = nums, den
-        problem = _structure_problem(self) if tensor else None
+        problem = _structure_problem(self)
         if problem is not None:
             raise TableError(f"resource {self.id!r}: {problem}")
         if check_nonsignaling:
@@ -531,34 +526,26 @@ class NonsignalingResource(ProbabilityTable):
     # -- construction helpers -------------------------------------------------
 
     def _parse_table(self, table) -> _Tensor:
-        """A mapping table, checked column by column for totality, range
-        and a unit sum, as numerators over the lcm of its denominators.
+        """A mapping table's entries as numerators over the lcm of their
+        denominators, read by ``_entries``; the column sums are left to
+        the structural check that every table gets.
 
         An ``int`` or ``Fraction`` entry in [0, 1] is read as its numerator
         and denominator; any other entry, or one out of range, goes through
-        ``as_probability``, which parses it or raises.  Each column is
-        summed over the lcm of its own denominators."""
-        width = prod(len(a) for a in self.output_alphabets)
-        size = width * prod(len(a) for a in self.input_alphabets)
+        ``as_probability``, which parses it or raises."""
+        size = prod(len(a) for a in self.input_alphabets + self.output_alphabets)
         nums, dens = [0] * size, [1] * size   # flat position -> entry
-        for row, (x, entries) in enumerate(self._columns(table)):
-            for i, a, value in entries:
-                if type(value) in _EXACT_TYPES and 0 <= value.numerator <= value.denominator:
-                    v = value
-                else:
-                    try:
-                        v = as_probability(value)
-                    except (ValueError, TypeError) as exc:
-                        raise TableError(
-                            f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
-                        ) from exc
-                nums[i], dens[i] = v.numerator, v.denominator
-            column = slice(row * width, (row + 1) * width)
-            den = lcm(*dens[column])
-            total = sum(n * (den // d) for n, d in zip(nums[column], dens[column]))
-            if total != den:
-                raise TableError(f"resource {self.id!r}: column at input {x} sums to "
-                                 f"{Fraction(total, den)}, not 1")
+        for i, x, a, value in self._entries(table):
+            if type(value) in _EXACT_TYPES and 0 <= value.numerator <= value.denominator:
+                v = value
+            else:
+                try:
+                    v = as_probability(value)
+                except (ValueError, TypeError) as exc:
+                    raise TableError(
+                        f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
+                    ) from exc
+            nums[i], dens[i] = v.numerator, v.denominator
         den = lcm(*dens)
         nums = [n * (den // d) for n, d in zip(nums, dens)]
         return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object), den)

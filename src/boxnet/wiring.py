@@ -65,9 +65,6 @@ class DecisionTree:
     root: dict[Symbol, Node]  # setting -> first node
     resource_scope: frozenset[str]
 
-    def settings(self) -> tuple[Symbol, ...]:
-        return tuple(sorted(self.root))
-
 
 @dataclass(frozen=True)
 class PathTrace:

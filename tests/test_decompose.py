@@ -94,13 +94,18 @@ def test_ns222_has_24_extremal_vertices():
 
 
 def test_vertex_decomposes_as_itself():
-    vs = ns_vertices_222()
-    pr = make_pr_box()
-    mix = decompose_extremal(pr, vs)
+    """An extreme vertex is the hull LP's only solution for itself: weight 1
+    on that vertex, for the PR box and every other ns222 vertex and the
+    local deterministic ones."""
+    mix = decompose_extremal(make_pr_box(), ns_vertices_222())
     assert isinstance(mix, Mixture)
     assert len(mix) == 1
     w, v = mix.components[0]
-    assert w == 1 and v.same_table(pr)
+    assert w == 1 and v.same_table(make_pr_box())
+    local = local_deterministic_vertices(("A", "B"), [BITS, BITS], [BITS, BITS])
+    for vs in (ns_vertices_222(), local):
+        for v in vs.vertices:
+            assert decompose_extremal(v, vs).components == [(1, v)]
 
 
 def test_pr_plus_antipr_is_local():
@@ -344,6 +349,19 @@ def test_excise_local_deterministic():
     smaller = excise_local_deterministic(net)  # asserts behavior equality
     assert [r.id for r in smaller.resources] == ["box"]
     assert smaller.trees["A"].resource_scope == frozenset({"box"})
+
+
+def test_expand_keeps_a_resource_without_a_vertex_set():
+    net = coin_network()
+    coin = net.resources_by_id["coin"]
+    mix = expand_to_extremal_mixture(net, {"box": ns_vertices_222()})  # asserts the behavior
+    assert len(mix) == 1
+    assert mix.components[0][1].resources_by_id["coin"] is coin
+
+
+def test_excise_without_a_deterministic_resource_is_the_same_network():
+    net = coin_network()
+    assert excise_local_deterministic(net) is net
 
 
 def test_excise_after_expansion_preserves_behavior():

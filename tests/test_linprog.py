@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import boxnet.linprog as linprog
 from boxnet.linprog import FarkasInfeasible, Feasible, solve_feasibility
 
 F = Fraction
@@ -121,3 +122,17 @@ def test_seeded_systems_with_reentering_artificials_match_reference():
         rng = random.Random(seed)
         for _ in range(100):
             assert_same(random_system(rng))
+
+
+@pytest.mark.parametrize("answer, message", [
+    (Feasible([F(-1), F(3)]), "negative component in basic solution"),
+    (Feasible([F(2), F(0)]), "solution fails row 1: 2 != 0"),
+    (FarkasInfeasible([F(1), F(0)]), "certificate fails on column 0: 1 > 0"),
+    (FarkasInfeasible([F(-1), F(0)]), "certificate has nonpositive gap -2"),
+])
+def test_wrong_answers_are_refused(monkeypatch, answer, message):
+    """x + y = 2, x - y = 0: each guard refuses a solver answer that is
+    wrong in its own way."""
+    monkeypatch.setattr(linprog, "solve_columns", lambda columns, rhs: answer)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        solve_feasibility([[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)])

@@ -1,5 +1,6 @@
 """Refusals of malformed arguments: constructors, marginals, conditioning,
-subset checks, mixtures, vertex sets and network composition.
+subset checks, mixtures, vertex sets, network composition and correlator
+inequalities.
 
 One table of cases, each a call that must raise: the test asserts the
 exception type and its whole message.
@@ -12,6 +13,14 @@ from fractions import Fraction
 import pytest
 
 from boxnet.decompose import Mixture, VertexSet
+from boxnet.inequality import (
+    CorrelatorTerm,
+    InequalityError,
+    LinearInequality,
+    correlator,
+    mao_inequality,
+    relabel_output,
+)
 from boxnet.network import Network, NetworkError, marginal_without_party, union_network
 from boxnet.resource import (
     Alphabet,
@@ -154,6 +163,28 @@ CASES = {
                                     NetworkError, "cannot marginalize the only party away"),
     "union-overlapping-parties": (lambda: union_network(lone(), lone()),
                                   NetworkError, "parties appear in both networks: ['A']"),
+    # correlator inequalities: settings are symbols, counts integers >= 1
+    "term-float-setting": (lambda: CorrelatorTerm(F(1), ("A", "B"), (1.5, 0)),
+                           ValueError, "alphabet symbol 1.5 is not an integer"),
+    "term-integral-float-setting": (lambda: CorrelatorTerm(F(1), ("A", "B"), (1.0, 0)),
+                                    ValueError, "alphabet symbol 1.0 is not an integer"),
+    "term-bool-setting": (lambda: CorrelatorTerm(F(1), ("A", "B"), (True, 0)),
+                          ValueError, "alphabet symbol True is not an integer"),
+    "correlator-bool-setting": (lambda: correlator(PR, ("A", "B"), (True, 0)),
+                                ValueError, "alphabet symbol True is not an integer"),
+    "correlator-float-setting": (lambda: correlator(PR, ("A", "B"), (0, 1.0)),
+                                 ValueError, "alphabet symbol 1.0 is not an integer"),
+    "inequality-float-count": (
+        lambda: LinearInequality("t", (), F(1), {"A": 2.0, "B": 2}),
+        InequalityError, "party 'A': settings count 2.0 is not an integer >= 1"),
+    "inequality-bool-count": (
+        lambda: LinearInequality("t", (), F(1), {"A": 2, "B": True}),
+        InequalityError, "party 'B': settings count True is not an integer >= 1"),
+    "inequality-zero-count": (
+        lambda: LinearInequality("t", (), F(1), {"A": 0}),
+        InequalityError, "party 'A': settings count 0 is not an integer >= 1"),
+    "relabel-bool-setting": (lambda: relabel_output(mao_inequality(), "A", True),
+                             ValueError, "alphabet symbol True is not an integer"),
     "union-overlapping-resources": (
         lambda: union_network(coin_net("A"), coin_net("B")),
         NetworkError, "resource ids appear in both networks: ['coin']"),

@@ -382,8 +382,8 @@ def test_column_sum_beyond_int64_is_exact():
 
 
 def test_structure_is_checked_once_per_construction(monkeypatch):
-    """A mapping table is checked as it is parsed; only a _Tensor gets the
-    structural check, and validate_nonsignaling re-runs it on demand."""
+    """Every table, parsed or given as a _Tensor, gets the structural check
+    once, and validate_nonsignaling re-runs it on demand."""
     seen = []
     real = resource._structure_problem
     monkeypatch.setattr(resource, "_structure_problem", lambda r: seen.append(r.id) or real(r))
@@ -391,6 +391,20 @@ def test_structure_is_checked_once_per_construction(monkeypatch):
     mapped = NonsignalingResource.make("m", ("A",), [BITS], [BITS], half)
     tensor = NonsignalingResource.make("t", ("A",), [BITS], [BITS],
                                        _Tensor(np.ones((2, 2), dtype=np.int64), 2))
-    assert seen == ["t"] and mapped.same_table(tensor)
+    assert seen == ["m", "t"] and mapped.same_table(tensor)
     assert validate_nonsignaling(mapped).passed
-    assert seen == ["t", "m"]
+    assert seen == ["m", "t", "m"]
+
+
+def test_parse_fault_is_reported_before_an_earlier_column_sum():
+    """The parser reads every entry before the one structural check sums
+    the columns, so a bad entry in a later column is reported ahead of a
+    column that does not sum to 1 in an earlier one."""
+    table = {(0,): {(0,): Fraction(1, 2)}, (1,): {(0,): Fraction(3, 2)}}
+    want = ("resource 't': bad entry at input (1,), output (0,): "
+            "probability out of range: 3/2")
+    with pytest.raises(TableError, match=f"^{re.escape(want)}$"):
+        NonsignalingResource.make("t", ("A",), [BITS], [BITS], table)
+    table[(1,)] = {(0,): 1}
+    with pytest.raises(TableError, match=re.escape("column at input (0,) sums to 1/2, not 1")):
+        NonsignalingResource.make("t", ("A",), [BITS], [BITS], table)

@@ -1,14 +1,16 @@
-"""Differential tests of the integer table parser against the Fraction
-parser it replaced.
+"""Differential tests of table construction against the Fraction parser
+it replaced.
 
 ``reference_parse_table`` is ``NonsignalingResource._parse_table`` as it
-was: every entry through ``as_probability``, each column summed as
-Fractions, the numerators stored one numpy item at a time.  The parser
-in ``resource`` reads ``int`` and ``Fraction`` entries as integers and
-sums each column over the lcm of its denominators.  On seeded random
-tables, well-formed and spoiled in one of several ways, both must give
-the same numerators, dtype and denominator, or the same ``TableError``
-text.
+was: the old per-column walk (``reference_columns``), every entry through
+``as_probability``, each column summed as Fractions as soon as its entries
+are read, the numerators stored one numpy item at a time.  The library
+reads ``int`` and ``Fraction`` entries as integers over the lcm of their
+denominators and leaves the column sums to the structural check that
+every table gets, so ``NonsignalingResource.new_unchecked`` (parse plus
+structural check) is compared.  On seeded random tables, well-formed and
+spoiled in one of several ways, both must give the same numerators,
+dtype and denominator, or the same ``TableError`` text.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from boxnet.resource import (
     Alphabet,
     NonsignalingResource,
     TableError,
+    _key_tuple,
     _Tensor,
     as_probability,
 )
@@ -35,9 +38,42 @@ CASES = 200
 BIG = (2 ** 61 - 1, 2 ** 31 - 1)
 
 
+def reference_columns(r: NonsignalingResource, table):
+    """Each input tuple in input order with an iterator of its column's
+    entries as (flat array position, output tuple, value); the same key
+    checks and error texts as the library's flat walk."""
+    width = prod(len(a) for a in r.output_alphabets)
+    out_index = {a: i for i, a in enumerate(r.output_space())}
+
+    def key(k, what: str):
+        try:
+            return _key_tuple(k)
+        except (TypeError, ValueError) as err:
+            raise TableError(f"resource {r.id!r}: {what} key {k!r}: {err}") from None
+
+    raw = {key(x, "input"): column for x, column in table.items()}
+
+    def entries(row, x):
+        for a, value in raw[x].items():
+            a = key(a, f"input {x}: output")
+            if a not in out_index:
+                raise TableError(f"resource {r.id!r}: output tuple {a} at input {x} "
+                                 f"is outside the output alphabets")
+            yield row * width + out_index[a], a, value
+
+    for row, x in enumerate(r.input_space()):
+        if x not in raw:
+            raise TableError(f"resource {r.id!r}: missing input tuple {x}")
+        yield x, entries(row, x)
+    extra = set(raw).difference(r.input_space())
+    if extra:
+        raise TableError(
+            f"resource {r.id!r}: input tuples outside the input alphabets: {sorted(extra)}")
+
+
 def reference_parse_table(r: NonsignalingResource, table) -> _Tensor:
     cells: dict[int, Fraction] = {}   # flat position -> entry
-    for x, entries in r._columns(table):
+    for x, entries in reference_columns(r, table):
         column: dict[int, Fraction] = {}
         for i, a, value in entries:
             try:
@@ -121,7 +157,8 @@ def parse_both(parties, ins, outs, table):
     r = NonsignalingResource.__new__(NonsignalingResource)
     r._set_signature("t", parties, ins, outs)
     results = []
-    for parse in (r._parse_table, lambda t: reference_parse_table(r, t)):
+    for parse in (lambda t: NonsignalingResource.new_unchecked("t", parties, ins, outs, t),
+                  lambda t: reference_parse_table(r, t)):
         try:
             results.append(parse(table))
         except (TableError, ArithmeticError) as err:   # "1/0" is a ZeroDivisionError
@@ -153,7 +190,7 @@ def test_integer_parser_matches_the_fraction_parser(case):
         assert not isinstance(got, str), got
         assert got.denominator == want.denominator
         assert got.numerators.dtype == want.numerators.dtype
-        assert np.array_equal(got.numerators, want.numerators)
+        assert np.array_equal(got.numerators.reshape(-1), want.numerators)
 
 
 def test_the_cases_cover_every_outcome():
