@@ -139,6 +139,8 @@ def _read_scenario(arg: str) -> tuple[dict, dict]:
     data = _load_json(path)
 
     def fields(d):
+        if not isinstance(d["parties"], list):
+            raise TypeError(f"parties: expected a JSON list, got {type(d['parties']).__name__}")
         parties = tuple(d["parties"])
         settings = {p: Alphabet(tuple(d["settings"][p])) for p in parties}
         resources = [_load_entry(e, path, NonsignalingResource.from_json_dict)

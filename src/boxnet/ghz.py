@@ -99,8 +99,12 @@ class FloatBehavior(ProbabilityTable):
         shape = [len(a) for a in self.input_alphabets + self.output_alphabets]
         if isinstance(table, Mapping):
             flat = np.zeros(math.prod(shape))
-            for i, _, _, value in self._entries(table):
-                flat[i] = float(value)
+            for i, x, a, value in self._entries(table):
+                try:
+                    flat[i] = _float_entry(value)
+                except (TypeError, ValueError) as exc:
+                    raise TableError(f"resource {self.id!r}: bad entry at input {x}, "
+                                     f"output {a}: {exc}") from exc
             table = flat
         self.probabilities = np.array(table, dtype=np.float64).reshape(shape)
         self.probabilities.flags.writeable = False
@@ -137,7 +141,14 @@ class FloatBehavior(ProbabilityTable):
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "FloatBehavior":
-        return cls(d["id"], *_json_parts(d, float))
+        return cls(d["id"], *_json_parts(d, _float_entry))
+
+
+def _float_entry(value) -> float:
+    """A float behavior's entry, read by ``float``; a ``bool`` is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"refusing to read bool {value!r} as a probability")
+    return float(value)
 
 
 def _observable(theta: float) -> np.ndarray:

@@ -160,10 +160,13 @@ class Network:
             for p, mapping in bins.items():
                 if p not in self.parties:
                     raise NetworkError(f"bins name unknown party {p!r}")
+                if not isinstance(mapping, Mapping):
+                    raise NetworkError(f"bins for {p!r}: expected a mapping, "
+                                       f"got {type(mapping).__name__}")
                 try:
                     self.bins[p] = {tuple(_symbol(s) for s in k): _symbol(v)
                                     for k, v in mapping.items()}
-                except ValueError as err:
+                except (TypeError, ValueError) as err:
                     raise NetworkError(f"bins for {p!r}: {err}") from None
 
         # Per party: where its component of each resource in scope, in sorted-id

@@ -54,10 +54,10 @@ def frac(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, Fraction, or "num/den" string.
 
     Floats are rejected on purpose: a float that reaches this module is
-    almost always a bug upstream.
+    almost always a bug upstream.  So is a ``bool``, which is not a number.
     """
-    if isinstance(value, float):
-        raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing to coerce {type(value).__name__} {value!r} to an exact rational")
     return value if type(value) is Fraction else Fraction(value)
 
 
@@ -218,48 +218,9 @@ class _Tensor(NamedTuple):
 
 def _symbols(alphabets: Sequence[Alphabet], idx: Sequence[int],
              positions: Sequence[int]) -> tuple[Symbol, ...]:
-    """The symbols of the parties ``idx`` at their entries of the full
-    alphabet-position tuple ``positions``."""
-    return tuple(alphabets[i].values[positions[i]] for i in idx)
-
-
-def _first_signal(arr: np.ndarray, movers: Sequence[int], watched: Sequence[int], atol=0):
-    """First place where the ``watched`` positions' output marginal changes
-    with the ``movers``' inputs, every other input held fixed.
-
-    ``arr`` has axes [x_1..x_n, a_1..a_n] by alphabet position.  The
-    unwatched outputs are summed out, the mover axes moved after the other
-    (context) inputs, and each choice of the movers' inputs compared with
-    the first; the first difference in C order wins.  Returns ``(x0, x1,
-    outputs, (v0, v1))`` as full alphabet-position tuples (unwatched
-    outputs at 0), or None.  Values differ by ``!=``, or by more than
-    ``atol``.
-    """
-    n = arr.ndim // 2
-    unwatched = tuple(n + i for i in range(n) if i not in watched)
-    marg = arr.sum(axis=unwatched) if unwatched else arr
-    fixed = [i for i in range(n) if i not in movers]
-    marg = marg.transpose(fixed + list(movers) + list(range(n, marg.ndim)))
-    ctx_shape, mover_shape, out_shape = (marg.shape[:len(fixed)], marg.shape[len(fixed):n],
-                                         marg.shape[n:])
-    marg = marg.reshape(prod(ctx_shape), prod(mover_shape), prod(out_shape))
-    if marg.shape[1] < 2:
-        return None
-    base, rest = marg[:, :1], marg[:, 1:]
-    diff = (np.abs(rest - base) > atol if atol else rest != base).reshape(-1)
-    hit = int(diff.argmax())
-    if not diff[hit]:
-        return None
-    c, m, o = np.unravel_index(hit, rest.shape)
-    x0, outputs = [0] * n, [0] * n
-    for i, k in zip(fixed, np.unravel_index(c, ctx_shape)):
-        x0[i] = int(k)
-    x1 = list(x0)
-    for i, k in zip(movers, np.unravel_index(m + 1, mover_shape)):
-        x1[i] = int(k)
-    for i, k in zip(sorted(watched), np.unravel_index(o, out_shape)):
-        outputs[i] = int(k)
-    return x0, x1, outputs, (base[c, 0, o], rest[c, m, o])
+    """The symbols of the parties ``idx`` at their alphabet ``positions``,
+    one position per party."""
+    return tuple(alphabets[i].values[k] for i, k in zip(idx, positions))
 
 
 def _sum_out(arr: np.ndarray, axis: int, count: int = 1) -> np.ndarray:
@@ -273,40 +234,50 @@ def _sum_out(arr: np.ndarray, axis: int, count: int = 1) -> np.ndarray:
     return arr
 
 
-def _input_moves_marginal(arr: np.ndarray, j: int) -> bool:
-    """Whether party j's input changes the exact array's marginal with party
-    j's output summed out by slice adds (cheap on non-contiguous views): the
-    test that precedes the locator.  A party with one input symbol cannot signal."""
-    if arr.shape[j] == 1:
-        return False
-    marg = _sum_out(arr, arr.ndim // 2 + j)
-    head = (slice(None),) * j
-    return bool((marg[head + (slice(1, None),)] != marg[head + (slice(0, 1),)]).any())
+def _first_signal(marg: np.ndarray, axis: int, context: int, atol=0):
+    """First place where the marginal ``marg`` changes along its input ``axis``.
+
+    ``marg`` holds ``context`` + 1 input axes, ``axis`` among them, then the
+    watched outputs (the others summed out by ``_sum_out``).  The basic
+    slices ``1:`` and ``:1`` along ``axis`` are compared in place, by ``!=``
+    or by a difference above ``atol``; nothing is copied unless they differ.
+    On a difference, ``axis`` is moved after the other input axes and the
+    first hit taken in C order of (context, mover, outputs).  Returns the
+    hit's position in ``marg`` and the values at mover position 0 and at the
+    hit, or None.
+    """
+    head = (slice(None),) * axis
+    base, rest = marg[head + (slice(0, 1),)], marg[head + (slice(1, None),)]
+    diff = np.abs(rest - base) > atol if atol else rest != base
+    if not diff.any():
+        return None
+    diff = np.moveaxis(diff, axis, context)
+    hit = np.unravel_index(int(diff.argmax()), diff.shape)
+    pos = hit[:axis] + (hit[context] + 1,) + hit[axis:context] + hit[context + 1:]
+    return pos, (marg[pos[:axis] + (0,) + pos[axis + 1:]], marg[pos])
 
 
 def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
                        atol=0) -> SignalingWitness | None:
     """First violation of the one-party condition in the table ``arr``: for
-    each party j in order, party j's input moves and the other parties'
-    outputs are watched.  ``value`` turns a scanned marginal into the
-    witness's value.  An exact array (``atol`` 0) is tested for every
-    party before the locator runs, from the first party that fails."""
+    each party j in order, with more than one input, party j's output is
+    summed out and ``_first_signal`` compares the marginal across party j's
+    inputs.  ``value`` turns an entry of the marginal into the witness's
+    value; ``atol`` is passed on (0 for an exact table)."""
     n = len(parties)
-    first = 0
-    if not atol:
-        first = next((j for j in range(n) if _input_moves_marginal(arr, j)), n)
-    for j in range(first, n):
-        party = parties[j]
-        others = [i for i in range(n) if i != j]
-        hit = _first_signal(arr, [j], others, atol)
+    for j in range(n):
+        if arr.shape[j] == 1:
+            continue
+        hit = _first_signal(_sum_out(arr, n + j), j, n - 1, atol)
         if hit is not None:
-            x0, x1, outputs, (v0, v1) = hit
+            pos, (v0, v1) = hit
+            others = [i for i in range(n) if i != j]
             return SignalingWitness(
-                party=party,
+                party=parties[j],
                 context=dict(zip([parties[i] for i in others],
-                                 _symbols(input_alphabets, others, x0))),
-                inputs=(input_alphabets[j].values[x0[j]], input_alphabets[j].values[x1[j]]),
-                outputs=_symbols(output_alphabets, others, outputs),
+                                 _symbols(input_alphabets, others, pos[:j] + pos[j + 1:n]))),
+                inputs=(input_alphabets[j].first, input_alphabets[j].values[pos[j]]),
+                outputs=_symbols(output_alphabets, others, pos[n:]),
                 values=(value(v0), value(v1)),
             )
     return None
@@ -630,7 +601,9 @@ def _json_parts(data: Mapping, value) -> tuple:
     def key(s: str) -> tuple[Symbol, ...]:
         return tuple(map(_parse_symbol, s.split(",")))
 
-    parties = list(data["parties"])
+    parties = data["parties"]
+    if not isinstance(parties, list):
+        raise TypeError(f"parties: expected a JSON list, got {type(parties).__name__}")
     return (parties,
             {p: Alphabet(tuple(data["inputs"][p])) for p in parties},
             {p: Alphabet(tuple(data["outputs"][p])) for p in parties},
@@ -672,6 +645,9 @@ def check_subset_nonsignaling(
     inputs held fixed at the first alphabet value and their outputs summed
     out; this fixed choice is immaterial for a resource that passes the
     one-party check, which is exactly the derived property being verified.
+    The marginal is summed by ``_sum_out``; the signalers' input axes are
+    then joined into one mover axis after the other inputs (the only copy)
+    and compared by ``_first_signal``.
     """
     signalers, receivers = tuple(signalers), tuple(receivers)
     for name, group in (("signalers", signalers), ("receivers", receivers)):
@@ -681,18 +657,26 @@ def check_subset_nonsignaling(
         raise ValueError("signalers and receivers must be disjoint")
     sig_idx = [r.party_index(p) for p in signalers]
     recv_idx = [r.party_index(p) for p in receivers]
-    held = tuple(slice(None) if i in sig_idx or i in recv_idx else slice(0, 1)
-                 for i in range(len(r.parties)))
-    hit = _first_signal(r.numerators[held], sig_idx, recv_idx)
+    n, c = len(r.parties), len(r.parties) - len(sig_idx)
+    fixed = [i for i in range(n) if i not in sig_idx]   # receivers, the rest held at input 0
+    marg = r.numerators[tuple(slice(None if i in sig_idx + recv_idx else 1) for i in range(n))]
+    for i in reversed(range(n)):
+        if i not in recv_idx:
+            marg = _sum_out(marg, n + i)
+    marg = marg.transpose(fixed + sig_idx + [*range(n, marg.ndim)])
+    hit = _first_signal(marg.reshape(marg.shape[:c] + (-1,) + marg.shape[n:]), c, c)
     if hit is None:
         return ValidationReport.ok()
-    x0, x1, bad, (v0, v1) = hit
+    pos, (v0, v1) = hit
     ins, den = r.input_alphabets, r.denominator
+    x1 = np.unravel_index(pos[c], [len(ins[i]) for i in sig_idx])
+    at_in, at_out = dict(zip(fixed, pos[:c])), dict(zip(sorted(recv_idx), pos[c + 1:]))
     return ValidationReport.fail([
-        f"signalers {list(signalers)} switching {_symbols(ins, sig_idx, x0)}->"
+        f"signalers {list(signalers)} switching {_symbols(ins, sig_idx, [0] * len(sig_idx))}->"
         f"{_symbols(ins, sig_idx, x1)} changes receivers' marginal at outputs "
-        f"{_symbols(r.output_alphabets, recv_idx, bad)} from {Fraction(int(v0), den)} to "
-        f"{Fraction(int(v1), den)} (receiver inputs {_symbols(ins, recv_idx, x0)})"
+        f"{_symbols(r.output_alphabets, recv_idx, map(at_out.get, recv_idx))} from "
+        f"{Fraction(int(v0), den)} to {Fraction(int(v1), den)} "
+        f"(receiver inputs {_symbols(ins, recv_idx, map(at_in.get, recv_idx))})"
     ])
 
 

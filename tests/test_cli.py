@@ -345,6 +345,36 @@ def _mixed_vertex_file(tmp_path):
             "--vertices", _write(tmp_path / "v.json", vertices)]
 
 
+def _string_parties_scenario(tmp_path):
+    d = _fixture_copy(tmp_path, "wired-pr")
+    _edit(d / "scenario.json", lambda s: s.update({"parties": "".join(s["parties"])}))
+    return ["validate", str(d)]
+
+
+def _string_parties_resource(tmp_path):
+    r = _pr_ab()
+    r["parties"] = "".join(r["parties"])
+    return ["decompose", _write(tmp_path / "r.json", r)]
+
+
+def _object_parties_resource(tmp_path):
+    r = _pr_ab()
+    r["parties"] = {p: i for i, p in enumerate(r["parties"])}
+    return ["decompose", _write(tmp_path / "r.json", r)]
+
+
+def _bool_exact_entry(tmp_path):
+    r = _pr_ab()
+    r["table"]["0,0"] = {"0,0": True, "0,1": 0, "1,0": 0, "1,1": 0}
+    return ["decompose", _write(tmp_path / "r.json", r)]
+
+
+def _bool_float_entry(tmp_path):
+    beh = ghz_behavior(QuantumStrategy.from_angles({p: (0.0, 0.0) for p in "ABC"})).to_json_dict()
+    beh["table"]["0,0,0"] = {"0,0,0": True}
+    return ["ineq", "eval", "--ineq", "mao", "--behavior", _write(tmp_path / "b.json", beh)]
+
+
 def _write(path, data) -> str:
     path.write_text(json.dumps(data))
     return str(path)
@@ -353,6 +383,8 @@ def _write(path, data) -> str:
 @pytest.mark.parametrize("make_argv", [
     _bad_fraction, _top_level_list, _non_integer_key, _non_integer_symbol,
     _list_behavior, _non_integer_outcome, _signature_mismatch, _mixed_vertex_file,
+    _string_parties_scenario, _string_parties_resource, _object_parties_resource,
+    _bool_exact_entry, _bool_float_entry,
 ])
 def test_malformed_input_exits_two(tmp_path, capsys, make_argv):
     assert main(make_argv(tmp_path)) == 2

@@ -8,6 +8,9 @@ three-party tables (mixtures of deterministic boxes, which are
 nonsignaling, and the same tables with probability mass moved inside one
 column, which mostly signal) the shared checker must return the same
 witness, the same float verdict and the same subset verdicts.
+``reference_float_witness`` pins the float scan's witness too: its
+party, context, inputs and outputs, and its values within ``ATOL_NS``,
+on tables stored in C and in Fortran layout.
 
 ``reference_moves`` is the exact cheap test as it was before party j's
 output axis was summed by slice adds: ``sum(axis=...)`` and one
@@ -15,8 +18,9 @@ broadcast comparison.  On arrays stored out of C order (PR-chain
 behaviors as the contraction returns them, and random tables copied in a
 shuffled axis order), on 4-6 parties with alphabets of size one, on
 numerators beyond 2**63 and on tables with one entry's mass moved, the
-slice-add test must give ``reference_moves``'s verdict for every party
-and the scan ``reference_witness``'s witness.
+one kernel (``_sum_out`` and ``_first_signal``) must give
+``reference_moves``'s verdict for every party and the scan
+``reference_witness``'s witness.
 """
 from __future__ import annotations
 
@@ -34,7 +38,9 @@ from boxnet.resource import (
     NonsignalingResource,
     SignalingError,
     SignalingWitness,
-    _input_moves_marginal,
+    _first_signal,
+    _one_party_witness,
+    _sum_out,
     _Tensor,
     check_subset_nonsignaling,
 )
@@ -100,6 +106,56 @@ def reference_float_signals(input_alphabets, output_alphabets, table, atol) -> b
                         if abs(marg[o] - reference[o]) > atol:
                             return True
     return False
+
+
+def reference_float_witness(parties, input_alphabets, output_alphabets, table, atol):
+    """The float scan's first witness, in the exact scan's order, as (party,
+    context, inputs, outputs, values); marginals differ by more than ``atol``."""
+    n = len(parties)
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        outs_rest = list(product(*(output_alphabets[i].values for i in others)))
+        for rest in product(*(input_alphabets[i].values for i in others)):
+            marginals = []
+            for xj in input_alphabets[j].values:
+                marg = {o: 0.0 for o in outs_rest}
+                for outs, v in table[rest[:j] + (xj,) + rest[j:]].items():
+                    marg[outs[:j] + outs[j + 1:]] += v
+                marginals.append((xj, marg))
+            x0, base = marginals[0]
+            for xj, marg in marginals[1:]:
+                for o in outs_rest:
+                    if abs(marg[o] - base[o]) > atol:
+                        return (parties[j], dict(zip((parties[i] for i in others), rest)),
+                                (x0, xj), o, (base[o], marg[o]))
+    return None
+
+
+def check_float_witness(parties, ins, outs, table) -> bool:
+    """Assert that the float scan finds the reference witness, values within
+    ``ATOL_NS``, on the table stored in C and in Fortran layout, and that
+    ``FloatBehavior`` refuses the table with that witness; return whether
+    the table signals."""
+    expected = reference_float_witness(parties, ins, outs, table, ATOL_NS)
+    out_space = list(product(*(a.values for a in outs)))
+    arr = np.array([[table[x].get(a, 0.0) for a in out_space]
+                    for x in product(*(a.values for a in ins))])
+    arr = arr.reshape([len(a) for a in ins + outs])
+    for stored in (arr, np.asfortranarray(arr)):
+        w = _one_party_witness(parties, ins, outs, stored, float, ATOL_NS)
+        got = None if w is None else (w.party, w.context, w.inputs, w.outputs, w.values)
+        assert (got is None) == (expected is None), table
+        if got is not None:
+            assert got[:4] == expected[:4], table
+            assert all(abs(a - b) <= ATOL_NS for a, b in zip(got[4], expected[4])), table
+        try:
+            FloatBehavior("t", parties, ins, outs, stored)
+            refused = None
+        except SignalingError as e:
+            refused = str(e)
+        assert refused == (None if w is None
+                           else f"construction: resource 't' is signaling: {w}")
+    return expected is not None
 
 
 def reference_subset_passes(r: NonsignalingResource, signalers, receivers) -> bool:
@@ -226,6 +282,11 @@ def test_float_verdict_matches_reference():
         assert signals == expected, table
 
 
+def test_float_witness_matches_reference():
+    signals = {check_float_witness(*case) for case in float_cases()}
+    assert signals == {True, False}
+
+
 def test_subset_verdicts_match_reference():
     for r in exact_cases():
         for k in range(1, len(r.parties)):
@@ -333,6 +394,34 @@ def test_kernel_families_cover_their_cases():
 
 def test_slice_adds_match_the_axis_sum():
     for _, r, witness in kernel_cases():
-        for j in range(len(r.parties)):
-            assert _input_moves_marginal(r.numerators, j) == reference_moves(r.numerators, j)
+        n = len(r.parties)
+        for j in range(n):
+            marg = _sum_out(r.numerators, n + j)
+            moves = _first_signal(marg, j, n - 1) is not None
+            assert moves == reference_moves(r.numerators, j)
         assert r._find_signaling_witness() == witness
+
+
+class _SlicesOnly(np.ndarray):
+    """An array whose axis sums, transposes and reshapes fail."""
+
+    def sum(self, *args, **kwargs):
+        raise AssertionError("axis sum")
+
+    def transpose(self, *axes):
+        raise AssertionError("transpose")
+
+    def reshape(self, *shape, **kwargs):
+        raise AssertionError("reshape")
+
+
+def test_a_nonsignaling_scan_only_adds_and_compares_slices():
+    scanned = 0
+    for _, r, witness in kernel_cases():
+        if witness is None:
+            probabilities = (r.numerators / r.denominator).astype(float)
+            for arr, atol in ((r.numerators, 0), (probabilities, ATOL_NS)):
+                assert _one_party_witness(r.parties, r.input_alphabets, r.output_alphabets,
+                                          arr.view(_SlicesOnly), float, atol) is None
+            scanned += 1
+    assert scanned

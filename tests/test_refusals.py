@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from boxnet.decompose import Mixture, VertexSet
+from boxnet.ghz import FloatBehavior
 from boxnet.inequality import (
     CorrelatorTerm,
     InequalityError,
@@ -24,8 +25,11 @@ from boxnet.inequality import (
 from boxnet.network import Network, NetworkError, marginal_without_party, union_network
 from boxnet.resource import (
     Alphabet,
+    NonsignalingResource,
+    TableError,
     check_subset_nonsignaling,
     condition,
+    frac,
     make_local_deterministic,
     make_pr_box,
     make_shared_randomness,
@@ -185,6 +189,36 @@ CASES = {
         InequalityError, "party 'A': settings count 0 is not an integer >= 1"),
     "relabel-bool-setting": (lambda: relabel_output(mao_inequality(), "A", True),
                              ValueError, "alphabet symbol True is not an integer"),
+    # a bool is not a probability; float entries are read naming the entry
+    "frac-bool": (lambda: frac(True), TypeError,
+                  "refusing to coerce bool True to an exact rational"),
+    "exact-bool-entry": (
+        lambda: NonsignalingResource.make("t", ("A",), [ONE], [BITS], {(0,): {(0,): True, (1,): 0}}),
+        TableError, "resource 't': bad entry at input (0,), output (0,): "
+                    "refusing to coerce bool True to an exact rational"),
+    "float-bool-entry": (
+        lambda: FloatBehavior("f", ("A",), [ONE], [BITS], {(0,): {(0,): True, (1,): 0.0}}),
+        TableError, "resource 'f': bad entry at input (0,), output (0,): "
+                    "refusing to read bool True as a probability"),
+    "float-fraction-string-entry": (
+        lambda: FloatBehavior("f", ("A",), [ONE], [BITS], {(0,): {(0,): 0.5, (1,): "1/2"}}),
+        TableError, "resource 'f': bad entry at input (0,), output (1,): "
+                    "could not convert string to float: '1/2'"),
+    "float-none-entry": (
+        lambda: FloatBehavior("f", ("A",), [ONE], [BITS], {(0,): {(0,): None, (1,): 1.0}}),
+        TableError, "resource 'f': bad entry at input (0,), output (0,): "
+                    "float() argument must be a string or a real number, not 'NoneType'"),
+    "json-string-parties": (
+        lambda: NonsignalingResource.from_json_dict({"id": "t", "parties": "A", "inputs": {},
+                                                     "outputs": {}, "table": {}}),
+        TypeError, "parties: expected a JSON list, got str"),
+    # bins are a mapping per party, keyed by transcript tuples
+    "bins-int-key": (
+        lambda: Network(("A",), [], {"A": bare()}, {"A": ONE}, bins={"A": {0: 0}}),
+        NetworkError, "bins for 'A': 'int' object is not iterable"),
+    "bins-list-of-pairs": (
+        lambda: Network(("A",), [], {"A": bare()}, {"A": ONE}, bins={"A": [((), 0)]}),
+        NetworkError, "bins for 'A': expected a mapping, got list"),
     "union-overlapping-resources": (
         lambda: union_network(coin_net("A"), coin_net("B")),
         NetworkError, "resource ids appear in both networks: ['coin']"),

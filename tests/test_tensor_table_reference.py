@@ -37,7 +37,7 @@ from boxnet.resource import (
 )
 from boxnet.wiring import bottom_encode
 
-from test_nonsignaling_reference import reference_float_signals, relaid
+from test_nonsignaling_reference import check_float_witness, reference_float_signals, relaid
 
 CASES = 40
 BIG = (2 ** 61 - 1) * (2 ** 31 - 1)   # a denominator beyond 2**63
@@ -289,6 +289,14 @@ def test_subset_reports_match_reference(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_subset_reports_with_an_empty_group_match_reference(name):
+    for r, _ in FAMILIES[name]():
+        for signalers, receivers in (((), ()), ((), r.parties), (r.parties[::-1], ())):
+            report = check_subset_nonsignaling(r, signalers, receivers)
+            assert report.errors == ref_subset_errors(r, signalers, receivers) == []
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_marginal_condition_and_bottom_encode_match_reference(name):
     rng = random.Random(16180)
     checked = 0
@@ -389,3 +397,11 @@ def test_float_verdicts_on_gapped_alphabets():
         except SignalingError:
             signals = True
         assert signals == expected
+
+
+def test_float_witness_on_gapped_alphabets():
+    signals = set()
+    for r, _ in gapped_cases():
+        table = {x: {a: float(v) for a, v in col.items()} for x, col in r.table.items()}
+        signals.add(check_float_witness(r.parties, r.input_alphabets, r.output_alphabets, table))
+    assert signals == {True, False}
