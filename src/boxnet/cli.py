@@ -47,6 +47,7 @@ from .resource import (
     NonsignalingResource,
     SignalingError,
     TableError,
+    _json_field,
     _parse_keys,
     _parse_symbol,
     validate_nonsignaling,
@@ -139,13 +140,11 @@ def _read_scenario(arg: str) -> tuple[dict, dict]:
     data = _load_json(path)
 
     def fields(d):
-        if not isinstance(d["parties"], list):
-            raise TypeError(f"parties: expected a JSON list, got {type(d['parties']).__name__}")
-        parties = tuple(d["parties"])
-        settings = {p: Alphabet(tuple(d["settings"][p])) for p in parties}
+        parties = tuple(_json_field(d, "parties", list))
+        settings = {p: Alphabet(tuple(_json_field(d, "settings", dict)[p])) for p in parties}
         resources = [_load_entry(e, path, NonsignalingResource.from_json_dict)
-                     for e in d["resources"]]
-        trees = {p: _load_entry(d["trees"][p], path,
+                     for e in _json_field(d, "resources", list)]
+        trees = {p: _load_entry(_json_field(d, "trees", dict)[p], path,
                                 lambda t, p=p: tree_from_json_dict(t, party=p))
                  for p in parties}
         bins = None

@@ -50,8 +50,8 @@ from boxnet.resource import (
     NonsignalingResource,
     Party,
     Symbol,
+    TableError,
     ValidationReport,
-    _sum_out,
     _symbol,
     _Tensor,
 )
@@ -467,23 +467,26 @@ def induced_behavior(net: Network) -> Behavior:
     """The network as seen from outside: settings in, binned outcomes out.
 
     One contraction keeps every party's setting and outcome open, in the
-    layout it leaves (not copied); each settings tuple's column, summed by
-    slice adds, is asserted to sum to exactly 1, in settings order.  The
-    result is constructed as a full resource over the parties, which
-    re-runs the structural check and the nonsignaling scan — so wired
-    nonsignaling resources are checked, not trusted, to stay nonsignaling.
+    layout it leaves (not copied).  The result is constructed as a full
+    resource over the parties, whose structural check asserts that each
+    settings tuple's column sums to exactly 1 (its first fault, in settings
+    order, is raised as a ``NetworkError``) and whose nonsignaling scan runs
+    — so wired nonsignaling resources are checked, not trusted.
     """
     _refuse_unchecked(net)
     labels = net._party_labels
     behavior = _contract_network(net, [net._wirings[p] for p in net.parties], labels,
                                  [l[0] for l in labels] + [l[1] for l in labels])
-    totals = _sum_out(behavior.numerators, len(net.parties), len(net.parties)).reshape(-1).tolist()
-    for settings, total in zip(net.settings_space(), totals):
-        _require_normalized(settings, total, behavior.denominator)
-    return NonsignalingResource.make(
-        f"behavior({net.name})", net.parties,
-        [net.settings_alphabets[p] for p in net.parties],
-        [net.outcome_alphabet(p) for p in net.parties], behavior)
+    try:
+        return NonsignalingResource.make(
+            f"behavior({net.name})", net.parties,
+            [net.settings_alphabets[p] for p in net.parties],
+            [net.outcome_alphabet(p) for p in net.parties], behavior)
+    except TableError as err:   # entries are >= 0: one above 1 puts its column's sum above 1
+        if err.fault is None or err.fault.outputs is not None:
+            raise
+        fault = err.fault
+    _require_normalized(fault.inputs, *fault.value.as_integer_ratio())   # not 1, so this raises
 
 
 def marginal_without_party(net: Network, p: Party) -> Behavior:

@@ -39,6 +39,8 @@ class TableError(ValueError):
     """The probability table is structurally malformed (missing tuples,
     out-of-range values, or a column that does not sum to one)."""
 
+    fault: "_Fault | None" = None   # set when the structural check raised it
+
 
 class SignalingError(ValueError):
     """An operation that requires a nonsignaling resource was given a
@@ -283,10 +285,25 @@ def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
     return None
 
 
-def _structure_problem(r: "NonsignalingResource") -> str | None:
+class _Fault(NamedTuple):
+    """A structural fault: its column's inputs, its entry's outputs (None if
+    the column's sum is the fault) and its value."""
+
+    inputs: tuple[Symbol, ...]
+    outputs: tuple[Symbol, ...] | None
+    value: Fraction
+
+    def __str__(self) -> str:
+        if self.outputs is None:
+            return f"column at input {self.inputs} sums to {self.value}, not 1"
+        return f"entry at input {self.inputs}, output {self.outputs} is {self.value}"
+
+
+def _structure_problem(r: "NonsignalingResource") -> _Fault | None:
     """The first structural fault of r's numerators, columns in input order: a
-    column whose sum is not the denominator (first), else an entry outside [0,
-    denominator]; located only if one whole-array test (sums, min, max) fails."""
+    column whose sum is not the denominator (first; this is where every table's
+    normalization is asserted), else an entry outside [0, denominator]; located
+    only if one whole-array test (sums, min, max) fails."""
     den, nums, n = r.denominator, r.numerators, len(r.parties)
     width = prod(len(a) for a in r.output_alphabets)
     sums = _sum_out(nums if den * width < _INT64 else nums.astype(object), n, n)
@@ -300,8 +317,8 @@ def _structure_problem(r: "NonsignalingResource") -> str | None:
     j = int(bad_entry[i].argmax())
     x, a = r._symbols_at(np.unravel_index(i * width + j, r.numerators.shape))
     if bad_sum[i]:
-        return f"column at input {x} sums to {Fraction(int(sums[i]), den)}, not 1"
-    return f"entry at input {x}, output {a} is {Fraction(int(nums[i, j]), den)}"
+        return _Fault(x, None, Fraction(int(sums[i]), den))
+    return _Fault(x, a, Fraction(int(nums[i, j]), den))
 
 
 class ProbabilityTable:
@@ -440,15 +457,18 @@ class NonsignalingResource(ProbabilityTable):
 
     Stored as ``numerators``, one integer array indexed [x_1..x_n,
     a_1..a_n] by alphabet position, over ``denominator``, the lcm of the
-    entries' denominators, so equal tables have equal arrays.  The array is
-    int64 when the denominator is below 2**63 (every marginal is a partial
-    column sum, at most the denominator), else Python ints.  ``table`` is
-    a derived read-only view: input tuple -> output tuple -> Fraction.
+    entries' denominators, so equal tables have equal arrays (a parsed
+    table is canonical by construction, a ``_Tensor`` is reduced).  The
+    array is int64 when the denominator is below 2**63 (every marginal is
+    a partial column sum, at most the denominator), else Python ints.
+    ``table`` is a derived read-only view: input tuple -> output tuple ->
+    Fraction.
 
     Construction always verifies structure (totality, range, exact unit
-    column sums) and, by default, the nonsignaling condition; use
-    :meth:`new_unchecked` to represent a deliberately signaling table
-    (needed for grandfather-paradox counterexamples).
+    column sums, where normalization is asserted) and, by default, the
+    nonsignaling condition; use :meth:`new_unchecked` to represent a
+    deliberately signaling table (needed for grandfather-paradox
+    counterexamples).
     """
 
     __slots__ = ("numerators", "denominator")
@@ -463,21 +483,24 @@ class NonsignalingResource(ProbabilityTable):
         *,
         check_nonsignaling: bool = True,
     ):
-        """Parse a mapping table (a ``_Tensor`` is taken as given), reduce it
-        to the canonical denominator, then run the one structural check and,
-        unless ``check_nonsignaling`` is false, the nonsignaling scan."""
+        """Parse a mapping table, or reduce a ``_Tensor`` by gcd(den, its first
+        column), and by every entry's gcd too if that is above 1; then run the
+        structural check and, unless ``check_nonsignaling`` is false, the scan."""
         self._set_signature(id, parties, input_alphabets, output_alphabets)
         nums, den = table if isinstance(table, _Tensor) else self._parse_table(table)
         nums = nums.reshape([len(a) for a in self.input_alphabets + self.output_alphabets])
-        g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
-        if g > 1:
-            nums, den = nums // g, den // g
+        if isinstance(table, _Tensor):
+            g = gcd(den, int(np.gcd.reduce(nums[(0,) * len(self.parties)], axis=None)))
+            if g > 1 and (g := gcd(g, int(np.gcd.reduce(nums, axis=None)))) > 1:
+                nums, den = nums // g, den // g
         nums = nums.astype(np.int64 if den < _INT64 else object, copy=False)
         nums.flags.writeable = False
         self.numerators, self.denominator = nums, den
         problem = _structure_problem(self)
         if problem is not None:
-            raise TableError(f"resource {self.id!r}: {problem}")
+            err = TableError(f"resource {self.id!r}: {problem}")
+            err.fault = problem
+            raise err
         if check_nonsignaling:
             self.require_nonsignaling("construction")
 
@@ -499,7 +522,9 @@ class NonsignalingResource(ProbabilityTable):
     def _parse_table(self, table) -> _Tensor:
         """A mapping table's entries as numerators over the lcm of their
         denominators, read by ``_entries``; the column sums are left to
-        the structural check that every table gets.
+        the structural check that every table gets.  No reduction is
+        needed: for each prime p of the lcm, an entry whose denominator has
+        p's full power has no p in its numerator or in its multiplier.
 
         An ``int`` or ``Fraction`` entry in [0, 1] is read as its numerator
         and denominator; any other entry, or one out of range, goes through
@@ -595,15 +620,21 @@ def _parse_keys(mapping: Mapping, parse) -> dict:
     return parsed
 
 
+def _json_field(data: Mapping, key: str, kind: type):
+    """``data[key]``, which must be a JSON list (``kind`` list) or object (dict)."""
+    if not isinstance(data[key], kind):
+        raise TypeError(f"{key}: expected a JSON {'list' if kind is list else 'object'}, "
+                        f"got {type(data[key]).__name__}")
+    return data[key]
+
+
 def _json_parts(data: Mapping, value) -> tuple:
     """The parties, input and output alphabets and table of a table's JSON
     object, each entry parsed by ``value``."""
     def key(s: str) -> tuple[Symbol, ...]:
         return tuple(map(_parse_symbol, s.split(",")))
 
-    parties = data["parties"]
-    if not isinstance(parties, list):
-        raise TypeError(f"parties: expected a JSON list, got {type(parties).__name__}")
+    parties = _json_field(data, "parties", list)
     return (parties,
             {p: Alphabet(tuple(data["inputs"][p])) for p in parties},
             {p: Alphabet(tuple(data["outputs"][p])) for p in parties},
@@ -625,7 +656,7 @@ def validate_nonsignaling(r: NonsignalingResource) -> ValidationReport:
     """
     problem = _structure_problem(r)
     if problem is not None:
-        return ValidationReport.fail([problem])
+        return ValidationReport.fail([str(problem)])
     witness = r._find_signaling_witness()
     if witness is not None:
         return ValidationReport.fail([str(witness)], witness=witness)

@@ -351,6 +351,16 @@ def _string_parties_scenario(tmp_path):
     return ["validate", str(d)]
 
 
+def _scenario_field_as(key, value):
+    """A worked-fixture scenario whose ``key`` is replaced by ``value``."""
+    def make_argv(tmp_path):
+        d = _fixture_copy(tmp_path, "worked")
+        _edit(d / "scenario.json", lambda s: s.update({key: value}))
+        return ["validate", str(d)]
+    make_argv.__name__ = f"_{key}_as_{type(value).__name__}"
+    return make_argv
+
+
 def _string_parties_resource(tmp_path):
     r = _pr_ab()
     r["parties"] = "".join(r["parties"])
@@ -385,10 +395,27 @@ def _write(path, data) -> str:
     _list_behavior, _non_integer_outcome, _signature_mismatch, _mixed_vertex_file,
     _string_parties_scenario, _string_parties_resource, _object_parties_resource,
     _bool_exact_entry, _bool_float_entry,
+    _scenario_field_as("resources", "r1.json"), _scenario_field_as("resources", {"r1": "r1.json"}),
+    _scenario_field_as("trees", "alice.json"), _scenario_field_as("trees", ["alice.json"]),
+    _scenario_field_as("settings", [[0, 1]] * 3), _scenario_field_as("settings", "0,1"),
 ])
 def test_malformed_input_exits_two(tmp_path, capsys, make_argv):
     assert main(make_argv(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("input error:")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("resources", "r1.json", "list, got str"), ("resources", {"r1": "r1.json"}, "list, got dict"),
+    ("trees", "alice.json", "object, got str"), ("trees", ["alice.json"], "object, got list"),
+    ("settings", [[0, 1]] * 3, "object, got list"), ("settings", "0,1", "object, got str"),
+])
+def test_scenario_fields_of_the_wrong_json_type_are_named(tmp_path, capsys, key, value, kind):
+    """A string of file names is not read as one file name per character."""
+    argv = _scenario_field_as(key, value)(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected a JSON {kind}" in err and "No such file" not in err
 
 
 def test_pretty_output_is_text(capsys):

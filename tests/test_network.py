@@ -219,6 +219,65 @@ def test_paradoxical_wiring_sums_to_zero():
     assert all(v == 0 for v in jd.table.values())
 
 
+def _consult(first, second, feed):
+    """A subtree: consult ``first`` with input 0, then ``second`` with the
+    output just read when ``feed`` is true, else with input 0."""
+    return Internal(first, 0, {o: Internal(second, o if feed else 0, {0: Terminal(), 1: Terminal()})
+                               for o in (0, 1)})
+
+
+def _forcing(id, forced):
+    """A structurally valid, signaling two-party box over bits: (a, b) has
+    probability 1/2 at inputs (x, y) where ``forced(x, y, a, b)`` holds."""
+    table = {(x, y): {(a, b): Fraction(int(forced(x, y, a, b)), 2)
+                      for a, b in product((0, 1), repeat=2)}
+             for x, y in product((0, 1), repeat=2)}
+    return NonsignalingResource.new_unchecked(id, ("A", "B"), [BITS] * 2, [BITS] * 2, table)
+
+
+def _marked_checked(resources, alice, bob, alice_settings):
+    """A network of signaling resources marked as checked, so that
+    ``induced_behavior`` does not refuse them up front and its
+    normalization guard is what must catch the wiring."""
+    for r in resources:
+        r.nonsignaling_checked = True
+    return Network(("A", "B"), resources,
+                   [DecisionTree("A", alice, frozenset(r.id for r in resources)),
+                    DecisionTree("B", {0: bob}, frozenset(r.id for r in resources))],
+                   {"A": Alphabet(alice_settings), "B": Alphabet((0,))})
+
+
+def _assert_inconsistent(net, settings, total):
+    with pytest.raises(NetworkError) as exc:
+        induced_behavior(net)
+    assert type(exc.value) is NetworkError and exc.value.__context__ is None
+    assert str(exc.value) == (f"transcript distribution at settings {settings} sums to "
+                              f"{total}, not 1 — the wiring is inconsistent")
+
+
+def test_induced_behavior_refuses_a_paradoxical_wiring_marked_checked():
+    net = paradox_network()
+    for r in net.resources:
+        r.nonsignaling_checked = True
+    _assert_inconsistent(net, (0, 0), 0)
+
+
+def test_induced_behavior_names_the_first_inconsistent_settings():
+    """Alice's setting 0 wires the signaling boxes consistently, her setting
+    1 does not: the guard names (1, 0), with the column's exact total."""
+    w1 = _forcing("W1", lambda x, y, a, b: a == y)        # Alice's output copies Bob's input
+    w2 = _forcing("W2", lambda x, y, a, b: b == 1 - x)    # Bob's output negates Alice's input
+    w3 = _forcing("W3", lambda x, y, a, b: b == x)        # Bob's output copies Alice's input
+    # No transcript is consistent: the loop through W1 and W2 has no fixed point.
+    _assert_inconsistent(_marked_checked([w1, w2], {0: _consult("W2", "W1", False),
+                                                    1: _consult("W1", "W2", True)},
+                                         _consult("W2", "W1", True), (0, 1)), (1, 0), 0)
+    # The loop through W1 and W3 has two fixed points: the column sums to 2.
+    _assert_inconsistent(_marked_checked([w1, w3], {0: _consult("W3", "W1", False),
+                                                    1: _consult("W1", "W3", True)},
+                                         _consult("W3", "W1", True), (0, 1)), (1, 0), 2)
+
+
 def test_consultation_order_of_independent_resources_is_irrelevant():
     ca = make_shared_randomness(("A",), {(0,): "1/3", (1,): "2/3"}, id="ca")
     cb = make_shared_randomness(("A",), {(0,): "1/2", (1,): "1/2"}, id="cb")
