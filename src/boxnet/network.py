@@ -423,11 +423,9 @@ def _refuse_unchecked(net: Network) -> None:
             f"allow_unnormalized=True to evaluate anyway")
 
 
-def _require_normalized(settings: tuple[Symbol, ...], num: int, den: int) -> None:
-    if num != den:
-        raise NetworkError(
-            f"transcript distribution at settings {settings} sums to "
-            f"{Fraction(num, den)}, not 1 — the wiring is inconsistent")
+def _unnormalized(settings: tuple[Symbol, ...], total: Fraction) -> NetworkError:
+    return NetworkError(f"transcript distribution at settings {settings} sums to {total}, "
+                        "not 1 — the wiring is inconsistent")
 
 
 def joint_distribution(
@@ -455,8 +453,8 @@ def joint_distribution(
     nums, den = _contract_network(net, wirings, [l[2:] for l in net._party_labels], output)
     nums = nums.reshape(-1).tolist()
     total = sum(nums)
-    if not allow_unnormalized:
-        _require_normalized(settings, total, den)
+    if not allow_unnormalized and total != den:
+        raise _unnormalized(settings, Fraction(total, den))
     zero = Fraction(0)
     table = {outputs: Fraction(v, den) if v else zero
              for outputs, v in zip(net.output_assignments(), nums)}
@@ -486,7 +484,7 @@ def induced_behavior(net: Network) -> Behavior:
         if err.fault is None or err.fault.outputs is not None:
             raise
         fault = err.fault
-    _require_normalized(fault.inputs, *fault.value.as_integer_ratio())   # not 1, so this raises
+    raise _unnormalized(fault.inputs, fault.value)
 
 
 def marginal_without_party(net: Network, p: Party) -> Behavior:

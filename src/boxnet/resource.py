@@ -39,7 +39,9 @@ class TableError(ValueError):
     """The probability table is structurally malformed (missing tuples,
     out-of-range values, or a column that does not sum to one)."""
 
-    fault: "_Fault | None" = None   # set when the structural check raised it
+    def __init__(self, message: str, fault: "_Fault | None" = None):
+        super().__init__(message)
+        self.fault = fault   # the structural check's fault, when that check raised it
 
 
 class SignalingError(ValueError):
@@ -294,9 +296,8 @@ class _Fault(NamedTuple):
     value: Fraction
 
     def __str__(self) -> str:
-        if self.outputs is None:
-            return f"column at input {self.inputs} sums to {self.value}, not 1"
-        return f"entry at input {self.inputs}, output {self.outputs} is {self.value}"
+        return (f"column at input {self.inputs} sums to {self.value}, not 1" if self.outputs is None
+                else f"entry at input {self.inputs}, output {self.outputs} is {self.value}")
 
 
 def _structure_problem(r: "NonsignalingResource") -> _Fault | None:
@@ -461,14 +462,12 @@ class NonsignalingResource(ProbabilityTable):
     table is canonical by construction, a ``_Tensor`` is reduced).  The
     array is int64 when the denominator is below 2**63 (every marginal is
     a partial column sum, at most the denominator), else Python ints.
-    ``table`` is a derived read-only view: input tuple -> output tuple ->
-    Fraction.
+    ``table`` is a derived read-only view: input tuple -> output tuple -> Fraction.
 
-    Construction always verifies structure (totality, range, exact unit
-    column sums, where normalization is asserted) and, by default, the
-    nonsignaling condition; use :meth:`new_unchecked` to represent a
-    deliberately signaling table (needed for grandfather-paradox
-    counterexamples).
+    Construction always verifies structure (totality, range, exact unit column
+    sums: normalization is asserted here) and, by default, the nonsignaling
+    condition; use :meth:`new_unchecked` to represent a deliberately signaling
+    table (needed for grandfather-paradox counterexamples).
     """
 
     __slots__ = ("numerators", "denominator")
@@ -487,20 +486,20 @@ class NonsignalingResource(ProbabilityTable):
         column), and by every entry's gcd too if that is above 1; then run the
         structural check and, unless ``check_nonsignaling`` is false, the scan."""
         self._set_signature(id, parties, input_alphabets, output_alphabets)
-        nums, den = table if isinstance(table, _Tensor) else self._parse_table(table)
-        nums = nums.reshape([len(a) for a in self.input_alphabets + self.output_alphabets])
+        shape = [len(a) for a in self.input_alphabets + self.output_alphabets]
         if isinstance(table, _Tensor):
+            nums, den = table.numerators.reshape(shape), table.denominator
             g = gcd(den, int(np.gcd.reduce(nums[(0,) * len(self.parties)], axis=None)))
             if g > 1 and (g := gcd(g, int(np.gcd.reduce(nums, axis=None)))) > 1:
                 nums, den = nums // g, den // g
+        else:
+            nums, den = self._parse_table(table, shape)
         nums = nums.astype(np.int64 if den < _INT64 else object, copy=False)
         nums.flags.writeable = False
         self.numerators, self.denominator = nums, den
         problem = _structure_problem(self)
         if problem is not None:
-            err = TableError(f"resource {self.id!r}: {problem}")
-            err.fault = problem
-            raise err
+            raise TableError(f"resource {self.id!r}: {problem}", problem)
         if check_nonsignaling:
             self.require_nonsignaling("construction")
 
@@ -519,18 +518,16 @@ class NonsignalingResource(ProbabilityTable):
 
     # -- construction helpers -------------------------------------------------
 
-    def _parse_table(self, table) -> _Tensor:
+    def _parse_table(self, table, shape: list[int]) -> _Tensor:
         """A mapping table's entries as numerators over the lcm of their
         denominators, read by ``_entries``; the column sums are left to
-        the structural check that every table gets.  No reduction is
-        needed: for each prime p of the lcm, an entry whose denominator has
-        p's full power has no p in its numerator or in its multiplier.
+        the structural check that every table gets.  They are in lowest terms:
+        for each prime power of the lcm, an entry supplies it with a numerator free of that prime.
 
         An ``int`` or ``Fraction`` entry in [0, 1] is read as its numerator
         and denominator; any other entry, or one out of range, goes through
         ``as_probability``, which parses it or raises."""
-        size = prod(len(a) for a in self.input_alphabets + self.output_alphabets)
-        nums, dens = [0] * size, [1] * size   # flat position -> entry
+        nums, dens = [0] * prod(shape), [1] * prod(shape)   # flat position -> entry
         for i, x, a, value in self._entries(table):
             if type(value) in _EXACT_TYPES and 0 <= value.numerator <= value.denominator:
                 v = value
@@ -544,7 +541,7 @@ class NonsignalingResource(ProbabilityTable):
             nums[i], dens[i] = v.numerator, v.denominator
         den = lcm(*dens)
         nums = [n * (den // d) for n, d in zip(nums, dens)]
-        return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object), den)
+        return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object).reshape(shape), den)
 
     def _value(self, pos: tuple[int, ...]) -> Fraction:
         return Fraction(int(self.numerators[pos]), self.denominator)
@@ -622,10 +619,10 @@ def _parse_keys(mapping: Mapping, parse) -> dict:
 
 def _json_field(data: Mapping, key: str, kind: type):
     """``data[key]``, which must be a JSON list (``kind`` list) or object (dict)."""
-    if not isinstance(data[key], kind):
-        raise TypeError(f"{key}: expected a JSON {'list' if kind is list else 'object'}, "
-                        f"got {type(data[key]).__name__}")
-    return data[key]
+    if isinstance(data[key], kind):
+        return data[key]
+    raise TypeError(f"{key}: expected a JSON {'list' if kind is list else 'object'}, "
+                    f"got {type(data[key]).__name__}")
 
 
 def _json_parts(data: Mapping, value) -> tuple:

@@ -373,6 +373,19 @@ def test_malformed_tensor_is_refused(nums, message):
         NonsignalingResource.make("t", ("A",), [BITS], [outputs], _Tensor(np.array(nums), 2))
 
 
+@pytest.mark.parametrize("table, fault", [
+    (_Tensor(np.array([[1, 1], [2, 1]]), 2), ((1,), None, Fraction(3, 2))),
+    (_Tensor(np.array([[3, -1], [1, 1]]), 2), ((0,), (0,), Fraction(3, 2))),
+    ({(0,): {(0,): 1}}, None),   # a parse fault (input (1,) is missing) carries none
+])
+def test_table_error_carries_the_structural_fault(table, fault):
+    with pytest.raises(TableError) as exc:
+        NonsignalingResource.make("t", ("A",), [BITS], [BITS], table)
+    assert exc.value.fault == fault
+    if fault is not None:
+        assert str(exc.value) == f"resource 't': {exc.value.fault}"
+
+
 def test_column_sum_beyond_int64_is_exact():
     den = 2 ** 61 + 1   # int64 numerators, but four of them can sum past 2**63
     nums = np.array([[den, den, den, den - 1], [den, 0, 0, 0]])
