@@ -166,7 +166,7 @@ def load_scenario(arg: str) -> Network:
 
 def load_behavior_file(arg: str) -> Union[NonsignalingResource, FloatBehavior]:
     def make(d):
-        kind = FloatBehavior if d.get("float") else NonsignalingResource
+        kind = FloatBehavior if _json_field(d, "float", bool) else NonsignalingResource
         return kind.from_json_dict(d)
 
     return _from_json(make, _load_json(Path(arg)), arg)
@@ -178,6 +178,17 @@ def _emit(payload: dict, pretty_lines, args) -> None:
             print(line)
     else:
         print(json.dumps(payload))
+
+
+def _write_or_emit(payload: dict, pretty_lines, args) -> None:
+    """A behavior's JSON written to ``-o`` (an input error if it cannot be), or emitted."""
+    if not args.output:
+        return _emit(payload, pretty_lines, args)
+    try:
+        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as e:
+        raise InputError(f"{args.output}: {e.strerror or e}") from e
+    print(f"wrote behavior {payload['id']!r} to {args.output}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +264,9 @@ def cmd_behavior(args) -> int:
             print("; ".join(check.errors), file=sys.stderr)
             return 1
     payload = beh.to_json_dict()
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote behavior {beh.id!r} to {args.output}")
-    else:
-        _emit(payload,
-              [f"behavior {beh.id}: parties {list(beh.parties)}"]
-              + [f"  {ctx}: " + ", ".join(f"{o}={v}" for o, v in col.items())
-                 for ctx, col in payload["table"].items()],
-              args)
+    _write_or_emit(payload, [f"behavior {beh.id}: parties {list(beh.parties)}"]
+                   + [f"  {ctx}: " + ", ".join(f"{o}={v}" for o, v in col.items())
+                      for ctx, col in payload["table"].items()], args)
     return 0
 
 
@@ -390,11 +395,7 @@ def cmd_ghz(args) -> int:
         {"A": flat[0:2], "B": flat[2:4], "C": flat[4:6]})
     beh = ghz_behavior(strategy)
     payload = beh.to_json_dict()
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote behavior {beh.id!r} to {args.output}")
-    else:
-        _emit(payload, [json.dumps(payload, indent=2)], args)
+    _write_or_emit(payload, [json.dumps(payload, indent=2)], args)
     return 0
 
 

@@ -52,6 +52,8 @@ from boxnet.resource import (
     Symbol,
     TableError,
     ValidationReport,
+    _INT64,
+    _key_tuple,
     _symbol,
     _Tensor,
 )
@@ -164,8 +166,7 @@ class Network:
                     raise NetworkError(f"bins for {p!r}: expected a mapping, "
                                        f"got {type(mapping).__name__}")
                 try:
-                    self.bins[p] = {tuple(_symbol(s) for s in k): _symbol(v)
-                                    for k, v in mapping.items()}
+                    self.bins[p] = {_key_tuple(k): _symbol(v) for k, v in mapping.items()}
                 except (TypeError, ValueError) as err:
                     raise NetworkError(f"bins for {p!r}: {err}") from None
 
@@ -410,7 +411,7 @@ def _contract_network(
     plan = _plan(net._table_labels + tuple(labels), tuple(arr.shape for arr in arrays),
                  tuple(output))
     den = prod(r.denominator for r in net.resources)
-    if den * plan.summed >= 2 ** 63:
+    if den * plan.summed >= _INT64:
         arrays = [arr.astype(object, copy=False) for arr in arrays]
     return _Tensor(_contract(arrays, plan), den)
 

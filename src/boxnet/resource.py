@@ -31,6 +31,7 @@ Symbol = int
 Party = str
 
 _INT64 = 2 ** 63
+_JSON_KINDS = {list: "list", dict: "object", bool: "boolean"}
 _INT_TYPE, _TUPLE_TYPE = {int}, {tuple}
 _EXACT_TYPES = {int, Fraction}
 
@@ -598,7 +599,7 @@ class NonsignalingResource(ProbabilityTable):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NonsignalingResource":
-        ctor = cls.new_unchecked if data.get("unchecked") else cls.make
+        ctor = cls.new_unchecked if _json_field(data, "unchecked", bool) else cls.make
         return ctor(data["id"], *_json_parts(data, frac))
 
 
@@ -618,11 +619,12 @@ def _parse_keys(mapping: Mapping, parse) -> dict:
 
 
 def _json_field(data: Mapping, key: str, kind: type):
-    """``data[key]``, which must be a JSON list (``kind`` list) or object (dict)."""
-    if isinstance(data[key], kind):
-        return data[key]
-    raise TypeError(f"{key}: expected a JSON {'list' if kind is list else 'object'}, "
-                    f"got {type(data[key]).__name__}")
+    """``data[key]``, which must be a JSON list, object or boolean (``kind``
+    list, dict or bool); an absent boolean reads as false."""
+    value = data.get(key, False) if kind is bool else data[key]
+    if isinstance(value, kind):
+        return value
+    raise TypeError(f"{key}: expected a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
 
 
 def _json_parts(data: Mapping, value) -> tuple:

@@ -325,6 +325,10 @@ def bottom_encode(r: NonsignalingResource) -> NonsignalingResource:
 # -- serialization ----------------------------------------------------------------
 
 
+#: The keys of an unlabeled terminal, a labeled one and an internal node.
+_NODE_KEYS = (set(), {"outcome"}, {"resource", "input", "children"})
+
+
 def _node_to_json(node: Node) -> dict:
     if isinstance(node, Terminal):
         return {} if node.outcome is None else {"outcome": str(node.outcome)}
@@ -335,17 +339,20 @@ def _node_to_json(node: Node) -> dict:
     }
 
 
-def _node_from_json(data: Mapping) -> Node:
-    if "resource" in data:
-        return Internal(
-            resource_choice=str(data["resource"]),
-            input_choice=_parse_symbol(data["input"]),
-            children={out: _node_from_json(c)
-                      for out, c in _parse_keys(data["children"], _parse_symbol).items()},
-        )
-    if "outcome" in data:
-        return Terminal(outcome=_parse_symbol(data["outcome"]))
-    return Terminal()
+def _node_from_json(data: object, where: str, scope: set[str]) -> Node:
+    """The node ``data`` at path ``where``, a mapping with the keys of one
+    node shape; each resource it consults joins ``scope``."""
+    if not isinstance(data, Mapping) or data.keys() not in _NODE_KEYS:
+        got = f"keys {sorted(data)}" if isinstance(data, Mapping) else type(data).__name__
+        raise ValueError(f"tree node at [{where}]: expected {{}}, {{outcome}} or "
+                         f"{{resource, input, children}}, got {got}")
+    if "resource" not in data:
+        return Terminal(outcome=_parse_symbol(data["outcome"]) if data else None)
+    rid = str(data["resource"])
+    scope.add(rid)
+    return Internal(rid, _parse_symbol(data["input"]),
+                    {out: _node_from_json(c, f"{where} -> {rid}:{out}", scope)
+                     for out, c in _parse_keys(data["children"], _parse_symbol).items()})
 
 
 def tree_to_json_dict(t: DecisionTree) -> dict:
@@ -359,17 +366,8 @@ def tree_from_json_dict(data: Mapping, *, party: Party | None = None) -> Decisio
     """Load a tree; the scope is inferred from the resources the tree
     actually consults (validation separately enforces that every path
     consults all of them)."""
-    root = {s: _node_from_json(n) for s, n in _parse_keys(data["settings"], _parse_symbol).items()}
-
     scope: set[str] = set()
-
-    def collect(node: Node) -> None:
-        if isinstance(node, Internal):
-            scope.add(node.resource_choice)
-            for c in node.children.values():
-                collect(c)
-
-    for n in root.values():
-        collect(n)
+    root = {s: _node_from_json(n, f"setting {s}", scope)
+            for s, n in _parse_keys(data["settings"], _parse_symbol).items()}
     p = party if party is not None else data["party"]
     return DecisionTree(party=p, root=root, resource_scope=frozenset(scope))

@@ -19,7 +19,7 @@ import pytest
 
 import boxnet
 import boxnet.decompose as decompose
-from boxnet.cli import _load_json, main
+from boxnet.cli import _load_json, load_behavior_file, main
 from boxnet.decompose import Mixture, decompose_extremal, local_deterministic_vertices
 from boxnet.ghz import QuantumStrategy, ghz_behavior
 from boxnet.inequality import evaluate, mao_inequality
@@ -710,3 +710,78 @@ def test_vertex_cap_within_and_past_the_count(monkeypatch, capsys, cap, rc):
     assert main(["decompose", str(FIXTURES / "wired-pr" / "pr_ab.json")]) == rc
     err = capsys.readouterr().err
     assert ("exceed the cap 15" in err) == (cap == "15")
+
+
+@pytest.mark.parametrize("argv", [
+    ["behavior", "worked"],
+    ["ghz", "eval", "--angles", "0,1,0,1,0,1"],
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_exits_two(tmp_path, argv, where):
+    """An ``-o`` path that cannot be written is an input error naming it,
+    with nothing on stdout."""
+    out = tmp_path / "no-such-dir" / "x.json" if where == "missing-dir" else tmp_path
+    done = _cli_process(*argv, "-o", str(out))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"input error: {out}: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("node", ["leaf", "outcome", [1], None, 0, {"resourc": "R1"},
+                                  {"outcome": 0, "resource": "R1"},
+                                  {"resource": "R1", "input": 0}])
+def test_tree_node_of_no_known_shape_exits_two(tmp_path, capsys, node):
+    """A tree node is {}, {"outcome"} or {"resource", "input", "children"};
+    any other value is an input error naming where it sits, not read as an
+    unlabeled terminal."""
+    d = _fixture_copy(tmp_path, "worked")
+    _edit(d / "alice.json", lambda t: t["settings"].update({"0": node}))
+    assert main(["validate", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert "tree node at [setting 0]: expected {}, {outcome} or " in err
+    assert "Traceback" not in err
+
+
+def test_tree_node_below_the_root_is_named_by_its_path(tmp_path, capsys):
+    d = _fixture_copy(tmp_path, "worked")
+    _edit(d / "alice.json",
+          lambda t: t["settings"]["1"]["children"]["0"]["children"].update({"1": {"x": 1}}))
+    assert main(["validate", str(d)]) == 2
+    assert "tree node at [setting 1 -> R2:0 -> R1:1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+def test_unchecked_flag_must_be_a_json_boolean(tmp_path, capsys, value):
+    r = _pr_ab()
+    r["unchecked"] = value
+    path = _write(tmp_path / "pr_ab.json", r)
+    for argv in (["decompose", path], ["ineq", "eval", "--behavior", path]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"unchecked: expected a JSON boolean, got {type(value).__name__}" in err
+
+
+def test_unchecked_string_in_a_scenario_exits_two(tmp_path, capsys):
+    d = _fixture_copy(tmp_path, "wired-pr")
+    _edit(d / "pr_ab.json", lambda r: r.update({"unchecked": "false"}))
+    for argv in (["joint", str(d), "--settings", "0,0,0"],
+                 ["validate", "--allow-signaling", str(d)]):
+        assert main(argv) == 2
+        assert "unchecked: expected a JSON boolean, got str" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_float_flag_must_be_a_json_boolean(tmp_path, capsys, value):
+    beh = ghz_behavior(QuantumStrategy.from_angles({p: (0.0, 1.0) for p in "ABC"})).to_json_dict()
+    beh["float"] = value
+    assert main(["ineq", "eval", "--behavior", _write(tmp_path / "b.json", beh)]) == 2
+    assert (f"float: expected a JSON boolean, got {type(value).__name__}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("unchecked", [True, False])
+def test_boolean_flags_are_read(tmp_path, unchecked):
+    r = _pr_ab()
+    r.update({"unchecked": unchecked, "float": False})
+    loaded = load_behavior_file(_write(tmp_path / "r.json", r))
+    assert isinstance(loaded, NonsignalingResource)
+    assert loaded.nonsignaling_checked is not unchecked
