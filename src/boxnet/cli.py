@@ -10,7 +10,7 @@ to the fixtures shipped with the package.
 Exit codes: 0 success; 1 domain failure (validation failed, LP
 infeasible, inequality violated); 2 input error (missing file,
 malformed JSON, bad flags, a ``NONSIG_VERTEX_CAP`` that is not a
-non-negative integer).
+non-negative integer, a behavior that does not fit the inequality).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .decompose import (
 )
 from .ghz import FloatBehavior, QuantumStrategy, ghz_behavior, search_max_violation
 from .inequality import (
+    InequalityError,
     cao_inequality,
     chao_reichardt_correlator,
     chao_reichardt_probability_form,
@@ -344,12 +345,16 @@ def cmd_ineq(args) -> int:
     b = load_behavior_file(args.behavior)
     atol = args.atol if args.atol is not None else \
         (1e-9 if isinstance(b, FloatBehavior) else 0)
-    if args.ineq == "cr-prob":
-        ev = chao_reichardt_probability_form(b, atol=atol)
-    elif args.ineq == "cao-s14":
-        ev = evaluate_cao_s14(b, atol=atol)
-    else:
-        ev = evaluate(_named_inequality(args.ineq), b, atol=atol)
+    try:
+        if args.ineq == "cr-prob":
+            ev = chao_reichardt_probability_form(b, atol=atol)
+        elif args.ineq == "cao-s14":
+            ev = evaluate_cao_s14(b, atol=atol)
+        else:
+            ev = evaluate(_named_inequality(args.ineq), b, atol=atol)
+    except InequalityError as e:
+        # The behavior's scenario does not fit the inequality's.
+        raise InputError(f"{args.behavior}: {e}") from e
     value = float(ev.value) if isinstance(ev.value, float) else str(ev.value)
     payload = {"inequality": args.ineq, "value": value,
                "bound": str(ev.bound), "direction": ev.direction,

@@ -23,8 +23,7 @@ never built, as the rows where they hold a 1.
 the same two calls.  ``column_sum`` rebuilds A x from ``column(j)`` for
 the mixture check, and ``price(y)`` scores a Farkas certificate on every
 column in one pass.  ``boxnet.decompose`` checks each answer once this
-way, and so does ``solve_feasibility``, the dense entry point for direct
-callers, which parses its rows into ``Columns`` first.
+way; ``solve_columns`` is the solver's only entry point.
 
 What the solver keeps is the artificial block of the phase-1 tableau
 (B^-1, row-scaled), its right-hand side and its cost row: (m+1) x (m+2)
@@ -82,10 +81,6 @@ class FarkasInfeasible:
 
     def __bool__(self) -> bool:
         return False
-
-
-def _exact(values) -> list:
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
 
 def _abs_max(arr: np.ndarray) -> int:
@@ -174,20 +169,20 @@ def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
 
 
 def solve_columns(columns, b: Sequence) -> Feasible | FarkasInfeasible:
-    """Phase 1 on A x = b, A given by the column source ``columns``.  The
-    answer is not verified against A: the caller checks it."""
+    """Phase 1 on A x = b, A given by the column source ``columns`` and
+    each entry of b an int or a ``Fraction``.  The answer is not verified
+    against A: the caller checks it."""
     m, n = len(b), columns.n
-    rhs = _exact(b)
-    flip = np.array([-1 if v < 0 else 1 for v in rhs], dtype=np.int64)
+    flip = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
     flipped = (flip < 0).any()
     # Row i is c_i times [e_i | |b_i|] with c_i the denominator of b_i; the
     # cost row, minimizing the sum of artificials, is sigma times
     # [0 | -sum |b_i| | 1]: row[j] / scale is the reduced cost of
     # artificial j and -row[m] / scale the objective value.
-    sigma = lcm(*(v.denominator for v in rhs))
-    obj = sum(abs(v.numerator) * (sigma // v.denominator) for v in rhs)
+    sigma = lcm(*(v.denominator for v in b))
+    obj = sum(abs(v.numerator) * (sigma // v.denominator) for v in b)
     g = gcd(obj, sigma)
-    entries = [*(v.denominator for v in rhs), *(abs(v.numerator) for v in rhs), obj // g, sigma // g]
+    entries = [*(v.denominator for v in b), *(abs(v.numerator) for v in b), obj // g, sigma // g]
     bound = max(entries)
     tab = np.zeros((m + 1, m + 2), dtype=np.int64 if bound < _INT64_SAFE else object)
     tab[range(m), range(m)] = entries[:m]
@@ -282,43 +277,3 @@ def solve_columns(columns, b: Sequence) -> Feasible | FarkasInfeasible:
     return FarkasInfeasible([Fraction(int(f) * (scale - c), scale)
                              for f, c in zip(flip, cost[:m])])
 
-
-def solve_feasibility(
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-) -> Feasible | FarkasInfeasible:
-    """Solve a dense system and verify the answer against its columns,
-    exactly, before handing it back."""
-    m = len(a_rows)
-    if m == 0:
-        return Feasible([])
-    n = len(a_rows[0])
-    if any(len(r) != n for r in a_rows):
-        raise ValueError("ragged constraint matrix")
-    if len(b) != m:
-        raise ValueError(f"{len(b)} rhs entries for {m} rows")
-    values, k = integers(_exact(v for col in zip(*a_rows) for v in col))
-    columns = Columns(np.broadcast_to(np.arange(m), (n, m)), values.reshape(n, m), k)
-    rhs = _exact(b)
-    res = solve_columns(columns, [k * v for v in rhs])
-
-    if res:
-        x = res.solution
-        if any(v < 0 for v in x):
-            raise RuntimeError("negative component in basic solution")
-        got, den = column_sum(columns, x, m)
-        for i, dot in enumerate(got.tolist()):
-            if Fraction(dot, den) != rhs[i]:
-                raise RuntimeError(f"solution fails row {i}: {Fraction(dot, den)} != {b[i]}")
-        return res
-
-    ys, d = integers(res.certificate)
-    j = columns.price(ys)
-    if j is not None:
-        rows, vals = columns.column(j)
-        dot = ys[rows] @ vals.astype(object)
-        raise RuntimeError(f"certificate fails on column {j}: {Fraction(dot, d * k)} > 0")
-    gap = sum(yi * bi for yi, bi in zip(res.certificate, rhs))
-    if gap <= 0:
-        raise RuntimeError(f"certificate has nonpositive gap {gap}")
-    return res

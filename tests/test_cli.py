@@ -22,8 +22,13 @@ import boxnet.decompose as decompose
 from boxnet.cli import _load_json, load_behavior_file, main
 from boxnet.decompose import Mixture, decompose_extremal, local_deterministic_vertices
 from boxnet.ghz import QuantumStrategy, ghz_behavior
-from boxnet.inequality import evaluate, mao_inequality
-from boxnet.resource import Alphabet, NonsignalingResource, validate_nonsignaling
+from boxnet.inequality import (
+    cao_s14_linearized,
+    deterministic_behaviors,
+    evaluate,
+    mao_inequality,
+)
+from boxnet.resource import Alphabet, NonsignalingResource, make_pr_box, validate_nonsignaling
 
 FIXTURES = Path(boxnet.__file__).parent / "fixtures"
 
@@ -255,6 +260,54 @@ def test_ineq_eval_on_wired_fixture(tmp_path, capsys):
 
 def test_ineq_eval_needs_behavior(capsys):
     assert main(["ineq", "eval", "--ineq", "mao"]) == 2
+
+
+def _ternary_a():
+    """A (2,2,2) behavior whose party A answers in {0, 1, 2}."""
+    bits = Alphabet((0, 1))
+    return local_deterministic_vertices(
+        ("A", "B", "C"), [bits] * 3, [Alphabet((0, 1, 2)), bits, bits]).vertices[0]
+
+
+@pytest.mark.parametrize("ineq, behavior, message", [
+    ("mao", lambda: deterministic_behaviors({"A": 2, "B": 3, "C": 2})[37],
+     "party 'B' has settings (0, 1, 2), inequality needs (0, 1)"),
+    ("cr-prob", lambda: deterministic_behaviors({"A": 2, "B": 3, "C": 2})[37],
+     "party 'B' has settings (0, 1, 2), inequality needs (0, 1)"),
+    ("cao-s14", lambda: deterministic_behaviors({"A": 2, "B": 2, "C": 2})[37],
+     "party 'B' has settings (0, 1), inequality needs (0, 1, 2)"),
+    ("mao", make_pr_box,
+     "behavior parties ['A', 'B'] do not match the inequality's parties ['A', 'B', 'C']"),
+    ("cao", _ternary_a,
+     "party 'A' outcomes (0, 1, 2) are not within {0, 1}; correlators need binary +/-1 outcomes"),
+], ids=["mao-232", "cr-prob-232", "cao-s14-222", "mao-two-parties", "cao-ternary"])
+def test_ineq_eval_scenario_mismatch_exits_two(tmp_path, capsys, ineq, behavior, message):
+    """A behavior whose scenario does not fit the inequality is an input
+    error, as a signature mismatch is for ``decompose``."""
+    path = _write(tmp_path / "b.json", behavior().to_json_dict())
+    assert main(["ineq", "eval", "--ineq", ineq, "--behavior", path]) == 2
+    assert capsys.readouterr() == ("", f"input error: {path}: {message}\n")
+
+
+def test_ineq_eval_signaling_behavior_still_exits_one(tmp_path, capsys):
+    beh = deterministic_behaviors({"A": 2, "B": 2, "C": 2})[0].to_json_dict()
+    for x in ("0,1,0", "0,1,1", "1,1,0", "1,1,1"):   # A answers B's setting
+        beh["table"][x].update({"0,0,0": "0", "1,0,0": "1"})
+    beh["unchecked"] = True
+    assert main(["ineq", "eval", "--ineq", "mao", "--behavior", _write(tmp_path / "b.json", beh)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_ineq_eval_cao_s14_reads_the_linearized_value(tmp_path, capsys):
+    """On (2,3,2) behaviors the conditional form reads the value of its
+    linear twin, one behavior per value the deterministic ones reach."""
+    behaviors = deterministic_behaviors({"A": 2, "B": 3, "C": 2})
+    for i in (0, 2, 4, 11, 13):
+        path = _write(tmp_path / f"b{i}.json", behaviors[i].to_json_dict())
+        rc, data = run_json(capsys, "ineq", "eval", "--ineq", "cao-s14", "--behavior", path)
+        assert rc == 0 and data["satisfied"] is True
+        assert data["value"] == str(evaluate(cao_s14_linearized(), behaviors[i]).value)
 
 
 def test_ghz_search_reproduces_snapshot(capsys):

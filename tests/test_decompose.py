@@ -181,6 +181,19 @@ def test_certificate_guard_scores_every_vertex_exactly(monkeypatch):
         decompose_extremal(box, vs)
 
 
+def test_a_solution_with_negative_weights_is_refused(monkeypatch):
+    # -1/16 on each deterministic vertex takes the uniform box out, 1/8 on
+    # each PR-class box puts it back, and 1 more on PR leaves the PR box:
+    # every entry is rebuilt and the weights sum to 1, but no mixture has a
+    # negative weight.
+    vs = ns_vertices_222()
+    weights = [F(-1, 16) if kind == "deterministic" else F(1, 8) for kind in vs.provenance]
+    weights[[v.id for v in vs.vertices].index("PR")] += 1
+    _answer_with(monkeypatch, Feasible(weights))
+    with pytest.raises(ValueError, match="^weights sum to 2, not 1$"):
+        decompose_extremal(make_pr_box(), vs)
+
+
 def test_noisy_pr_above_half_still_nonsignaling_mixture():
     box = noisy_pr(F(3, 4))
     assert isinstance(is_local(box).certificate, Infeasible)

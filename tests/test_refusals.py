@@ -1,6 +1,6 @@
 """Refusals of malformed arguments: constructors, marginals, conditioning,
-subset checks, mixtures, vertex sets, network composition and correlator
-inequalities.
+subset checks, mixtures, vertex sets, network composition, decision trees,
+correlator inequalities and GHZ strategies.
 
 One table of cases, each a call that must raise: the test asserts the
 exception type and its whole message.
@@ -12,17 +12,26 @@ from fractions import Fraction
 
 import pytest
 
-from boxnet.decompose import Mixture, VertexSet
-from boxnet.ghz import FloatBehavior
+from boxnet.decompose import Mixture, VertexSet, decompose_extremal, ns_vertices_222
+from boxnet.ghz import FloatBehavior, QuantumStrategy, ghz_behavior
 from boxnet.inequality import (
     CorrelatorTerm,
     InequalityError,
     LinearInequality,
     correlator,
+    deterministic_behaviors,
+    functional_difference,
     mao_inequality,
     relabel_output,
+    swap_parties,
 )
-from boxnet.network import Network, NetworkError, marginal_without_party, union_network
+from boxnet.network import (
+    Network,
+    NetworkError,
+    joint_distribution,
+    marginal_without_party,
+    union_network,
+)
 from boxnet.resource import (
     Alphabet,
     NonsignalingResource,
@@ -35,7 +44,14 @@ from boxnet.resource import (
     make_shared_randomness,
     marginal,
 )
-from boxnet.wiring import DecisionTree, Internal, Terminal
+from boxnet.wiring import (
+    DecisionTree,
+    Internal,
+    Terminal,
+    append_unused,
+    excise_input_free,
+    trace_path,
+)
 
 F = Fraction
 BITS, ONE = Alphabet((0, 1)), Alphabet((0,))
@@ -60,6 +76,24 @@ def coin_net(party):
     return Network((party,), [coin], {party: tree}, {party: ONE}, name=party)
 
 
+def reads_coin(edges=(0, 1)):
+    """A tree of 'A' that reads 'coin', with an edge for each output in
+    ``edges``."""
+    return DecisionTree("A", {0: Internal("coin", 0, {e: Terminal() for e in edges})},
+                        frozenset({"coin"}))
+
+
+def table_for_a(inputs, outputs):
+    """The resource 't' of party 'A' answering 0, with alphabets as given."""
+    return NonsignalingResource.make("t", ("A",), inputs, outputs, {(0,): {(0,): 1, (1,): 0}})
+
+
+TRI = deterministic_behaviors({"A": 2, "B": 2, "C": 2})
+TERNARY_C = make_local_deterministic(
+    ("A", "B", "C"), [BITS] * 3, [BITS, BITS, Alphabet((0, 1, 2))],
+    {p: {0: 0, 1: 0} for p in "ABC"}, id="ternary")
+
+
 CASES = {
     # Network(...)
     "network-no-parties": (lambda: Network((), [], {}, {}),
@@ -80,6 +114,13 @@ CASES = {
     "network-bins-unknown-party": (
         lambda: Network(("A",), [], {"A": bare()}, {"A": ONE}, bins={"Z": {(): 0}}),
         NetworkError, "bins name unknown party 'Z'"),
+    "network-root-edges-not-the-settings": (
+        lambda: Network(("A",), [], {"A": DecisionTree("A", {0: Terminal(), 1: Terminal()},
+                                                       frozenset())}, {"A": Alphabet((0, 1, 2))}),
+        NetworkError,
+        "tree of 'A' invalid: root edges [0, 1] do not match the settings alphabet [0, 1, 2]"),
+    "joint-distribution-settings-count": (lambda: joint_distribution(lone(), (0, 0)),
+                                          NetworkError, "2 settings for 1 parties"),
     # marginal
     "marginal-empty-keep": (lambda: marginal(PR, []), ValueError, "keep must be non-empty"),
     "marginal-duplicate-keep": (lambda: marginal(PR, ["A", "A"]),
@@ -142,6 +183,9 @@ CASES = {
     "vertex-set-equal-tables": (
         lambda: VertexSet([PR, make_pr_box(id="twin")], ["a", "b"]).check_distinct(),
         ValueError, "vertices 'PR' and 'twin' have equal tables"),
+    "decompose-signature-mismatch": (
+        lambda: decompose_extremal(TRI[0], ns_vertices_222()),
+        ValueError, "signature mismatch: 'det0' vs vertex set over 2 parties"),
     # constructors
     "deterministic-partial-function": (
         lambda: make_local_deterministic(("A",), [BITS], [BITS], {"A": {0: 0}}),
@@ -160,6 +204,31 @@ CASES = {
     "alphabet-empty": (lambda: Alphabet(()), ValueError, "alphabet must be non-empty"),
     "alphabet-duplicates": (lambda: Alphabet((0, 1, 0)),
                             ValueError, "alphabet has duplicate symbols: (0, 1, 0)"),
+    "resource-alphabet-map-misses-a-party": (
+        lambda: table_for_a({"B": ONE}, [BITS]), ValueError, "no alphabet for parties ['A']"),
+    "resource-alphabet-count": (lambda: table_for_a([ONE, ONE], [BITS]),
+                                ValueError, "2 alphabets for 1 parties"),
+    "resource-no-parties": (lambda: NonsignalingResource.make("t", (), [], [], {}),
+                            ValueError, "resource must have at least one party"),
+    "resource-duplicate-parties": (
+        lambda: NonsignalingResource.make("t", ("A", "A"), [ONE, ONE], [BITS, BITS], {}),
+        ValueError, "duplicate parties: ('A', 'A')"),
+    "subset-overlapping-groups": (lambda: check_subset_nonsignaling(PR, ("A",), ("A",)),
+                                  ValueError, "signalers and receivers must be disjoint"),
+    # decision trees
+    "trace-path-no-edge": (lambda: trace_path(reads_coin(edges=(0,)), 0, {"coin": 1}),
+                           KeyError, "\"output 1 of 'coin' has no edge here (have [0])\""),
+    "excise-no-known-output": (lambda: excise_input_free(reads_coin(), "coin", {1: 0}),
+                               ValueError, "no known output of 'coin' for input 0"),
+    "append-unused-duplicate-ids": (
+        lambda: append_unused(bare(), ["coin", "coin"], {"coin": 0}, {"coin": PR}),
+        ValueError, "duplicate ids in unused: ['coin', 'coin']"),
+    # GHZ strategies
+    "quantum-strategy-no-settings": (lambda: QuantumStrategy({"A": ()}),
+                                     ValueError, "party 'A' has no measurement settings"),
+    "ghz-other-parties": (
+        lambda: ghz_behavior(QuantumStrategy.from_angles({"A": [0.0], "B": [0.0]})),
+        ValueError, "a GHZ strategy names parties ('A', 'B', 'C'), got ['A', 'B']"),
     # network operations
     "marginal-without-unknown-party": (lambda: marginal_without_party(lone(), "Z"),
                                        NetworkError, "no party 'Z' in network"),
@@ -187,8 +256,30 @@ CASES = {
     "inequality-zero-count": (
         lambda: LinearInequality("t", (), F(1), {"A": 0}),
         InequalityError, "party 'A': settings count 0 is not an integer >= 1"),
+    "term-no-party": (lambda: CorrelatorTerm(F(1), (), ()),
+                      ValueError, "a correlator term involves at least one party"),
+    "term-repeated-party": (lambda: CorrelatorTerm(F(1), ("A", "A"), (0, 1)),
+                            ValueError, "repeated party in correlator term ('A', 'A')"),
+    "inequality-term-unknown-party": (
+        lambda: LinearInequality("t", (CorrelatorTerm(F(1), ("Z",), (0,)),), F(1), {"A": 2}),
+        InequalityError, "term names unknown party 'Z'"),
+    "correlator-repeated-party": (lambda: correlator(PR, ("A", "A"), (0, 0)),
+                                  ValueError, "repeated party in correlator ('A', 'A')"),
+    "correlator-settings-count": (lambda: correlator(PR, ("A", "B"), (0,)),
+                                  ValueError, "need exactly one setting per involved party"),
+    "correlator-unknown-setting": (lambda: correlator(PR, ("A",), (5,)),
+                                   KeyError, "\"party 'A' has no setting 5\""),
     "relabel-bool-setting": (lambda: relabel_output(mao_inequality(), "A", True),
                              ValueError, "alphabet symbol True is not an integer"),
+    "relabel-unknown-party": (lambda: relabel_output(mao_inequality(), "Z", 0),
+                              KeyError, "\"unknown party 'Z'\""),
+    "relabel-unknown-setting": (lambda: relabel_output(mao_inequality(), "A", 5),
+                                KeyError, "\"party 'A' has no setting 5\""),
+    "swap-unknown-party": (lambda: swap_parties(mao_inequality(), "A", "Z"),
+                           KeyError, "\"unknown party 'Z'\""),
+    "functional-difference-mixed-signatures": (
+        lambda: functional_difference(mao_inequality(), mao_inequality(), [TRI[0], TERNARY_C]),
+        InequalityError, "behaviors 'det0' and 'ternary' differ in signature"),
     # a bool is not a probability; float entries are read naming the entry
     "frac-bool": (lambda: frac(True), TypeError,
                   "refusing to coerce bool True to an exact rational"),
@@ -231,3 +322,12 @@ def test_refused(call, error, message):
         call()
     assert type(refused.value) is error
     assert str(refused.value) == message
+
+
+def test_functional_difference_answers_before_reading_behaviors():
+    """Two scenarios that differ are a witness string, and an empty list of
+    behaviors leaves nothing to differ on."""
+    other = LinearInequality("t", (), F(4), {"A": 2})
+    assert functional_difference(mao_inequality(), other, TRI) == \
+        "scenario mismatch: {'A': 2, 'B': 2, 'C': 2} vs {'A': 2}"
+    assert functional_difference(mao_inequality(), mao_inequality(), []) is None

@@ -5,7 +5,10 @@
 entry point would silently read 0 in its per-layer metrics.  This test
 loads the tracer as it is (it is not changed) and requires every target
 to resolve, apart from ``Network._trace``, whose lookup the network
-construction no longer has.
+construction no longer has, and ``linprog.solve_feasibility``, the dense
+entry point retired because nothing called it: ``solve_columns`` is the
+LP's only entry point, and the tracer's ``linprog.*`` metrics read 0
+with or without it.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-DEAD = {("boxnet.network", "Network._trace")}
+DEAD = {("boxnet.network", "Network._trace"), ("boxnet.linprog", "solve_feasibility")}
 
 
 def _tracing():
