@@ -4,151 +4,52 @@ Exact rational probability tables, executable consistency checks, the
 induced joint distribution of a wired network, extremal decompositions,
 and tripartite nonlocality inequalities with a machine-checked derivation
 chain.
+
+``import boxnet`` loads no submodule (and so not numpy): each public name
+below is imported from its module on first use (PEP 562), as is each
+submodule read as an attribute, e.g. ``boxnet.decompose``.
 """
 
-from boxnet.decompose import (
-    Infeasible,
-    LocalityResult,
-    Mixture,
-    VertexSet,
-    decompose_extremal,
-    excise_local_deterministic,
-    expand_to_extremal_mixture,
-    factor_out_shared_randomness,
-    is_local,
-    local_deterministic_vertices,
-    ns_vertices_222,
-)
-from boxnet.ghz import (
-    FloatBehavior,
-    MeasurementSetting,
-    QuantumStrategy,
-    SearchResult,
-    ghz_behavior,
-    search_max_violation,
-)
-from boxnet.inequality import (
-    ChainReport,
-    ChainStep,
-    CorrelatorTerm,
-    Evaluation,
-    InequalityError,
-    LinearInequality,
-    cao_inequality,
-    cao_s14_linearized,
-    chao_reichardt_correlator,
-    chao_reichardt_probability_form,
-    correlator,
-    deterministic_behaviors,
-    evaluate,
-    evaluate_cao_s14,
-    mao_inequality,
-    verify_derivation_chain,
-)
-from boxnet.network import (
-    JointDistribution,
-    Network,
-    NetworkError,
-    check_disjoint_factorization,
-    induced_behavior,
-    joint_distribution,
-    joint_probability,
-    marginal_without_party,
-    relabel_network,
-    union_network,
-)
-from boxnet.resource import (
-    Alphabet,
-    NonsignalingResource,
-    SignalingError,
-    SignalingWitness,
-    TableError,
-    ValidationReport,
-    ZeroConditioningError,
-    check_subset_nonsignaling,
-    condition,
-    frac,
-    make_local_deterministic,
-    make_pr_box,
-    make_shared_randomness,
-    marginal,
-    validate_nonsignaling,
-)
-from boxnet.wiring import (
-    DecisionTree,
-    Internal,
-    PathTrace,
-    Terminal,
-    trace_path,
-    validate_tree,
-)
+import importlib
+
+_HOMES = {
+    "decompose": "Infeasible LocalityResult Mixture VertexSet decompose_extremal "
+                 "excise_local_deterministic expand_to_extremal_mixture "
+                 "factor_out_shared_randomness is_local local_deterministic_vertices "
+                 "ns_vertices_222",
+    "ghz": "FloatBehavior MeasurementSetting QuantumStrategy SearchResult ghz_behavior "
+           "search_max_violation",
+    "inequality": "ChainReport ChainStep CorrelatorTerm Evaluation InequalityError "
+                  "LinearInequality cao_inequality cao_s14_linearized "
+                  "chao_reichardt_correlator chao_reichardt_probability_form correlator "
+                  "deterministic_behaviors evaluate evaluate_cao_s14 mao_inequality "
+                  "verify_derivation_chain",
+    "network": "JointDistribution Network NetworkError check_disjoint_factorization "
+               "induced_behavior joint_distribution joint_probability "
+               "marginal_without_party relabel_network union_network",
+    "resource": "Alphabet NonsignalingResource SignalingError SignalingWitness TableError "
+                "ValidationReport ZeroConditioningError check_subset_nonsignaling condition "
+                "frac make_local_deterministic make_pr_box make_shared_randomness marginal "
+                "validate_nonsignaling",
+    "wiring": "DecisionTree Internal PathTrace Terminal trace_path validate_tree",
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+_SUBMODULES = {*_HOMES, "linprog"}
 
 __version__ = "0.1.0"
+__all__ = [*sorted(_MODULE_OF), "__version__"]
 
-__all__ = [
-    "Alphabet",
-    "ChainReport",
-    "ChainStep",
-    "CorrelatorTerm",
-    "DecisionTree",
-    "Evaluation",
-    "FloatBehavior",
-    "Infeasible",
-    "InequalityError",
-    "Internal",
-    "JointDistribution",
-    "LinearInequality",
-    "LocalityResult",
-    "MeasurementSetting",
-    "Mixture",
-    "Network",
-    "NetworkError",
-    "NonsignalingResource",
-    "PathTrace",
-    "QuantumStrategy",
-    "SearchResult",
-    "SignalingError",
-    "SignalingWitness",
-    "TableError",
-    "Terminal",
-    "ValidationReport",
-    "VertexSet",
-    "ZeroConditioningError",
-    "cao_inequality",
-    "cao_s14_linearized",
-    "chao_reichardt_correlator",
-    "chao_reichardt_probability_form",
-    "check_disjoint_factorization",
-    "check_subset_nonsignaling",
-    "condition",
-    "correlator",
-    "decompose_extremal",
-    "deterministic_behaviors",
-    "evaluate",
-    "evaluate_cao_s14",
-    "excise_local_deterministic",
-    "expand_to_extremal_mixture",
-    "factor_out_shared_randomness",
-    "frac",
-    "ghz_behavior",
-    "induced_behavior",
-    "is_local",
-    "joint_distribution",
-    "joint_probability",
-    "local_deterministic_vertices",
-    "make_local_deterministic",
-    "make_pr_box",
-    "make_shared_randomness",
-    "mao_inequality",
-    "marginal",
-    "marginal_without_party",
-    "ns_vertices_222",
-    "relabel_network",
-    "search_max_violation",
-    "trace_path",
-    "union_network",
-    "validate_nonsignaling",
-    "validate_tree",
-    "verify_derivation_chain",
-    "__version__",
-]
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

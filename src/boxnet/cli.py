@@ -11,6 +11,13 @@ Exit codes: 0 success; 1 domain failure (validation failed, LP
 infeasible, inequality violated); 2 input error (missing file,
 malformed JSON, bad flags, a ``NONSIG_VERTEX_CAP`` that is not a
 non-negative integer, a behavior that does not fit the inequality).
+
+Each process loads only what its command uses: ``validate``, ``joint``
+and ``behavior`` import ``resource``, ``network`` and ``wiring``; the
+``decompose``, ``ineq`` and ``ghz`` commands import their modules when
+they run.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
+unless the caller has set it, before numpy loads: no command does
+multithreaded linear algebra, and idle BLAS threads only cost CPU.
 """
 
 from __future__ import annotations
@@ -18,33 +25,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Union
 
-from .decompose import (
-    CapSettingError,
-    Infeasible,
-    Mixture,
-    VertexSet,
-    decompose_extremal,
-    decompose_local,
-    ns_vertices_222,
-)
-from .ghz import FloatBehavior, QuantumStrategy, ghz_behavior, search_max_violation
-from .inequality import (
-    InequalityError,
-    cao_inequality,
-    chao_reichardt_correlator,
-    chao_reichardt_probability_form,
-    evaluate,
-    evaluate_cao_s14,
-    mao_inequality,
-    verify_derivation_chain,
-)
-from .network import Network, NetworkError, induced_behavior, joint_distribution
-from .resource import (
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .network import Network, NetworkError, induced_behavior, joint_distribution  # noqa: E402
+from .resource import (  # noqa: E402
     Alphabet,
+    CapSettingError,
     NonsignalingResource,
     SignalingError,
     TableError,
@@ -53,7 +43,7 @@ from .resource import (
     _parse_symbol,
     validate_nonsignaling,
 )
-from .wiring import tree_from_json_dict
+from .wiring import tree_from_json_dict  # noqa: E402
 
 INEQ_CHOICES = ("mao", "cr-corr", "cr-prob", "cao", "cao-s14")
 
@@ -165,7 +155,9 @@ def load_scenario(arg: str) -> Network:
     return Network(**_read_scenario(arg)[1])
 
 
-def load_behavior_file(arg: str) -> Union[NonsignalingResource, FloatBehavior]:
+def load_behavior_file(arg: str) -> NonsignalingResource | FloatBehavior:
+    from .ghz import FloatBehavior
+
     def make(d):
         kind = FloatBehavior if _json_field(d, "float", bool) else NonsignalingResource
         return kind.from_json_dict(d)
@@ -272,6 +264,8 @@ def cmd_behavior(args) -> int:
 
 
 def _vertex_set_for(r: NonsignalingResource, kind: str, base: Path) -> VertexSet:
+    from .decompose import VertexSet, ns_vertices_222
+
     if kind == "ns222":
         vs = ns_vertices_222()
     else:
@@ -292,6 +286,8 @@ def _vertex_set_for(r: NonsignalingResource, kind: str, base: Path) -> VertexSet
 
 
 def cmd_decompose(args) -> int:
+    from .decompose import Infeasible, Mixture, decompose_extremal, decompose_local
+
     r = _from_json(NonsignalingResource.from_json_dict,
                    _load_json(Path(args.resource)), args.resource)
     if args.vertices == "local":
@@ -324,11 +320,17 @@ def cmd_decompose(args) -> int:
 
 
 def _named_inequality(name: str):
+    from .inequality import cao_inequality, chao_reichardt_correlator, mao_inequality
+
     return {"mao": mao_inequality, "cr-corr": chao_reichardt_correlator,
             "cao": cao_inequality}[name]()
 
 
 def cmd_ineq(args) -> int:
+    from .ghz import FloatBehavior
+    from .inequality import (InequalityError, chao_reichardt_probability_form, evaluate,
+                             evaluate_cao_s14, verify_derivation_chain)
+
     if args.action == "derive":
         report = verify_derivation_chain()
         payload = {"steps": [{"name": s.name, "description": s.description,
@@ -367,6 +369,8 @@ def cmd_ineq(args) -> int:
 
 
 def cmd_ghz(args) -> int:
+    from .ghz import QuantumStrategy, ghz_behavior, search_max_violation
+
     if args.action == "search":
         if args.grid < 1:
             raise InputError(f"--grid must be at least 1, got {args.grid}")

@@ -33,6 +33,7 @@ from boxnet.linprog import Columns, Feasible, column_sum, integers, solve_column
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
     Alphabet,
+    CapSettingError,
     NonsignalingResource,
     Party,
     Symbol,
@@ -132,11 +133,6 @@ class LocalityResult:
 
     def __bool__(self) -> bool:
         return self.local
-
-
-class CapSettingError(ValueError):
-    """The vertex cap variable is set to something other than a
-    non-negative integer."""
 
 
 def _vertex_cap() -> int:

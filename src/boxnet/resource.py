@@ -55,6 +55,12 @@ class ZeroConditioningError(ValueError):
     zero."""
 
 
+class CapSettingError(ValueError):
+    """The vertex cap variable (read by ``decompose``) is set to something
+    other than a non-negative integer.  It lives here so that the CLI can
+    catch it without loading ``decompose``."""
+
+
 def frac(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, Fraction, or "num/den" string.
 
@@ -305,11 +311,14 @@ def _structure_problem(r: "NonsignalingResource") -> _Fault | None:
     """The first structural fault of r's numerators, columns in input order: a
     column whose sum is not the denominator (first; this is where every table's
     normalization is asserted), else an entry outside [0, denominator]; located
-    only if one whole-array test (sums, min, max) fails."""
+    only if one whole-array test (sums, range) fails."""
     den, nums, n = r.denominator, r.numerators, len(r.parties)
     width = prod(len(a) for a in r.output_alphabets)
     sums = _sum_out(nums if den * width < _INT64 else nums.astype(object), n, n)
-    if (sums == den).all() and nums.min() >= 0 and nums.max() <= den:
+    # Read as uint64, an int64 entry below 0 is at least 2**63 > den: one pass.
+    in_range = (nums.view(np.uint64).max() <= np.uint64(den) if nums.dtype == np.int64
+                else nums.min() >= 0 and nums.max() <= den)
+    if (sums == den).all() and in_range:
         return None
     nums, sums = nums.reshape(-1, width), sums.reshape(-1)
     bad_sum = sums != den

@@ -365,12 +365,18 @@ def test_shared_randomness_refuses_non_integer_outcomes():
     # The int64 column sum wraps around to the denominator.
     ([[2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62 + 2], [1, 1, 0, 0]],
      f"entry at input (0,), output (0,) is {2 ** 61}"),
+    # The int64 minimum is the only entry out of range, in a column that sums
+    # to the denominator: read as uint64 it is 2**63, above any int64 den.
+    (_Tensor(np.array([[-2 ** 63, 2 ** 62, 2 ** 62, 2 ** 62], [2 ** 62, 0, 0, 0]]), 2 ** 62),
+     "entry at input (0,), output (0,) is -2"),
 ])
 def test_malformed_tensor_is_refused(nums, message):
+    """``nums`` over the denominator 2, or a whole ``_Tensor``."""
+    table = nums if isinstance(nums, _Tensor) else _Tensor(np.array(nums), 2)
     want = f"resource 't': {message}"
-    outputs = Alphabet.of_size(len(nums[0]))
+    outputs = Alphabet.of_size(table.numerators.shape[-1])
     with pytest.raises(TableError, match=f"^{re.escape(want)}$"):
-        NonsignalingResource.make("t", ("A",), [BITS], [outputs], _Tensor(np.array(nums), 2))
+        NonsignalingResource.make("t", ("A",), [BITS], [outputs], table)
 
 
 @pytest.mark.parametrize("table, fault", [
