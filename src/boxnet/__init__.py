@@ -5,9 +5,11 @@ induced joint distribution of a wired network, extremal decompositions,
 and tripartite nonlocality inequalities with a machine-checked derivation
 chain.
 
-``import boxnet`` loads no submodule (and so not numpy): each public name
-below is imported from its module on first use (PEP 562), as is each
-submodule read as an attribute, e.g. ``boxnet.decompose``.
+``import boxnet`` loads no submodule (and so not numpy): each read of a
+public name below is served from its module (PEP 562), which is imported
+on first use, as is each submodule read as an attribute, e.g.
+``boxnet.decompose``.  Nothing is cached here, so a name always reads as
+its module's current object.
 """
 
 import importlib
@@ -42,13 +44,10 @@ __all__ = [*sorted(_MODULE_OF), "__version__"]
 
 def __getattr__(name):
     if name in _MODULE_OF:
-        value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f"{__name__}.{name}")
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -11,10 +11,9 @@ one pricing pass.  Both read the vertices as ``linprog.Columns``:
 ``decompose_extremal`` gives each vertex's integer numerators over the
 vertices' common denominator; ``decompose_local`` and ``is_local`` give
 each local deterministic vertex, never built, as the rows where it holds
-a 1.  The two network-level operations
-(pulling shared randomness out in front, replacing resources by their
-extremal components) both return mixtures of networks and verify exact
-behavior preservation before returning.
+a 1.  The three network rewrites (pulling shared randomness out in
+front, replacing resources by their extremal components, cutting out
+deterministic resources) end in one exact behavior assertion.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from boxnet.resource import (
     _Tensor,
     make_pr_box,
 )
-from boxnet.wiring import excise_input_free
+from boxnet.wiring import DecisionTree, excise_input_free
 
 VERTEX_CAP_ENV = "NONSIG_VERTEX_CAP"
 DEFAULT_VERTEX_CAP = 10**6
@@ -340,34 +339,23 @@ def _assert_mixture_matches(net: Network, mix: Mixture) -> None:
         raise AssertionError("mixture behavior differs from the original network")
 
 
-def _frozen_unbinned(net: Network) -> Network:
-    """Same network with every party's outcome rule written into terminal
-    labels, and bins dropped — making outcomes survive tree surgery."""
-    return Network(
-        parties=net.parties,
-        resources=net.resources,
-        trees={p: freeze_outcomes(net, p) for p in net.parties},
-        settings_alphabets=net.settings_alphabets,
-        bins=None,
-        name=net.name,
-    )
-
-
-def _excised(base: Network,
+def _excised(net: Network, frozen: Mapping[Party, DecisionTree],
              observed: Mapping[str, Mapping[Party, Symbol | Mapping[Symbol, Symbol]]],
-             resources: Sequence[NonsignalingResource], name: str) -> Network:
-    """``base`` (outcomes frozen) with each resource in ``observed`` cut out
-    of every member's tree, given that member's observed output: a symbol,
-    or a map input -> output."""
+             name: str) -> Network:
+    """``net`` without bins and without each resource in ``observed``, cut
+    out of every member's tree in ``frozen`` (``net``'s trees with outcomes
+    in terminal labels, which survive the surgery) given that member's
+    observed output: a symbol, or a map input -> output."""
     trees = {}
-    for p in base.parties:
-        t = base.trees[p]
+    for p in net.parties:
+        t = frozen[p]
         for rid, outputs in observed.items():
             if p in outputs:
                 t = excise_input_free(t, rid, outputs[p])
         trees[p] = t
-    return Network(parties=base.parties, resources=resources, trees=trees,
-                   settings_alphabets=base.settings_alphabets, name=name)
+    return Network(parties=net.parties,
+                   resources=[r for r in net.resources if r.id not in observed],
+                   trees=trees, settings_alphabets=net.settings_alphabets, name=name)
 
 
 def factor_out_shared_randomness(net: Network) -> Mixture:
@@ -384,8 +372,7 @@ def factor_out_shared_randomness(net: Network) -> Mixture:
     if not free:
         return Mixture([(Fraction(1), net)])
 
-    base = _frozen_unbinned(net)
-    kept = [r for r in base.resources if not r.is_input_free()]
+    frozen = {p: freeze_outcomes(net, p) for p in net.parties}
     inputs = [tuple(x.first for x in r.input_alphabets) for r in free]  # each one's only input
     components = []
     for sample in product(*(list(r.output_space()) for r in free)):
@@ -394,7 +381,7 @@ def factor_out_shared_randomness(net: Network) -> Mixture:
             continue
         observed = {r.id: dict(zip(r.parties, a)) for r, a in zip(free, sample)}
         label = ",".join(f"{r.id}={''.join(map(str, a))}" for r, a in zip(free, sample))
-        components.append((weight, _excised(base, observed, kept, f"{net.name}|{label}")))
+        components.append((weight, _excised(net, frozen, observed, f"{net.name}|{label}")))
     mix = Mixture(components)
     _assert_mixture_matches(net, mix)
     return mix
@@ -478,12 +465,7 @@ def excise_local_deterministic(net: Network) -> Network:
     if not fns_by_resource:
         return net
 
-    base = _frozen_unbinned(net)
-    out = _excised(base, fns_by_resource,
-                   [r for r in base.resources if r.id not in fns_by_resource],
+    out = _excised(net, {p: freeze_outcomes(net, p) for p in net.parties}, fns_by_resource,
                    f"{net.name}-excised")
-    before = _behavior_support(induced_behavior(net))
-    after = _behavior_support(induced_behavior(out))
-    if before != after:
-        raise AssertionError("excision changed the induced behavior")
+    _assert_mixture_matches(net, Mixture([(Fraction(1), out)]))
     return out

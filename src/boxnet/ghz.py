@@ -70,9 +70,6 @@ class QuantumStrategy:
         return cls({p: tuple(MeasurementSetting(float(a)) for a in per)
                     for p, per in angles.items()})
 
-    def angle(self, party: str, setting: int) -> float:
-        return self.settings[party][setting].angle
-
     def angles(self) -> dict[str, tuple[float, ...]]:
         return {p: tuple(ms.angle for ms in per)
                 for p, per in self.settings.items()}

@@ -578,10 +578,15 @@ def verify_derivation_chain() -> ChainReport:
             "correlator form with bound 6", add(mao, trivial),
             chao_reichardt_correlator(), v222))
 
-    # (d) probability and correlator forms are the same statement.
+    # (d) probability and correlator forms are the same statement (the
+    # probability form re-checks the affine identity and raises if it fails).
     witness = None
     for b in v222:
-        prob = chao_reichardt_probability_form(b)
+        try:
+            prob = chao_reichardt_probability_form(b)
+        except AssertionError as err:
+            witness = f"behavior {b.id}: {err}"
+            break
         corr = evaluate(chao_reichardt_correlator(), b)
         if prob.value != 4 - Fraction(1, 2) * corr.value:
             witness = f"behavior {b.id}: {prob.value} != 4 - ({corr.value})/2"

@@ -19,6 +19,7 @@ import pytest
 
 import boxnet
 import boxnet.decompose as decompose
+import boxnet.inequality as inequality
 from boxnet.cli import _load_json, load_behavior_file, main
 from boxnet.decompose import Mixture, decompose_extremal, local_deterministic_vertices
 from boxnet.ghz import QuantumStrategy, ghz_behavior
@@ -29,6 +30,8 @@ from boxnet.inequality import (
     mao_inequality,
 )
 from boxnet.resource import Alphabet, NonsignalingResource, make_pr_box, validate_nonsignaling
+
+from test_inequality import wrong_cr_corr
 
 FIXTURES = Path(boxnet.__file__).parent / "fixtures"
 
@@ -241,6 +244,21 @@ def test_ineq_derive(capsys):
     assert data["all_passed"] is True
     assert [s["name"] for s in data["steps"]] == list("abcdef")
     assert all(s["passed"] for s in data["steps"])
+
+
+def test_ineq_derive_prints_failing_steps(capsys, monkeypatch):
+    # A wrong correlator form fails steps (c) and (d); the report is still
+    # printed, step by step, with exit 1.
+    monkeypatch.setattr(inequality, "chao_reichardt_correlator", wrong_cr_corr)
+    rc, data = run_json(capsys, "ineq", "derive")
+    assert rc == 1 and data["all_passed"] is False
+    assert [s["name"] for s in data["steps"] if not s["passed"]] == ["c", "d"]
+    rc, out = run(capsys, "--pretty", "ineq", "derive")
+    assert rc == 1
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        [f"{name}:", "FAIL" if name in "cd" else "PASS"] for name in "abcdef"]
+    assert "probability and correlator forms disagree" in lines[3]
 
 
 def test_ineq_eval_on_wired_fixture(tmp_path, capsys):

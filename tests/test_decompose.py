@@ -33,7 +33,7 @@ from boxnet.resource import (
 )
 from boxnet.wiring import DecisionTree, Internal, Terminal
 
-from netgen import BITS, random_small_network, worked_network
+from netgen import BITS, random_small_network, random_wired_pairwise_network, worked_network
 
 F = Fraction
 
@@ -278,10 +278,14 @@ def test_factor_out_coin_whose_one_input_is_not_zero():
 
 
 def test_factor_out_random_networks():
-    rng = random.Random(3)
+    # random_small_network never draws an input-free resource; these
+    # networks share a three-way coin about half the time.
+    rng, factored = random.Random(3), 0
     for i in range(10):
-        net = random_small_network(rng, name=f"f{i}")
-        factor_out_shared_randomness(net)  # internal exact-equality assert
+        net = random_wired_pairwise_network(rng, name=f"f{i}")
+        mix = factor_out_shared_randomness(net)  # internal exact-equality assert
+        factored += mix.components[0][1] is not net
+    assert factored >= 3
 
 
 def build_vertex_sets(net):
@@ -345,7 +349,7 @@ def test_expand_random_networks():
         expand_to_extremal_mixture(net, build_vertex_sets(net))
 
 
-def test_excise_local_deterministic():
+def flip_network():
     det = make_local_deterministic(("A", "B"), [BITS] * 2, [BITS] * 2,
                                    {"A": {0: 1, 1: 0}, "B": {0: 0, 1: 0}}, id="flip")
     pr = make_pr_box(id="box", parties=("A", "B"))
@@ -358,7 +362,11 @@ def test_excise_local_deterministic():
             frozenset({"flip", "box"}))
         for p in ("A", "B")
     }
-    net = Network(("A", "B"), [det, pr], trees, {"A": BITS, "B": BITS})
+    return Network(("A", "B"), [det, pr], trees, {"A": BITS, "B": BITS})
+
+
+def test_excise_local_deterministic():
+    net = flip_network()
     smaller = excise_local_deterministic(net)  # asserts behavior equality
     assert [r.id for r in smaller.resources] == ["box"]
     assert smaller.trees["A"].resource_scope == frozenset({"box"})
@@ -389,3 +397,73 @@ def test_excise_after_expansion_preserves_behavior():
             excised = excise_local_deterministic(comp)
             assert support(induced_behavior(excised)) == support(induced_behavior(comp))
         del base
+
+
+# -- what the rewrites build, and their one behavior assertion ---------------------
+
+
+def count_networks(monkeypatch) -> list:
+    """From here on, the name of every ``Network`` built, in order."""
+    built = []
+    init = Network.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.name)
+
+    monkeypatch.setattr(Network, "__init__", spy)
+    return built
+
+
+def test_factor_out_builds_one_network_per_component(monkeypatch):
+    coin, rng = coin_network(), random.Random(3)
+    nets = [random_wired_pairwise_network(rng, name=f"f{i}") for i in range(6)]
+    built = count_networks(monkeypatch)
+    assert len(factor_out_shared_randomness(coin)) == len(built) == 2
+    for net in nets:
+        built.clear()
+        mix = factor_out_shared_randomness(net)
+        assert built == ([] if mix.components[0][1] is net else [c.name for _, c in mix])
+
+
+def test_excise_builds_one_network_or_none(monkeypatch):
+    flip, coin = flip_network(), coin_network()
+    built = count_networks(monkeypatch)
+    assert excise_local_deterministic(coin) is coin and built == []
+    assert [excise_local_deterministic(flip).name] == built == ["net-excised"]
+
+
+def frozen_at_zero(monkeypatch):
+    """Corrupt every frozen tree: each terminal's outcome becomes 0."""
+    def zero(node):
+        if isinstance(node, Terminal):
+            return Terminal(0)
+        return Internal(node.resource_choice, node.input_choice,
+                        {o: zero(c) for o, c in node.children.items()})
+
+    freeze = decompose.freeze_outcomes
+    monkeypatch.setattr(decompose, "freeze_outcomes", lambda net, p: DecisionTree(
+        p, {s: zero(n) for s, n in freeze(net, p).root.items()}, net.trees[p].resource_scope))
+
+
+MIXTURE_DIFFERS = "^mixture behavior differs from the original network$"
+
+
+def test_factor_out_asserts_the_behavior(monkeypatch):
+    frozen_at_zero(monkeypatch)
+    with pytest.raises(AssertionError, match=MIXTURE_DIFFERS):
+        factor_out_shared_randomness(coin_network())
+
+
+def test_excise_asserts_the_behavior(monkeypatch):
+    frozen_at_zero(monkeypatch)
+    with pytest.raises(AssertionError, match=MIXTURE_DIFFERS):
+        excise_local_deterministic(flip_network())
+
+
+def test_expand_asserts_the_behavior(monkeypatch):
+    # A wrong decomposition of the PR box: the anti-PR box, at weight 1.
+    anti = make_pr_box(gamma=1)
+    monkeypatch.setattr(decompose, "decompose_extremal", lambda r, vs: Mixture([(F(1), anti)]))
+    with pytest.raises(AssertionError, match=MIXTURE_DIFFERS):
+        expand_to_extremal_mixture(coin_network(), {"box": ns_vertices_222()})

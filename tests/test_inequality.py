@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import boxnet.inequality as inequality
 from boxnet.inequality import (
     ChainStep,
     InequalityError,
@@ -320,6 +321,25 @@ def test_chain_negative_control():
     # Bound corruption is caught too.
     wrong_bound = LinearInequality("wb", mao.terms, frac(5), mao.settings_counts)
     assert functional_difference(mao, wrong_bound, behaviors) is not None
+
+
+def wrong_cr_corr() -> LinearInequality:
+    """The correlator form with <A0C0>'s coefficient 3 instead of 4."""
+    right = chao_reichardt_correlator()
+    return LinearInequality(right.name, right.terms[:-1] + (_term(3, A=0, C=0),),
+                            right.bound, right.settings_counts)
+
+
+def test_chain_reports_a_wrong_correlator_form(monkeypatch):
+    # The probability form's own identity check raises on the wrong form;
+    # step (d) reports that as its witness, so step (c)'s FAIL is kept too.
+    monkeypatch.setattr(inequality, "chao_reichardt_correlator", wrong_cr_corr)
+    report = verify_derivation_chain()
+    assert [s.name for s in report.steps] == list("abcdef")
+    assert [s.name for s in report.steps if not s.passed] == ["c", "d"]
+    step_d = report.steps[3]
+    assert step_d.witness.startswith("behavior det")
+    assert "probability and correlator forms disagree" in step_d.witness
 
 
 def test_wired_pr_networks_respect_mao():

@@ -154,6 +154,15 @@ def test_marginal_fixed_input_choice_is_immaterial():
     assert m0.table == m1.table
 
 
+def test_marginal_on_every_party_is_the_resource_or_a_renamed_copy():
+    pr = make_pr_box()
+    assert marginal(pr, pr.parties) is pr
+    assert marginal(pr, ["B", "A"], id=pr.id) is pr
+    copy = marginal(pr, pr.parties, id="copy")
+    assert copy is not pr and copy.id == "copy" and copy.parties == pr.parties
+    assert copy.same_table(pr)
+
+
 def test_marginal_refuses_signaling_resource():
     with pytest.raises(SignalingError):
         marginal(oriented_signaler(), ["A"])

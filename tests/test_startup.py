@@ -1,6 +1,7 @@
 """What a process pays to start: ``import boxnet`` loads no submodule
-(each public name is imported on first use), and the CLI keeps numpy's
-OpenBLAS to one thread unless the caller chose a count.
+(each public name is served from its module, imported on first use), and
+the CLI keeps numpy's OpenBLAS to one thread unless the caller chose a
+count.
 """
 from __future__ import annotations
 
@@ -44,6 +45,15 @@ def test_public_name_is_its_home_modules_object(name):
     obj = getattr(boxnet, name)
     assert vars(sys.modules[obj.__module__])[name] is obj
     assert hasattr(boxnet, name) and name in dir(boxnet)
+
+
+def test_a_public_name_is_read_from_its_module_each_time():
+    # Read while the module's binding is patched, then after it is restored:
+    # the package keeps no copy of either.
+    code = ("import boxnet, boxnet.decompose as d; real = d.is_local; d.is_local = len; "
+            "patched = boxnet.is_local; d.is_local = real; "
+            "print(patched is len, boxnet.is_local is d.is_local)")
+    assert _python(code) == "True True"
 
 
 def test_star_import_binds_every_public_name():
