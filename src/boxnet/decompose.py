@@ -144,24 +144,26 @@ def _vertex_cap() -> int:
     return int(raw)
 
 
+def _refuse_past_cap(in_alphas: Sequence[Alphabet], out_alphas: Sequence[Alphabet]) -> None:
+    """Refuse a signature with more deterministic vertices than the cap
+    (env NONSIG_VERTEX_CAP, default 10^6), read afresh on every call."""
+    count = prod(len(o) ** len(i) for i, o in zip(in_alphas, out_alphas))
+    cap = _vertex_cap()
+    if count > cap:
+        raise ValueError(
+            f"{count} deterministic vertices exceed the cap {cap} "
+            f"(raise {VERTEX_CAP_ENV} to override)")
+
+
 def _deterministic_hits(in_alphas: Sequence[Alphabet],
                        out_alphas: Sequence[Alphabet]) -> np.ndarray:
     """hit[j, x]: the flat entry (C order of the numerator tensor) where the
     deterministic vertex j puts its 1 in input column x.  Vertex j is the
     j-th choice of per-party functions input -> output in product order,
     each party's functions in product order of the outputs chosen for its
-    inputs.  Refuses, before allocating, past the cap (env
-    NONSIG_VERTEX_CAP, default 10^6)."""
+    inputs.  Callers refuse past the cap first (``_refuse_past_cap``)."""
     ins = [len(a) for a in in_alphas]
     outs = [len(a) for a in out_alphas]
-    count = 1
-    for i, o in zip(ins, outs):
-        count *= o ** i
-    cap = _vertex_cap()
-    if count > cap:
-        raise ValueError(
-            f"{count} deterministic vertices exceed the cap {cap} "
-            f"(raise {VERTEX_CAP_ENV} to override)")
     # Axes [f_1..f_n, x_1..x_n]: party p's function f_p adds its output at
     # x_p times the output stride of p; input tuple x adds x times the
     # size of an input column.
@@ -175,7 +177,7 @@ def _deterministic_hits(in_alphas: Sequence[Alphabet],
         shape = [1] * (2 * n)
         shape[p], shape[n + p] = o ** i, i
         hit = hit + (functions * stride).reshape(shape)
-    return hit.reshape(count, -1)
+    return hit.reshape(-1, int(np.prod(ins)))
 
 
 def _deterministic_vertex(j: int, hit: np.ndarray, parties: Sequence[Party],
@@ -200,6 +202,7 @@ def local_deterministic_vertices(
     parties = tuple(parties)
     in_alphas = _align(parties, input_alphabets)
     out_alphas = _align(parties, output_alphabets)
+    _refuse_past_cap(in_alphas, out_alphas)
     hit = _deterministic_hits(in_alphas, out_alphas)
     return VertexSet([_deterministic_vertex(j, hit, parties, in_alphas, out_alphas)
                       for j in range(len(hit))], ["deterministic"] * len(hit))
@@ -291,19 +294,34 @@ def _entry_keys(q: NonsignalingResource) -> list[tuple[tuple[Symbol, ...], tuple
     return list(product(q.input_space(), q.output_space()))
 
 
+@lru_cache(maxsize=4)
+def _local_polytope(parties: tuple[Party, ...], in_alphas: tuple[Alphabet, ...],
+                    out_alphas: tuple[Alphabet, ...]):
+    """The local polytope of one signature as ``decompose_local`` reads it,
+    built once: its LP columns (column j: a 1 at each entry of hit[j] and
+    at the normalization row) and ``vertex(j)``, which builds and checks
+    vertex j on first use and then returns that same resource."""
+    hit = _deterministic_hits(in_alphas, out_alphas)
+    rows = np.column_stack([hit, np.full(len(hit), hit.shape[1] * prod(map(len, out_alphas)))])
+    hit, built = rows[:, :-1], {}  # the hit rows kept only inside the columns' rows
+
+    def vertex(j):
+        if j not in built:
+            built[j] = _deterministic_vertex(j, hit, parties, in_alphas, out_alphas)
+        return built[j]
+
+    return Columns(rows, np.broadcast_to(np.int64(1), rows.shape)), vertex
+
+
 def decompose_local(r: NonsignalingResource) -> Mixture | Infeasible:
     """``decompose_extremal`` over ``local_deterministic_vertices``, with the
     same answer, for any table r, nonsignaling or not, deterministic or not.
     The vertices are LP columns read from their ``hit`` rows: only those
-    with positive weight are built as resources."""
-    hit = _deterministic_hits(r.input_alphabets, r.output_alphabets)
-
-    def vertex(j):
-        return _deterministic_vertex(j, hit, r.parties, r.input_alphabets, r.output_alphabets)
-
-    # Column j: a 1 at each entry of hit[j] and at the normalization row.
-    rows = np.column_stack([hit, np.full(len(hit), r.numerators.size)])
-    return _hull(r, Columns(rows, np.ones_like(rows)), vertex)
+    with positive weight are built as resources.  Columns and vertices
+    come from ``_local_polytope``, which keeps the last 4 signatures; the
+    vertex cap is enforced on every call, before the lookup."""
+    _refuse_past_cap(r.input_alphabets, r.output_alphabets)
+    return _hull(r, *_local_polytope(r.parties, r.input_alphabets, r.output_alphabets))
 
 
 def is_local(r: NonsignalingResource) -> LocalityResult:

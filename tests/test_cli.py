@@ -230,12 +230,18 @@ def test_decompose_builds_only_the_vertices_with_weight(monkeypatch, capsys):
         return real(j, *args)
 
     monkeypatch.setattr(decompose, "_deterministic_vertex", spy)
+    # A signature's vertices are built once and then kept: start from none.
+    decompose._local_polytope.cache_clear()
     # The PR box is not local: none of its 16 vertices is built.
     rc, data = run_json(capsys, "decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"))
     assert rc == 1 and built == []
-    rc, data = run_json(capsys, "decompose", str(FIXTURES / "wired-pr" / "coin.json"))
+    coin = str(FIXTURES / "wired-pr" / "coin.json")
+    rc, data = run_json(capsys, "decompose", coin)
     assert rc == 0
     assert built == [int(c["vertex"]["id"][3:]) for c in data["components"]] == [0, 7]
+    # Asked again in the same process, the signature builds nothing.
+    built.clear()
+    assert run_json(capsys, "decompose", coin) == (rc, data) and built == []
 
 
 def test_ineq_derive(capsys):

@@ -389,14 +389,12 @@ def test_excise_after_expansion_preserves_behavior():
     rng = random.Random(21)
     for i in range(3):
         net = random_small_network(rng, name=f"e{i}")
-        base = induced_behavior(net)
         mix = expand_to_extremal_mixture(net, build_vertex_sets(net))
         # Every component's deterministic resources can be cut out without
         # touching the component's behavior.
         for _, comp in mix.components[:4]:
             excised = excise_local_deterministic(comp)
             assert support(induced_behavior(excised)) == support(induced_behavior(comp))
-        del base
 
 
 # -- what the rewrites build, and their one behavior assertion ---------------------

@@ -8,16 +8,21 @@ column source.  Both run the same Bland pivots, so every test here asserts
 ``==`` answers: mixture weights and vertex ids (and tables), certificate
 coefficients in the same order, threshold and value.  The guards of the
 implicit path (entry-by-entry reconstruction, the certificate scored on
-every vertex, the vertex cap) are tested with wrong LP answers.
+every vertex, the vertex cap) are tested with wrong LP answers.  The
+columns and vertices kept per signature must answer as freshly built
+ones, and the cap must still refuse a signature already kept.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
+from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +40,7 @@ from boxnet.decompose import (
     ns_vertices_222,
 )
 from boxnet.linprog import FarkasInfeasible, Feasible
-from boxnet.resource import Alphabet, NonsignalingResource, _Tensor, make_pr_box
+from boxnet.resource import Alphabet, CapSettingError, NonsignalingResource, _Tensor, make_pr_box
 from test_linprog_reference import _mixture, _pr_ab_times, _weights
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -252,6 +257,8 @@ def test_certificate_guard_scores_every_vertex(monkeypatch):
 
 
 def test_builds_only_the_vertices_with_weight(monkeypatch):
+    # A signature's vertices are built once and then kept: start from none.
+    decompose._local_polytope.cache_clear()
     built = []
     real = decompose._deterministic_vertex
 
@@ -260,8 +267,12 @@ def test_builds_only_the_vertices_with_weight(monkeypatch):
         return real(j, *args)
 
     monkeypatch.setattr(decompose, "_deterministic_vertex", spy)
-    res = is_local(noisy(pr_ab_uniform_c((2, 2, 2)), F(1, 2)))
+    box = noisy(pr_ab_uniform_c((2, 2, 2)), F(1, 2))
+    res = is_local(box)
     assert built == [int(v.id[3:]) for _, v in res.mixture]
+    # Asked again, the same signature builds nothing: the same vertices.
+    built.clear()
+    assert is_local(box) == res and built == []
 
 
 def test_vertex_cap_refuses_before_allocating(monkeypatch):
@@ -281,3 +292,106 @@ def test_vertex_cap_refuses_before_allocating(monkeypatch):
         is_local(noisy(make_pr_box(), F(1, 2)))
     with pytest.raises(ValueError, match="16 deterministic vertices exceed the cap 15"):
         local_deterministic_vertices(("A", "B"), [BITS] * 2, [BITS] * 2)
+
+
+def test_vertex_cap_is_read_after_the_signature_is_cached(monkeypatch):
+    box = noisy(make_pr_box(), F(1, 2))
+    first = is_local(box)
+    before = decompose._local_polytope.cache_info()
+    monkeypatch.setenv(VERTEX_CAP_ENV, "15")
+    for ask in (is_local, decompose_local):
+        with pytest.raises(ValueError, match=re.escape(
+                f"16 deterministic vertices exceed the cap 15 (raise {VERTEX_CAP_ENV} to override)")):
+            ask(box)
+    monkeypatch.setenv(VERTEX_CAP_ENV, "+16")
+    with pytest.raises(CapSettingError, match=re.escape(
+            f"{VERTEX_CAP_ENV}='+16' is not a non-negative integer")):
+        is_local(box)
+    # Refused before the lookup: the cache was neither hit nor missed.
+    assert decompose._local_polytope.cache_info() == before
+    monkeypatch.setenv(VERTEX_CAP_ENV, "16")
+    assert is_local(box) == first
+
+
+# -- the kept local polytopes against cleared ones ---------------------------------------
+
+
+def signature_boxes(parties, ins, outs, rng) -> list[NonsignalingResource]:
+    """Over the signature with these symbols: a mixture of three random
+    deterministic vertices (local), and, with two parties or more, a PR box
+    between the first two on their first two symbols with the other
+    parties uniform (nonlocal) and its even blend with the mixture."""
+    def point(choice):
+        return {x: {a: F(int(all(choice[p][xp] == ap for p, (xp, ap) in enumerate(zip(x, a)))))
+                    for a in product(*outs)} for x in product(*ins)}
+
+    def box(name, table):
+        return NonsignalingResource.make(name, parties, [Alphabet(i) for i in ins],
+                                         [Alphabet(o) for o in outs], table)
+
+    weights = _weights(rng, 3)
+    points = [point([{x: rng.choice(o) for x in i} for i, o in zip(ins, outs)]) for _ in weights]
+    mixed = {x: {a: sum(w * t[x][a] for w, t in zip(weights, points)) for a in product(*outs)}
+             for x in product(*ins)}
+    boxes = [box(f"mix{ins}{outs}", mixed)]
+    if len(parties) >= 2:
+        rest = prod(len(o) for o in outs[2:])
+        pr = {x: {a: F(1, 2 * rest) if a[0] in outs[0][:2] and a[1] in outs[1][:2] and
+                  (outs[0].index(a[0]) ^ outs[1].index(a[1])) ==
+                  (ins[0].index(x[0]) % 2) * (ins[1].index(x[1]) % 2) else F(0)
+                  for a in product(*outs)} for x in product(*ins)}
+        blend = {x: {a: (pr[x][a] + mixed[x][a]) / 2 for a in product(*outs)} for x in pr}
+        boxes += [box(f"pr{ins}{outs}", pr), box(f"blend{ins}{outs}", blend)]
+    return boxes
+
+
+# More signatures than the cache keeps: symbols out of 0..n-1 and out of
+# order, renamed and reordered parties.
+SIGNATURES = [
+    (("A", "B"), [(0, 1)] * 2, [(0, 1)] * 2),
+    (("A", "B"), [(4, 9), (6, 2)], [(7, 3), (1, 8)]),
+    (("X", "Y"), [(0, 1)] * 2, [(0, 1)] * 2),
+    (("B", "A"), [(0, 1)] * 2, [(0, 1)] * 2),
+    (("A", "B"), [(0, 1, 2), (0, 1)], [(0, 1)] * 2),
+    (("A", "B"), [(0, 1)] * 2, [(0, 1, 2), (5, 6)]),
+    (("A", "B", "C"), [(0, 1)] * 3, [(0, 1)] * 3),
+    (("A",), [(3, 4, 5)], [(9, 8)]),
+]
+PARADOX = Path(decompose.__file__).parent / "fixtures" / "paradox" / "w1.json"
+
+
+def answer(res) -> tuple:
+    """Everything a decomposition says, in order, vertex tables included."""
+    if isinstance(res, decompose.LocalityResult):
+        res = res.mixture if res.local else res.certificate
+    if isinstance(res, Mixture):
+        return "mixture", [(w, v.id, v.parties, v.input_alphabets, v.output_alphabets,
+                            v.numerators.tolist(), v.denominator) for w, v in res]
+    return "certificate", list(res.coefficients.items()), res.threshold, res.value
+
+
+def test_kept_polytopes_answer_as_cleared_ones():
+    rng = random.Random(2525)
+    paradox = NonsignalingResource.from_json_dict(json.loads(PARADOX.read_text()))
+    groups = [[(ask, r) for r in signature_boxes(*sig, rng) for ask in (decompose_local, is_local)]
+              for sig in SIGNATURES]
+    groups[0].append((decompose_local, paradox))    # over the first signature
+    assert len(groups) > decompose._local_polytope.cache_parameters()["maxsize"]
+    # Each signature's questions one after another (all but the first are
+    # hits), round robin over the signatures (every question a miss that
+    # evicts), and the first order reversed.
+    by_group = [q for group in groups for q in group]
+    round_robin = [group[k] for k in range(max(map(len, groups)))
+                   for group in groups if k < len(group)]
+    orders = [by_group, round_robin, by_group[::-1]]
+
+    cleared = {}
+    for ask, r in by_group:
+        decompose._local_polytope.cache_clear()
+        cleared[ask, r] = answer(ask(r))
+    assert {a[0] for a in cleared.values()} == {"mixture", "certificate"}
+    decompose._local_polytope.cache_clear()
+    for order in orders:
+        assert [answer(ask(r)) for ask, r in order] == [cleared[q] for q in order]
+    info = decompose._local_polytope.cache_info()
+    assert info.hits and info.misses > len(groups)
