@@ -40,7 +40,7 @@ from boxnet.resource import (
     _Tensor,
     make_pr_box,
 )
-from boxnet.wiring import DecisionTree, excise_input_free
+from boxnet.wiring import DecisionTree, _rewrite
 
 VERTEX_CAP_ENV = "NONSIG_VERTEX_CAP"
 DEFAULT_VERTEX_CAP = 10**6
@@ -363,14 +363,12 @@ def _excised(net: Network, frozen: Mapping[Party, DecisionTree],
     """``net`` without bins and without each resource in ``observed``, cut
     out of every member's tree in ``frozen`` (``net``'s trees with outcomes
     in terminal labels, which survive the surgery) given that member's
-    observed output: a symbol, or a map input -> output."""
+    observed output: a symbol, or a map input -> output.  Each tree is
+    copied once, every one of its observed resources cut in that walk."""
     trees = {}
     for p in net.parties:
-        t = frozen[p]
-        for rid, outputs in observed.items():
-            if p in outputs:
-                t = excise_input_free(t, rid, outputs[p])
-        trees[p] = t
+        cut = {rid: outputs[p] for rid, outputs in observed.items() if p in outputs}
+        trees[p] = _rewrite(frozen[p], frozen[p].resource_scope - cut.keys(), cut=cut)
     return Network(parties=net.parties,
                    resources=[r for r in net.resources if r.id not in observed],
                    trees=trees, settings_alphabets=net.settings_alphabets, name=name)

@@ -58,13 +58,7 @@ from boxnet.resource import (
     _Tensor,
 )
 from boxnet.resource import marginal as resource_marginal
-from boxnet.wiring import (
-    DecisionTree,
-    Internal,
-    Node,
-    Terminal,
-    _tree_paths,
-)
+from boxnet.wiring import DecisionTree, Terminal, _rewrite, _tree_paths
 
 Behavior = NonsignalingResource
 
@@ -275,7 +269,8 @@ def joint_probability(
     table entries.  Exact.  ``KeyError`` unless the outputs are one tuple
     per resource, of one symbol per party, in the resource's alphabets."""
     settings = net._check_settings(settings)
-    if [len(o) for o in outputs] != [len(r.parties) for r in net.resources]:
+    shape = [len(o) if hasattr(o, "__len__") else None for o in outputs]
+    if shape != [len(r.parties) for r in net.resources]:
         raise KeyError(f"output assignment {outputs} does not have the shape of the resources")
     inputs_by_resource = [[0] * len(r.parties) for r in net.resources]
     for p, s in zip(net.parties, settings):
@@ -587,23 +582,11 @@ def freeze_outcomes(net: Network, p: Party) -> DecisionTree:
     resources, opt-out re-encoding — since explicit labels survive those
     operations while index-based default labeling does not.
     """
-    tree = net.trees[p]
-    rids = sorted(tree.resource_scope)
-
-    def walk(node: Node, outs: dict[str, Symbol], setting: Symbol) -> Node:
-        if isinstance(node, Terminal):
-            transcript = tuple(outs[rid] for rid in rids)
-            return Terminal(net.outcome_of(p, setting, transcript))
-        rebuilt = {}
-        for out, child in node.children.items():
-            rebuilt[out] = walk(child, {**outs, node.resource_choice: out}, setting)
-        return Internal(node.resource_choice, node.input_choice, rebuilt)
-
-    return DecisionTree(
-        party=p,
-        root={s: walk(n, {}, s) for s, n in tree.root.items()},
-        resource_scope=tree.resource_scope,
-    )
+    if p not in net.parties:
+        raise NetworkError(f"no party {p!r} in network")
+    rids = sorted(net.trees[p].resource_scope)
+    return _rewrite(net.trees[p], rids, party=p, terminal=lambda _, setting, seen: Terminal(
+        net.outcome_of(p, setting, tuple(seen[rid] for rid in rids))))
 
 
 def relabel_network(
@@ -626,6 +609,13 @@ def relabel_network(
     def rr(rid: str) -> str:
         return rm.get(rid, rid)
 
+    for arg, rename, names in (("party_map", rp, net.parties),
+                               ("resource_map", rr, net.resources_by_id)):
+        first: dict[str, str] = {}  # new name -> the first old name sent to it
+        for n in names:
+            if (old := first.setdefault(rename(n), n)) != n:
+                raise NetworkError(f"{arg} sends {old!r} and {n!r} both to {rename(n)!r}")
+
     resources = []
     for r in net.resources:
         ctor = (NonsignalingResource.make if r.nonsignaling_checked
@@ -633,19 +623,8 @@ def relabel_network(
         resources.append(ctor(rr(r.id), [rp(q) for q in r.parties], r.input_alphabets,
                               r.output_alphabets, _Tensor(r.numerators, r.denominator)))
 
-    def rebuild(node: Node) -> Node:
-        if isinstance(node, Terminal):
-            return node
-        return Internal(rr(node.resource_choice), node.input_choice,
-                        {out: rebuild(c) for out, c in node.children.items()})
-
-    trees = {}
-    for q, t in net.trees.items():
-        trees[rp(q)] = DecisionTree(
-            party=rp(q),
-            root={s: rebuild(n) for s, n in t.root.items()},
-            resource_scope=frozenset(rr(rid) for rid in t.resource_scope),
-        )
+    trees = {rp(q): _rewrite(t, map(rr, t.resource_scope), rename=rr, party=rp(q))
+             for q, t in net.trees.items()}
 
     return Network(
         parties=[rp(q) for q in net.parties],

@@ -13,7 +13,11 @@ unique maximal path — and hence the input every resource was given.
 The tree is stored explicitly, node by node.  No structure sharing is
 assumed (though `append_unused` produces it harmlessly), and traversal
 never needs the resource tables themselves — only the alphabets, and only
-during validation.
+during validation.  Every rewrite of a tree is one copying walk,
+``_rewrite``: cutting out resources whose outputs are known
+(`excise_input_free`, and the network rewrites, which cut all of a
+party's at once), appending unused resources, freezing outcomes into
+terminal labels and renaming.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -205,6 +209,38 @@ def trace_path(
                      outcome_label=node.outcome)
 
 
+def _rewrite(t: DecisionTree, scope: Iterable[str], *, cut: Mapping = {}, terminal=None,
+             rename=None, party: Party | None = None) -> DecisionTree:
+    """The one copying walk behind every tree rewrite: ``t`` as a tree of
+    ``party`` (default ``t.party``) over ``scope``.  A node consulting a
+    resource in ``cut`` gives way to its child along that resource's known
+    output, a symbol or a map input -> output; a terminal becomes
+    ``terminal(node, setting, seen)`` (default: itself), ``seen`` being the
+    outputs along its path, cut ones included; every other node keeps its
+    input and its edges, its resource renamed by ``rename``."""
+
+    def walk(node: Node, setting: Symbol, seen: dict[str, Symbol]) -> Node:
+        if isinstance(node, Terminal):
+            return node if terminal is None else terminal(node, setting, seen)
+        rid = node.resource_choice
+        if rid not in cut:
+            return Internal(rid if rename is None else rename(rid), node.input_choice,
+                            {out: walk(c, setting, {**seen, rid: out})
+                             for out, c in node.children.items()})
+        out = cut[rid]
+        if isinstance(out, Mapping):
+            if node.input_choice not in out:
+                raise ValueError(f"no known output of {rid!r} for input {node.input_choice}")
+            out = out[node.input_choice]
+        if out not in node.children:
+            raise ValueError(f"output {out} outside {rid!r}'s edges {sorted(node.children)}")
+        return walk(node.children[out], setting, {**seen, rid: out})
+
+    return DecisionTree(party=t.party if party is None else party,
+                        root={s: walk(n, s, {}) for s, n in t.root.items()},
+                        resource_scope=frozenset(scope))
+
+
 def excise_input_free(
     t: DecisionTree,
     k: str,
@@ -221,31 +257,7 @@ def excise_input_free(
     """
     if k not in t.resource_scope:
         raise KeyError(f"resource {k!r} not in scope {sorted(t.resource_scope)}")
-
-    def observed(input_choice: Symbol) -> Symbol:
-        if isinstance(a, Mapping):
-            if input_choice not in a:
-                raise ValueError(f"no known output of {k!r} for input {input_choice}")
-            return a[input_choice]
-        return a
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Terminal):
-            return node
-        if node.resource_choice == k:
-            out = observed(node.input_choice)
-            if out not in node.children:
-                raise ValueError(
-                    f"output {out} outside {k!r}'s edges {sorted(node.children)}")
-            return walk(node.children[out])
-        return Internal(node.resource_choice, node.input_choice,
-                        {out: walk(c) for out, c in node.children.items()})
-
-    return DecisionTree(
-        party=t.party,
-        root={s: walk(n) for s, n in t.root.items()},
-        resource_scope=t.resource_scope - {k},
-    )
+    return _rewrite(t, t.resource_scope - {k}, cut={k: a})
 
 
 def append_unused(
@@ -270,30 +282,24 @@ def append_unused(
     if len(set(unused)) != len(unused):
         raise ValueError(f"duplicate ids in unused: {unused}")
     for rid in unused:
+        if rid not in resources:
+            raise ValueError(f"unused id {rid!r} names no resource")
+        if rid not in dummy_inputs:
+            raise ValueError(f"unused id {rid!r} has no dummy input")
         r = resources[rid]
         if dummy_inputs[rid] not in r.input_alphabet(t.party):
             raise ValueError(
                 f"dummy input {dummy_inputs[rid]} outside {rid!r}'s alphabet "
                 f"{list(r.input_alphabet(t.party).values)} for {t.party!r}")
 
-    def chain_below(terminal: Terminal) -> Node:
+    def chain_below(terminal: Terminal, *_) -> Node:
         node: Node = terminal
         for rid in reversed(unused):
             outs = resources[rid].output_alphabet(t.party).values
             node = Internal(rid, dummy_inputs[rid], {out: node for out in outs})
         return node
 
-    def walk(node: Node) -> Node:
-        if isinstance(node, Terminal):
-            return chain_below(node)
-        return Internal(node.resource_choice, node.input_choice,
-                        {out: walk(c) for out, c in node.children.items()})
-
-    return DecisionTree(
-        party=t.party,
-        root={s: walk(n) for s, n in t.root.items()},
-        resource_scope=t.resource_scope | set(unused),
-    )
+    return _rewrite(t, t.resource_scope | set(unused), terminal=chain_below)
 
 
 def bottom_encode(r: NonsignalingResource) -> NonsignalingResource:

@@ -162,7 +162,7 @@ def test_joint_probability_refuses_settings_and_outputs_outside_the_alphabets():
             joint_probability(net, (3, 0), outside)
     net = worked_network()
     assert joint_probability(net, (0, 0, 0), ((0, 0, 0), (0, 0))) == Fraction(1, 12)
-    for misshapen in (((0, 0, 0), (0, 0), (0,)), ((0, 0, 0),), ((0, 0, 0), (0,))):
+    for misshapen in (((0, 0, 0), (0, 0), (0,)), ((0, 0, 0),), ((0, 0, 0), (0,)), ((0, 0, 0), 5)):
         with pytest.raises(KeyError, match="does not have the shape"):
             joint_probability(net, (0, 0, 0), misshapen)
 

@@ -28,8 +28,10 @@ from boxnet.inequality import (
 from boxnet.network import (
     Network,
     NetworkError,
+    freeze_outcomes,
     joint_distribution,
     marginal_without_party,
+    relabel_network,
     union_network,
 )
 from boxnet.resource import (
@@ -52,6 +54,8 @@ from boxnet.wiring import (
     excise_input_free,
     trace_path,
 )
+
+from netgen import worked_network
 
 F = Fraction
 BITS, ONE = Alphabet((0, 1)), Alphabet((0,))
@@ -223,6 +227,10 @@ CASES = {
     "append-unused-duplicate-ids": (
         lambda: append_unused(bare(), ["coin", "coin"], {"coin": 0}, {"coin": PR}),
         ValueError, "duplicate ids in unused: ['coin', 'coin']"),
+    "append-unused-unknown-resource": (lambda: append_unused(bare(), ["R9"], {"R9": 0}, {}),
+                                       ValueError, "unused id 'R9' names no resource"),
+    "append-unused-no-dummy-input": (lambda: append_unused(bare(), ["coin"], {}, {"coin": PR}),
+                                     ValueError, "unused id 'coin' has no dummy input"),
     # GHZ strategies
     "quantum-strategy-no-settings": (lambda: QuantumStrategy({"A": ()}),
                                      ValueError, "party 'A' has no measurement settings"),
@@ -234,6 +242,13 @@ CASES = {
                                        NetworkError, "no party 'Z' in network"),
     "marginal-without-only-party": (lambda: marginal_without_party(lone(), "A"),
                                     NetworkError, "cannot marginalize the only party away"),
+    "freeze-unknown-party": (lambda: freeze_outcomes(lone(), "Z"),
+                             NetworkError, "no party 'Z' in network"),
+    "relabel-merging-parties": (lambda: relabel_network(worked_network(), {"A1": "A2"}),
+                                NetworkError, "party_map sends 'A1' and 'A2' both to 'A2'"),
+    "relabel-merging-resources": (
+        lambda: relabel_network(worked_network(), resource_map={"R1": "X", "R2": "X"}),
+        NetworkError, "resource_map sends 'R1' and 'R2' both to 'X'"),
     "union-overlapping-parties": (lambda: union_network(lone(), lone()),
                                   NetworkError, "parties appear in both networks: ['A']"),
     # correlator inequalities: settings are symbols, counts integers >= 1
