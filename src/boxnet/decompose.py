@@ -262,7 +262,7 @@ def _hull(r: NonsignalingResource, columns, vertex) -> Mixture | Infeasible:
     fails on), then must separate r.
     """
     k, nums = columns.scale, r.numerators.ravel().astype(object)
-    res = solve_columns(columns, [Fraction(k * v, r.denominator) for v in nums] + [k])
+    res = solve_columns(columns, ([*(nums * k).tolist(), k * r.denominator], r.denominator))
     if isinstance(res, Feasible):
         # Every entry in integers: sum_j w_j * column j / k == r.
         got, den = column_sum(columns, res.solution, nums.size + 1)

@@ -12,6 +12,7 @@ GHZ correlators (pair ``cos*cos``, triple ``sin*sin*sin``, singles 0).
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
@@ -94,7 +95,7 @@ class FloatBehavior(ProbabilityTable):
                  table: np.ndarray | Mapping[tuple, Mapping[tuple, float]]) -> None:
         self._set_signature(id, parties, input_alphabets, output_alphabets)
         shape = [len(a) for a in self.input_alphabets + self.output_alphabets]
-        if isinstance(table, Mapping):
+        if isinstance(table, abc.Mapping):
             flat = np.zeros(math.prod(shape))
             for i, x, a, value in self._entries(table):
                 try:

@@ -10,11 +10,15 @@ The solver never holds A.  It reads A from one column source,
 indices and the integers at them, standing for those integers over a
 common ``scale``.  The source knows the largest column 1-norm ``norm``
 and answers two calls: ``price(y)``, the least j with y . A_j > 0 (or
-None), and ``column(j)``, the rows of column j and their values.  Its
-values are int64 only while ``norm`` is below 2**31, so that int64
-pricing and column products cannot overflow; wider ones are Python
-integers.  The caller scales the right-hand side by ``scale`` too: the
-same system, with the same pivots, duals and solution.
+None), and ``column(j)``, the rows of column j and their values (of
+every column in an index array j at once).  Its values are int64 only
+while ``norm`` is below 2**31, so that int64 pricing and column products
+cannot overflow; wider ones are Python integers.  The right-hand side
+comes as one integer pair ``(nums, d)``, b_i = nums_i / d, which the
+caller scales by ``scale`` too: the same system, with the same pivots,
+duals and solution.  Row i starts as c_i [e_i | |b_i|], its scale c_i =
+d / gcd(|nums_i|, d) the denominator of b_i, so no ``Fraction`` is built
+on the way in.
 ``boxnet.decompose`` gives a vertex set as dense columns over the
 vertices' common denominator, and the local deterministic vertices,
 never built, as the rows where they hold a 1.
@@ -42,11 +46,19 @@ not the row's artificial column.  Per pivot:
    index (Bland);
 4. every other row with a nonzero f in that column becomes
    ``(row * p - f * pivot_row) / gcd(p, f)`` (fraction-free elimination,
-   Edmonds 1967; Bareiss 1968).  The rows this scales up are divided by
-   the gcd of their entries once the tableau's largest entry reaches
-   2**20 (at every pivot once it holds Python integers): a row's
-   primitive form does not depend on when it is taken.  The tableau is
-   int64 until a reduced entry reaches 2**31, and Python integers after.
+   Edmonds 1967; Bareiss 1968); when p divides every f, no row scales
+   up and the tableau is not multiplied first.  The rows this scales up
+   are divided by the gcd of their entries once the tableau's largest
+   entry reaches 2**20 (at every pivot once it holds Python integers):
+   a row's primitive form does not depend on when it is taken.  The
+   tableau is int64 until a reduced entry reaches 2**31, and Python
+   integers after.
+
+Once the objective reaches 0, a basic x_j in row i is rhs_i / c_i, c_i
+the row's scale: the row's entry in column j, whose rational value is 1.
+One gather over the rows of every basic structural column reads every
+such scale at once (the tableau's last column is zero off the cost row),
+where computing each basic column B^-1 A_j whole would give the same.
 
 Bland's choices read only the signs of reduced costs and the ratios within
 rows, which positive row scaling leaves alone, so the pivots — and the
@@ -123,7 +135,7 @@ class Columns:
         return _first_positive(self.n, lambda start, stop: (
             y[self.rows[start:stop]] * self.values[start:stop]).sum(axis=1))
 
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def column(self, j: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.rows[j], self.values[j]
 
 
@@ -168,21 +180,27 @@ def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
     return leave
 
 
-def solve_columns(columns, b: Sequence) -> Feasible | FarkasInfeasible:
-    """Phase 1 on A x = b, A given by the column source ``columns`` and
-    each entry of b an int or a ``Fraction``.  The answer is not verified
-    against A: the caller checks it."""
-    m, n = len(b), columns.n
-    flip = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
+def solve_columns(columns, b: tuple[Sequence[int], int]) -> Feasible | FarkasInfeasible:
+    """Phase 1 on A x = b, A given by the column source ``columns`` and b
+    as one integer pair ``(nums, d)``: b_i = nums[i] / d, the nums Python
+    integers and d > 0 (the pair ``integers`` returns).  The answer is not
+    verified against A: the caller checks it."""
+    nums, d = b
+    m, n = len(nums), columns.n
+    flip = np.array([-1 if v < 0 else 1 for v in nums], dtype=np.int64)
     flipped = (flip < 0).any()
-    # Row i is c_i times [e_i | |b_i|] with c_i the denominator of b_i; the
-    # cost row, minimizing the sum of artificials, is sigma times
-    # [0 | -sum |b_i| | 1]: row[j] / scale is the reduced cost of
+    # Row i is c_i times [e_i | |b_i|], c_i = d / gcd(|nums_i|, d) the
+    # denominator of b_i; the cost row, minimizing the sum of artificials,
+    # is sigma times [0 | -sum |b_i| | 1], sigma = lcm(c_i) = d / G with G
+    # the gcd of d and every nums_i: row[j] / scale is the reduced cost of
     # artificial j and -row[m] / scale the objective value.
-    sigma = lcm(*(v.denominator for v in b))
-    obj = sum(abs(v.numerator) * (sigma // v.denominator) for v in b)
+    mags = [abs(v) for v in nums]
+    gs = [gcd(v, d) for v in mags]
+    whole = gcd(d, *gs)
+    sigma, obj = d // whole, sum(mags) // whole
     g = gcd(obj, sigma)
-    entries = [*(v.denominator for v in b), *(abs(v.numerator) for v in b), obj // g, sigma // g]
+    entries = [*(d // gi for gi in gs), *(v // gi for v, gi in zip(mags, gs)),
+               obj // g, sigma // g]
     bound = max(entries)
     tab = np.zeros((m + 1, m + 2), dtype=np.int64 if bound < _INT64_SAFE else object)
     tab[range(m), range(m)] = entries[:m]
@@ -245,8 +263,10 @@ def solve_columns(columns, b: Sequence) -> Feasible | FarkasInfeasible:
         else:
             g = np.gcd(col, p)
             scale_up, times = p // g, col // g
-            tab *= scale_up[:, None]
-            dirty |= scale_up > 1
+            up = scale_up > 1
+            if up.any():
+                tab *= scale_up[:, None]
+                dirty |= up
         basis[leave] = enter
         if tab.dtype == object:
             tab -= np.outer(times, tab[leave])
@@ -262,18 +282,20 @@ def solve_columns(columns, b: Sequence) -> Feasible | FarkasInfeasible:
         if bound >= _INT64_SAFE:
             tab = tab.astype(object)
 
-    *rows, cost = tab.tolist()
+    cost = tab[m].tolist()
     if cost[m] == 0:
-        # Basic x_j = rhs_i / c_i, c_i the row's scale: its entry in
-        # column j, whose rational value is 1.
+        # Basic x_j = rhs_i / c_i, c_i row i's entry in column j (whose
+        # rational value is 1), gathered for every basic j at once.
+        at = (basis < n).nonzero()[0]
+        js = basis[at]
+        rows, a = columns.column(js)
+        scales = (tab[at[:, None], rows] * a * flip[rows]).sum(axis=1)
         x = [Fraction(0)] * n
-        for i, bv in enumerate(basis):
-            if bv < n:
-                x[bv] = Fraction(rows[i][m], int(entering(bv)[i]))
+        for j, r, c in zip(js.tolist(), tab[at, m].tolist(), scales.tolist()):
+            x[j] = Fraction(r, c)
         return Feasible(x)
     # Infeasible: read the dual prices off the artificial columns.  The
     # artificial for row i entered with cost 1, so y_i = 1 - cost_i / scale.
     scale = cost[m + 1]
     return FarkasInfeasible([Fraction(int(f) * (scale - c), scale)
                              for f, c in zip(flip, cost[:m])])
-

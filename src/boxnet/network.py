@@ -35,7 +35,7 @@ settings, and is validated as such on construction.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -118,7 +118,7 @@ class Network:
             raise NetworkError(f"duplicate resource ids: {ids}")
         self.resources_by_id = {r.id: r for r in self.resources}
 
-        if not isinstance(trees, Mapping):
+        if not isinstance(trees, abc.Mapping):
             trees = {t.party: t for t in trees}
         self.trees = dict(trees)
         self.settings_alphabets = {
@@ -156,7 +156,7 @@ class Network:
             for p, mapping in bins.items():
                 if p not in self.parties:
                     raise NetworkError(f"bins name unknown party {p!r}")
-                if not isinstance(mapping, Mapping):
+                if not isinstance(mapping, abc.Mapping):
                     raise NetworkError(f"bins for {p!r}: expected a mapping, "
                                        f"got {type(mapping).__name__}")
                 try:
@@ -626,11 +626,18 @@ def relabel_network(
     trees = {rp(q): _rewrite(t, map(rr, t.resource_scope), rename=rr, party=rp(q))
              for q, t in net.trees.items()}
 
+    def rebin(q: Party, m: dict[Transcript, int]) -> dict[Transcript, int]:
+        # A bin key lists outputs in sorted-resource-id order: renamed ids
+        # may sort differently.
+        old = sorted(net.trees[q].resource_scope)
+        at = sorted(range(len(old)), key=lambda i: rr(old[i]))
+        return {tuple(key[i] for i in at): v for key, v in m.items()}
+
     return Network(
         parties=[rp(q) for q in net.parties],
         resources=resources,
         trees=trees,
         settings_alphabets={rp(q): a for q, a in net.settings_alphabets.items()},
-        bins={rp(q): m for q, m in net.bins.items()},
+        bins={rp(q): rebin(q, m) for q, m in net.bins.items()},
         name=name or f"{net.name}-clone",
     )

@@ -18,6 +18,7 @@ a signaling table.
 from __future__ import annotations
 
 import operator
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -207,7 +208,7 @@ def _plain_keys(keys: Iterable) -> bool:
 def _align(parties: Sequence[Party], alphabets) -> tuple[Alphabet, ...]:
     """One Alphabet per party, from a per-party mapping or a sequence in
     party order."""
-    if isinstance(alphabets, Mapping):
+    if isinstance(alphabets, abc.Mapping):
         missing = [p for p in parties if p not in alphabets]
         if missing:
             raise ValueError(f"no alphabet for parties {missing}")

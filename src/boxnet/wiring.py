@@ -22,6 +22,7 @@ terminal labels and renaming.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -228,7 +229,7 @@ def _rewrite(t: DecisionTree, scope: Iterable[str], *, cut: Mapping = {}, termin
                             {out: walk(c, setting, {**seen, rid: out})
                              for out, c in node.children.items()})
         out = cut[rid]
-        if isinstance(out, Mapping):
+        if isinstance(out, abc.Mapping):
             if node.input_choice not in out:
                 raise ValueError(f"no known output of {rid!r} for input {node.input_choice}")
             out = out[node.input_choice]
@@ -348,8 +349,8 @@ def _node_to_json(node: Node) -> dict:
 def _node_from_json(data: object, where: str, scope: set[str]) -> Node:
     """The node ``data`` at path ``where``, a mapping with the keys of one
     node shape; each resource it consults joins ``scope``."""
-    if not isinstance(data, Mapping) or data.keys() not in _NODE_KEYS:
-        got = f"keys {sorted(data)}" if isinstance(data, Mapping) else type(data).__name__
+    if not isinstance(data, abc.Mapping) or data.keys() not in _NODE_KEYS:
+        got = f"keys {sorted(data)}" if isinstance(data, abc.Mapping) else type(data).__name__
         raise ValueError(f"tree node at [{where}]: expected {{}}, {{outcome}} or "
                          f"{{resource, input, children}}, got {got}")
     if "resource" not in data:

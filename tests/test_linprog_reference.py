@@ -7,9 +7,10 @@ same tableau up to positive row scaling, so they take the same pivots:
 every test here asserts the same result type and ``==`` solutions or
 certificates, on seeded random systems (negative and zero
 right-hand sides, redundant and zero rows, ``int`` and ``str`` entries,
-denominators whose products pass 2**63) and on the systems that
-``decompose_extremal`` builds for noisy PR boxes, tripartite mixtures and
-mixtures of the 24 bipartite nonsignaling vertices.
+denominators whose products pass 2**63), handed to ``solve_columns`` as
+the integer pair ``integers`` makes of the right-hand side, and on the
+systems that ``decompose_extremal`` builds for noisy PR boxes, tripartite
+mixtures and mixtures of the 24 bipartite nonsignaling vertices.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def solve_dense(a_rows, b) -> Feasible | FarkasInfeasible:
     n = len(a_rows[0]) if m else 0
     values, k = integers([F(v) for col in zip(*a_rows) for v in col])
     columns = Columns(np.broadcast_to(np.arange(m), (n, m)), values.reshape(n, m), k)
-    return solve_columns(columns, [k * F(v) for v in b])
+    return solve_columns(columns, integers([k * F(v) for v in b]))
 
 
 # -- comparison ------------------------------------------------------------
@@ -201,6 +202,9 @@ def test_known_systems():
         ([[0, 0]], [1]),
         ([[]], [0]),
         ([[]], [1]),
+        # Degenerate: x_1 enters on a zero ratio and stays basic at 0.
+        ([[1, 1], [1, -1]], [0, 0]),
+        ([[1, 0, 1], [0, 1, 1]], [0, F(2, 3)]),
     ]
     for a, b in systems:
         assert_same((a, b))
@@ -237,6 +241,24 @@ def test_denominators_past_int64_match_reference():
     rng = random.Random(4242)
     for _ in range(150):
         assert_same(random_system(rng, den_choices=(1,) + big))
+
+
+def test_integer_pairs_cover_flips_zeros_and_wide_denominators():
+    # The corpus reaches what the integer right-hand side must handle:
+    # flipped rows (a negative numerator), feasible systems with zero
+    # right-hand sides, and a common denominator past 2**63, which starts
+    # the tableau in Python integers.
+    big = (2**61 - 1, 2**31 - 1, 2**89 - 1, 10**19 + 51)
+    rng = random.Random(5150)
+    seen = {"flipped": 0, "zero and feasible": 0, "past 2**63": 0}
+    for _ in range(200):
+        a, b = random_system(rng, den_choices=(1, 2, 3) + big)
+        nums, d = integers(b)
+        got = assert_same((a, b))
+        seen["flipped"] += any(v < 0 for v in nums)
+        seen["zero and feasible"] += isinstance(got, Feasible) and any(v == 0 for v in nums)
+        seen["past 2**63"] += d >= 2**63
+    assert min(seen.values()) >= 20, seen
 
 
 def test_entries_near_int64_products_match_reference():
@@ -293,12 +315,12 @@ def assert_decompose_matches(r, vs, monkeypatch):
     def spy(columns, rhs):
         # The system as the rational rows it was scaled from, rebuilt
         # from the columns, so that any column source reads the same.
-        k = columns.scale
-        rows = [[F(0)] * columns.n for _ in rhs]
+        (nums, d), k = rhs, columns.scale
+        rows = [[F(0)] * columns.n for _ in nums]
         for j in range(columns.n):
             for i, v in zip(*(part.tolist() for part in columns.column(j))):
                 rows[i][j] = F(v, k)
-        seen.append((rows, [F(v) / k for v in rhs]))
+        seen.append((rows, [F(v, d * k) for v in nums]))
         return solve_columns(columns, rhs)
 
     monkeypatch.setattr(decompose, "solve_columns", spy)

@@ -360,6 +360,28 @@ def test_replication_clone_matches():
     assert beh.table == beh2.table
 
 
+def test_relabel_rekeys_bins_when_ids_sort_differently():
+    # A reads coin c1 (1/2, 1/2), then c2 (1/4, 3/4), and bins on c1's
+    # output.  Renamed z1, c1 sorts after c2: the bin keys must follow.
+    one = Alphabet((0,))
+
+    def coin(rid, p0):
+        return NonsignalingResource.make(rid, ["A"], [one], [BITS],
+                                         {(0,): {(0,): p0, (1,): 1 - p0}})
+
+    def leaves():
+        return Internal("c2", 0, {0: Terminal(), 1: Terminal()})
+
+    tree = DecisionTree("A", {0: Internal("c1", 0, {0: leaves(), 1: leaves()})},
+                        frozenset({"c1", "c2"}))
+    net = Network(("A",), [coin("c1", Fraction(1, 2)), coin("c2", Fraction(1, 4))],
+                  {"A": tree}, {"A": one}, {"A": {(a, b): a for a in (0, 1) for b in (0, 1)}})
+    clone = relabel_network(net, resource_map={"c1": "z1"})
+    assert clone.bins == {"A": {(b, a): a for a in (0, 1) for b in (0, 1)}}
+    for beh in (induced_behavior(net), induced_behavior(clone)):
+        assert [beh.prob((0,), (a,)) for a in (0, 1)] == [Fraction(1, 2)] * 2
+
+
 def test_freeze_outcomes_preserves_behavior():
     rng = random.Random(7)
     for _ in range(5):

@@ -5,13 +5,16 @@ replaced.
 ``reference_freeze_outcomes`` and ``reference_relabel_network`` below are
 the earlier implementations, each with its own recursive copy of a tree,
 and ``reference_excised`` the earlier ``decompose._excised``, which made
-one copy per observed resource.  All of them now go through
-``wiring._rewrite``; ``_excised`` cuts all of a party's observed
-resources in one walk.  On the shipped fixtures and seeded generated
+one copy per observed resource.  The relabel reference re-keys each bin
+key by resource name, which the earlier one did not do: a renaming that
+sorts the ids differently sent the clone's bins to other transcripts.
+All of them now go through ``wiring._rewrite``; ``_excised`` cuts all of
+a party's observed resources in one walk.  On the shipped fixtures and seeded generated
 networks, for every party, every resource in scope and every known
 output (symbols and input -> output maps, inside and outside the
 alphabets), every append set and a spread of relabel maps, the trees must
-be ``==`` and every refusal must have the reference's type and text.
+be ``==`` and every refusal must have the reference's type and text;
+every relabelled clone must induce the original's behavior, up to names.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import pytest
 
 from boxnet import decompose
 from boxnet.cli import _read_scenario
-from boxnet.network import Network, freeze_outcomes, relabel_network
+from boxnet.network import Network, freeze_outcomes, induced_behavior, relabel_network
 from boxnet.resource import NonsignalingResource, Party, Symbol, _Tensor
 from boxnet.wiring import (
     DecisionTree,
@@ -169,6 +172,11 @@ def reference_relabel_network(
         return Internal(rr(node.resource_choice), node.input_choice,
                         {out: rebuild(c) for out, c in node.children.items()})
 
+    def rebin(q: Party, m: dict) -> dict:
+        old = [rr(rid) for rid in sorted(net.trees[q].resource_scope)]
+        return {tuple(dict(zip(old, key))[rid] for rid in sorted(old)): v
+                for key, v in m.items()}
+
     trees = {}
     for q, t in net.trees.items():
         trees[rp(q)] = DecisionTree(
@@ -182,7 +190,7 @@ def reference_relabel_network(
         resources=resources,
         trees=trees,
         settings_alphabets={rp(q): a for q, a in net.settings_alphabets.items()},
-        bins={rp(q): m for q, m in net.bins.items()},
+        bins={rp(q): rebin(q, m) for q, m in net.bins.items()},
         name=name or f"{net.name}-clone",
     )
 
@@ -288,9 +296,26 @@ def relabel_maps(net: Network) -> list[tuple[dict, dict]]:
 
 
 def assert_relabels_agree(net: Network) -> None:
+    """Each map against the reference; then, when every resource is
+    checked nonsignaling, the clone's behavior is the original's with the
+    parties renamed.  A party without bins labels its outcomes by
+    transcript index, in sorted-resource-id order, which a renaming may
+    reorder: its outcomes are frozen to explicit labels for the behavior
+    check, and binned parties keep their bins."""
     for pm, rm in relabel_maps(net):
         assert_same(lambda: fields(relabel_network(net, pm, rm, name="r")),
                     lambda: fields(reference_relabel_network(net, pm, rm, name="r")))
+    if not all(r.nonsignaling_checked for r in net.resources):
+        return
+    labelled = Network(net.parties, net.resources,
+                       {p: t if p in net.bins else freeze_outcomes(net, p)
+                        for p, t in net.trees.items()},
+                       net.settings_alphabets, net.bins, name=net.name)
+    want = induced_behavior(labelled)
+    for pm, rm in relabel_maps(net):
+        got = induced_behavior(relabel_network(labelled, pm, rm, name="r"))
+        assert got.parties == tuple(pm.get(p, p) for p in net.parties)
+        assert got.same_table(want)
 
 
 def observations(net: Network, rng: random.Random) -> list[dict]:
