@@ -578,9 +578,10 @@ def freeze_outcomes(net: Network, p: Party) -> DecisionTree:
     outcome the network currently assigns it (bin value, existing label,
     or default transcript index).
 
-    Useful before surgery that changes the transcript space — appending
-    resources, opt-out re-encoding — since explicit labels survive those
-    operations while index-based default labeling does not.
+    Useful before surgery that changes the transcript space or its order —
+    appending resources, opt-out re-encoding, renaming resources — since
+    explicit labels survive those operations while bins and index-based
+    default labeling, both read in sorted-resource-id order, do not.
     """
     if p not in net.parties:
         raise NetworkError(f"no party {p!r} in network")
@@ -597,9 +598,11 @@ def relabel_network(
     name: str | None = None,
 ) -> Network:
     """Structural clone under renamed parties and/or resource ids; the
-    tables are bit-identical.  Replicating a network and checking the
-    clone induces the identical behavior (modulo names) is the executable
-    form of device replicability."""
+    tables are bit-identical.  Each party's outcomes are first written into
+    its terminals (`freeze_outcomes`) and the tree is then renamed, so the
+    clone has no bins and no outcome hangs on the order the new ids sort
+    in.  Replicating a network and checking the clone induces the identical
+    behavior (modulo names) is the executable form of device replicability."""
     pm = dict(party_map or {})
     rm = dict(resource_map or {})
 
@@ -623,21 +626,11 @@ def relabel_network(
         resources.append(ctor(rr(r.id), [rp(q) for q in r.parties], r.input_alphabets,
                               r.output_alphabets, _Tensor(r.numerators, r.denominator)))
 
-    trees = {rp(q): _rewrite(t, map(rr, t.resource_scope), rename=rr, party=rp(q))
-             for q, t in net.trees.items()}
-
-    def rebin(q: Party, m: dict[Transcript, int]) -> dict[Transcript, int]:
-        # A bin key lists outputs in sorted-resource-id order: renamed ids
-        # may sort differently.
-        old = sorted(net.trees[q].resource_scope)
-        at = sorted(range(len(old)), key=lambda i: rr(old[i]))
-        return {tuple(key[i] for i in at): v for key, v in m.items()}
-
     return Network(
         parties=[rp(q) for q in net.parties],
         resources=resources,
-        trees=trees,
+        trees={rp(q): _rewrite(freeze_outcomes(net, q), map(rr, net.trees[q].resource_scope),
+                               rename=rr, party=rp(q)) for q in net.parties},
         settings_alphabets={rp(q): a for q, a in net.settings_alphabets.items()},
-        bins={rp(q): rebin(q, m) for q, m in net.bins.items()},
         name=name or f"{net.name}-clone",
     )

@@ -358,11 +358,15 @@ def test_replication_clone_matches():
     beh, beh2 = induced_behavior(net), induced_behavior(clone)
     assert beh2.parties == ("B1", "B2", "B3")
     assert beh.table == beh2.table
+    # Ids that sort in another order: the unbinned, unlabelled parties'
+    # transcript-index outcomes must not be permuted.
+    for resource_map in ({"R1": "Z1"}, {"R1": "R2", "R2": "R1"}):
+        assert induced_behavior(relabel_network(net, resource_map=resource_map)).same_table(beh)
 
 
-def test_relabel_rekeys_bins_when_ids_sort_differently():
+def test_relabel_keeps_bin_outcomes_when_ids_sort_differently():
     # A reads coin c1 (1/2, 1/2), then c2 (1/4, 3/4), and bins on c1's
-    # output.  Renamed z1, c1 sorts after c2: the bin keys must follow.
+    # output.  Renamed z1, c1 sorts after c2: the outcomes must follow c1.
     one = Alphabet((0,))
 
     def coin(rid, p0):
@@ -377,7 +381,11 @@ def test_relabel_rekeys_bins_when_ids_sort_differently():
     net = Network(("A",), [coin("c1", Fraction(1, 2)), coin("c2", Fraction(1, 4))],
                   {"A": tree}, {"A": one}, {"A": {(a, b): a for a in (0, 1) for b in (0, 1)}})
     clone = relabel_network(net, resource_map={"c1": "z1"})
-    assert clone.bins == {"A": {(b, a): a for a in (0, 1) for b in (0, 1)}}
+    # The clone carries no bins: each terminal holds the original's bin value.
+    assert clone.bins == {}
+    assert clone.trees["A"] == DecisionTree("A", {0: Internal("z1", 0, {
+        a: Internal("c2", 0, {b: Terminal(a) for b in (0, 1)}) for a in (0, 1)})},
+        frozenset({"z1", "c2"}))
     for beh in (induced_behavior(net), induced_behavior(clone)):
         assert [beh.prob((0,), (a,)) for a in (0, 1)] == [Fraction(1, 2)] * 2
 

@@ -13,6 +13,8 @@ counts (skipped when Hypothesis is not installed).
    has the same marginals by both of ``marginal_without_party``'s routes.
 5. One planned pair step, with every kind of label, equals ``np.einsum``
    exactly and in dtype.
+6. A clone of a generated network under permuted party names and
+   resource ids induces the original's behavior, up to party names.
 """
 from __future__ import annotations
 
@@ -51,7 +53,11 @@ from boxnet.wiring import (  # noqa: E402
     tree_to_json_dict,
 )
 
-from netgen import random_network, random_small_network  # noqa: E402
+from netgen import (  # noqa: E402
+    random_network,
+    random_small_network,
+    random_wired_pairwise_network,
+)
 from test_json_writer_reference import reference_to_json_dict  # noqa: E402
 from test_tree_walk_reference import assert_walks_agree  # noqa: E402
 
@@ -429,3 +435,24 @@ def test_one_pair_step_equals_einsum_exactly_and_in_dtype(case):
         want = np.array(want, dtype=object)
     got = network._contract(arrays, plan)
     assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+# -- 6. relabelled clones ---------------------------------------------------------
+
+
+@bounded(40)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([random_network, random_small_network, random_wired_pairwise_network]),
+       st.data())
+def test_a_clone_under_permuted_names_induces_the_same_behavior(rng, generate, data):
+    """Every resource generated here is checked nonsignaling; permuting
+    the party names and the resource ids (which reorders the sorted ids
+    that bins and transcript indices follow) leaves the table unchanged."""
+    net = generate(rng, "hyp")
+    rids = [r.id for r in net.resources]
+    party_map = dict(zip(net.parties, data.draw(st.permutations(net.parties))))
+    resource_map = dict(zip(rids, data.draw(st.permutations(rids))))
+    clone = network.relabel_network(net, party_map, resource_map)
+    behavior = network.induced_behavior(clone)
+    assert behavior.parties == tuple(party_map[p] for p in net.parties)
+    assert behavior.same_table(network.induced_behavior(net))

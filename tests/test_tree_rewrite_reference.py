@@ -5,16 +5,19 @@ replaced.
 ``reference_freeze_outcomes`` and ``reference_relabel_network`` below are
 the earlier implementations, each with its own recursive copy of a tree,
 and ``reference_excised`` the earlier ``decompose._excised``, which made
-one copy per observed resource.  The relabel reference re-keys each bin
-key by resource name, which the earlier one did not do: a renaming that
-sorts the ids differently sent the clone's bins to other transcripts.
-All of them now go through ``wiring._rewrite``; ``_excised`` cuts all of
-a party's observed resources in one walk.  On the shipped fixtures and seeded generated
-networks, for every party, every resource in scope and every known
-output (symbols and input -> output maps, inside and outside the
-alphabets), every append set and a spread of relabel maps, the trees must
-be ``==`` and every refusal must have the reference's type and text;
-every relabelled clone must induce the original's behavior, up to names.
+one copy per observed resource.  The relabel reference freezes each
+party's outcomes into its terminals (``reference_freeze_outcomes``) and
+then renames, with no bins, which the earlier one did not do: bin keys
+and transcript-index outcomes list outputs in sorted-resource-id order,
+so a renaming that sorts the ids differently gave the clone other
+outcomes.  All of them now go through ``wiring._rewrite``; ``_excised``
+cuts all of a party's observed resources in one walk.  On the shipped
+fixtures and seeded generated networks, for every party, every resource
+in scope and every known output (symbols and input -> output maps,
+inside and outside the alphabets), every append set and a spread of
+relabel maps, the trees must be ``==`` and every refusal must have the
+reference's type and text; every relabelled clone must induce the
+original's behavior, up to names.
 """
 from __future__ import annotations
 
@@ -172,13 +175,9 @@ def reference_relabel_network(
         return Internal(rr(node.resource_choice), node.input_choice,
                         {out: rebuild(c) for out, c in node.children.items()})
 
-    def rebin(q: Party, m: dict) -> dict:
-        old = [rr(rid) for rid in sorted(net.trees[q].resource_scope)]
-        return {tuple(dict(zip(old, key))[rid] for rid in sorted(old)): v
-                for key, v in m.items()}
-
     trees = {}
-    for q, t in net.trees.items():
+    for q in net.parties:
+        t = reference_freeze_outcomes(net, q)
         trees[rp(q)] = DecisionTree(
             party=rp(q),
             root={s: rebuild(n) for s, n in t.root.items()},
@@ -190,7 +189,6 @@ def reference_relabel_network(
         resources=resources,
         trees=trees,
         settings_alphabets={rp(q): a for q, a in net.settings_alphabets.items()},
-        bins={rp(q): rebin(q, m) for q, m in net.bins.items()},
         name=name or f"{net.name}-clone",
     )
 
@@ -297,23 +295,17 @@ def relabel_maps(net: Network) -> list[tuple[dict, dict]]:
 
 def assert_relabels_agree(net: Network) -> None:
     """Each map against the reference; then, when every resource is
-    checked nonsignaling, the clone's behavior is the original's with the
-    parties renamed.  A party without bins labels its outcomes by
-    transcript index, in sorted-resource-id order, which a renaming may
-    reorder: its outcomes are frozen to explicit labels for the behavior
-    check, and binned parties keep their bins."""
+    checked nonsignaling, each map's clone of the network as given
+    (binned, labelled and index-labelled parties alike) induces the
+    original's behavior with the parties renamed."""
     for pm, rm in relabel_maps(net):
         assert_same(lambda: fields(relabel_network(net, pm, rm, name="r")),
                     lambda: fields(reference_relabel_network(net, pm, rm, name="r")))
     if not all(r.nonsignaling_checked for r in net.resources):
         return
-    labelled = Network(net.parties, net.resources,
-                       {p: t if p in net.bins else freeze_outcomes(net, p)
-                        for p, t in net.trees.items()},
-                       net.settings_alphabets, net.bins, name=net.name)
-    want = induced_behavior(labelled)
+    want = induced_behavior(net)
     for pm, rm in relabel_maps(net):
-        got = induced_behavior(relabel_network(labelled, pm, rm, name="r"))
+        got = induced_behavior(relabel_network(net, pm, rm, name="r"))
         assert got.parties == tuple(pm.get(p, p) for p in net.parties)
         assert got.same_table(want)
 
