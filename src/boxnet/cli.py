@@ -13,11 +13,12 @@ malformed JSON, bad flags, a ``NONSIG_VERTEX_CAP`` that is not a
 non-negative integer, a behavior that does not fit the inequality).
 
 Each process loads only what its command uses: ``validate``, ``joint``
-and ``behavior`` import ``resource``, ``network`` and ``wiring``; the
-``decompose``, ``ineq`` and ``ghz`` commands import their modules when
-they run.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
-unless the caller has set it, before numpy loads: no command does
-multithreaded linear algebra, and idle BLAS threads only cost CPU.
+and ``behavior`` import ``resource``, ``network`` and ``wiring``; ``ineq
+eval`` and ``ghz`` add ``inequality`` and ``ghz``; ``decompose`` adds
+``decompose`` and ``linprog``, and ``ineq derive`` all four.
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
+caller has set it, before numpy loads: no command does multithreaded
+linear algebra, and idle BLAS threads only cost CPU.
 """
 
 from __future__ import annotations
@@ -223,15 +224,9 @@ def cmd_validate(args) -> int:
 def cmd_joint(args) -> int:
     net = load_scenario(args.scenario)
     try:
-        raw = tuple(map(_parse_symbol, args.settings.split(",")))
+        raw = net._check_settings(tuple(map(_parse_symbol, args.settings.split(","))))
     except ValueError as e:
-        raise InputError(f"--settings must be comma-separated integers: {e}") from e
-    if len(raw) != len(net.parties):
-        raise InputError(f"--settings needs {len(net.parties)} entries for "
-                         f"parties {list(net.parties)}")
-    for p, s in zip(net.parties, raw):
-        if s not in net.settings_alphabets[p]:
-            raise InputError(f"--settings: setting {s} outside alphabet of {p!r}")
+        raise InputError(f"--settings: {e}") from e
     dist = joint_distribution(net, raw,
                               allow_unnormalized=args.allow_unnormalized)
     rids = [r.id for r in net.resources]
@@ -372,13 +367,11 @@ def cmd_ghz(args) -> int:
     from .ghz import QuantumStrategy, ghz_behavior, search_max_violation
 
     if args.action == "search":
-        if args.grid < 1:
-            raise InputError(f"--grid must be at least 1, got {args.grid}")
-        if not (math.isfinite(args.refine) and args.refine > 0):
-            raise InputError(f"--refine must be a finite number > 0, got {args.refine}")
-        ineq = _named_inequality(args.ineq)
-        res = search_max_violation(ineq, grid=args.grid,
-                                   step_floor=args.refine)
+        try:
+            res = search_max_violation(_named_inequality(args.ineq), grid=args.grid,
+                                       step_floor=args.refine)
+        except ValueError as e:
+            raise InputError(f"--grid/--refine: {e}") from e
         payload = {"inequality": args.ineq,
                    "angles": {p: list(a) for p, a in
                               sorted(res.strategy.angles().items())},
@@ -392,16 +385,13 @@ def cmd_ghz(args) -> int:
 
     if not args.angles:
         raise InputError("ghz eval needs --angles a0,a1,b0,b1,c0,c1")
-    try:
-        flat = [float(x) for x in args.angles.split(",")]
-    except ValueError as e:
-        raise InputError(f"--angles must be comma-separated numbers: {e}") from e
+    flat = args.angles.split(",")
     if len(flat) != 6:
         raise InputError("--angles needs 6 values: a0,a1,b0,b1,c0,c1")
-    if not all(math.isfinite(a) for a in flat):
-        raise InputError(f"--angles must be finite, got {args.angles}")
-    strategy = QuantumStrategy.from_angles(
-        {"A": flat[0:2], "B": flat[2:4], "C": flat[4:6]})
+    try:
+        strategy = QuantumStrategy.from_angles({"A": flat[0:2], "B": flat[2:4], "C": flat[4:6]})
+    except ValueError as e:
+        raise InputError(f"--angles: {e}") from e
     beh = ghz_behavior(strategy)
     payload = beh.to_json_dict()
     _write_or_emit(payload, [json.dumps(payload, indent=2)], args)

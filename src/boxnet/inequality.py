@@ -22,7 +22,6 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .decompose import local_deterministic_vertices
 from .resource import Alphabet, NonsignalingResource, ProbabilityTable, _symbol, frac
 
 #: Either behavior kind: an exact ``NonsignalingResource`` or a ``FloatBehavior``.
@@ -320,11 +319,13 @@ def cao_s14_linearized() -> LinearInequality:
 def chao_reichardt_probability_form(b: Behavior, *,
                                     atol: Union[Fraction, float] = 0) -> Evaluation:
     """4 P(A!=C|00) + P(A!=B|00) + P(A!=B|01) + P(ABC=-1|101) +
-    P(ABC=+1|111) >= 1, evaluated directly from probabilities.
+    P(ABC=+1|111) >= 1.
 
-    The correlator form is the same statement under
-    P(equal) = (1 + correlator)/2; the affine identity
-    ``value = 4 - correlator_value/2`` is re-checked on every call.
+    Each probability is read from its correlator c as (1 - c)/2 (or
+    (1 + c)/2 for P(ABC=+1)), so the value is an affine expansion of five
+    correlators.  Every call checks that expansion against the
+    coefficients of ``chao_reichardt_correlator()``: the identity
+    ``value = 4 - correlator_value/2`` must hold, else ``AssertionError``.
     """
     _check_scenario(b, {"A": 2, "B": 2, "C": 2})
     half = Fraction(1, 2)
@@ -465,6 +466,8 @@ def deterministic_behaviors(settings_counts: Mapping[str, int]) -> list[Nonsigna
     function (setting -> outcome bit) per party.  These points affinely
     span the behavior space, so two linear functionals that agree on all
     of them agree everywhere."""
+    from .decompose import local_deterministic_vertices
+
     parties = tuple(sorted(settings_counts))
     return local_deterministic_vertices(
         parties, [Alphabet.of_size(settings_counts[p]) for p in parties],
@@ -567,7 +570,7 @@ def verify_derivation_chain() -> ChainReport:
     trivial = LinearInequality(name="2<A0C0>", terms=(_term(2, A=0, C=0),),
                                bound=frac(2),
                                settings_counts={"A": 2, "B": 2, "C": 2})
-    worst = max(correlator(b, ("A", "C"), (0, 0)) for b in v222)
+    worst = max(_values(trivial, v222)) / 2
     if worst > 1:
         steps.append(ChainStep(
             "c", "trivial bound <A0C0> <= 1 fails", False,
@@ -578,21 +581,15 @@ def verify_derivation_chain() -> ChainReport:
             "correlator form with bound 6", add(mao, trivial),
             chao_reichardt_correlator(), v222))
 
-    # (d) probability and correlator forms are the same statement (the
-    # probability form re-checks the affine identity and raises if it fails).
+    # (d) probability and correlator forms are the same statement: the
+    # probability form checks the exact affine identity and raises if it
+    # fails, and value >= 1 exactly when correlator value <= 6.
     witness = None
     for b in v222:
         try:
-            prob = chao_reichardt_probability_form(b)
+            chao_reichardt_probability_form(b)
         except AssertionError as err:
             witness = f"behavior {b.id}: {err}"
-            break
-        corr = evaluate(chao_reichardt_correlator(), b)
-        if prob.value != 4 - Fraction(1, 2) * corr.value:
-            witness = f"behavior {b.id}: {prob.value} != 4 - ({corr.value})/2"
-            break
-        if prob.satisfied != corr.satisfied:
-            witness = f"behavior {b.id}: satisfaction flags disagree"
             break
     steps.append(ChainStep(
         "d", "probability form = 4 - correlator form / 2, so the two "
@@ -610,13 +607,13 @@ def verify_derivation_chain() -> ChainReport:
         "on every spanning vertex", witness is None, witness))
 
     # (f) <A0C0> >= <A0B2> + <B2C0> - 1, tight: the slack reaches 0.
-    slacks = [correlator(b, ("A", "C"), (0, 0))
-              - correlator(b, ("A", "B"), (0, 2))
-              - correlator(b, ("B", "C"), (2, 0)) + 1 for b in v232]
-    low = min(slacks)
+    slack = LinearInequality(name="slack", terms=(_term(1, A=0, C=0), _term(-1, A=0, B=2),
+                                                  _term(-1, B=2, C=0)),
+                             bound=frac(1), settings_counts={"A": 2, "B": 3, "C": 2})
+    low = min(_values(slack, v232)) + 1
     steps.append(ChainStep(
         "f", "<A0C0> >= <A0B2> + <B2C0> - 1 holds on every vertex and is "
-        "tight (minimum slack exactly 0)", low == 0 and all(s >= 0 for s in slacks),
+        "tight (minimum slack exactly 0)", low == 0,
         None if low == 0 else f"minimum slack {low}"))
 
     return ChainReport(steps=tuple(steps))

@@ -90,7 +90,8 @@ class JointDistribution:
 class Network:
     """Immutable-after-validation assembly of parties, resources, trees.
 
-    Invariants enforced at construction: resource ids unique; party p's
+    Invariants enforced at construction: resource ids unique; trees,
+    settings alphabets and bins are keyed by network parties only; party p's
     tree scope is exactly the set of resources p is a member of; every
     tree validates against the shared resources; bins (when given) are
     total over the party's transcript space and have no other key.
@@ -125,6 +126,11 @@ class Network:
             p: (a if isinstance(a, Alphabet) else Alphabet(tuple(a)))
             for p, a in dict(settings_alphabets).items()
         }
+        for kind, keyed in (("trees", self.trees), ("settings alphabets", self.settings_alphabets),
+                            ("bins", bins or {})):
+            for p in keyed:
+                if p not in self.parties:
+                    raise NetworkError(f"{kind} name unknown party {p!r}")
         for p in self.parties:
             if p not in self.trees:
                 raise NetworkError(f"no decision tree for party {p!r}")
@@ -154,8 +160,6 @@ class Network:
         self.bins: dict[Party, dict[Transcript, int]] = {}
         if bins:
             for p, mapping in bins.items():
-                if p not in self.parties:
-                    raise NetworkError(f"bins name unknown party {p!r}")
                 if not isinstance(mapping, abc.Mapping):
                     raise NetworkError(f"bins for {p!r}: expected a mapping, "
                                        f"got {type(mapping).__name__}")

@@ -574,6 +574,28 @@ def test_joint_setting_outside_alphabet_exits_two(capsys):
         "input error: --settings: setting 5 outside alphabet of 'A1'\n")
 
 
+@pytest.mark.parametrize("argv, wording", [
+    (["joint", "worked", "--settings", "0,1"], "2 settings for 3 parties"),
+    (["joint", "worked", "--settings", "0,x,0"], "'x' does not spell a symbol"),
+    (["ghz", "search", "--grid", "0"], "grid must be at least 1, got 0"),
+    (["ghz", "search", "--refine", "nan"], "step_floor must be positive and finite, got nan"),
+    (["ghz", "eval", "--angles", "nan,0,0,0,0,0"], "measurement angle must be finite, got nan"),
+], ids=["settings-count", "settings-spelling", "grid", "refine", "angles"])
+def test_flags_are_refused_in_the_librarys_words(capsys, argv, wording):
+    """The CLI hands these flags to the library and maps its refusal to
+    exit 2, keeping the library's message."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and wording in err, err
+
+
+def test_empty_vertex_file_exits_two(tmp_path, capsys):
+    vfile = _write(tmp_path / "v.json", [])
+    assert main(["decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"), "--vertices", vfile]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {vfile}: expected a non-empty JSON list of vertices\n")
+
+
 def _fixture_copy(tmp_path, name) -> Path:
     return Path(shutil.copytree(FIXTURES / name, tmp_path / name))
 

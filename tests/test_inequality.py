@@ -342,6 +342,18 @@ def test_chain_reports_a_wrong_correlator_form(monkeypatch):
     assert "probability and correlator forms disagree" in step_d.witness
 
 
+def test_chain_reports_a_wrong_linear_twin(monkeypatch):
+    # <B2C0> with coefficient 2: on det0 (every outcome +1) the twin reads
+    # 5 where the conditional form reads 4, and only step (e) fails.
+    right = cao_s14_linearized()
+    wrong = LinearInequality(right.name, right.terms[:-1] + (_term(2, B=2, C=0),),
+                             right.bound, right.settings_counts)
+    monkeypatch.setattr(inequality, "cao_s14_linearized", lambda: wrong)
+    report = verify_derivation_chain()
+    assert [s.name for s in report.steps if not s.passed] == ["e"]
+    assert report.steps[4].witness == "behavior det0: 4 != 5"
+
+
 def test_wired_pr_networks_respect_mao():
     import random
 

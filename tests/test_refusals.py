@@ -118,6 +118,15 @@ CASES = {
     "network-bins-unknown-party": (
         lambda: Network(("A",), [], {"A": bare()}, {"A": ONE}, bins={"Z": {(): 0}}),
         NetworkError, "bins name unknown party 'Z'"),
+    "network-trees-unknown-party": (
+        lambda: Network(("A",), [], {"A": bare(), "Z": bare("Z")}, {"A": ONE}),
+        NetworkError, "trees name unknown party 'Z'"),
+    "network-tree-list-unknown-party": (
+        lambda: Network(("A",), [], [bare(), bare("Z")], {"A": ONE}),
+        NetworkError, "trees name unknown party 'Z'"),
+    "network-settings-unknown-party": (
+        lambda: Network(("A",), [], {"A": bare()}, {"A": ONE, "Z": ONE}),
+        NetworkError, "settings alphabets name unknown party 'Z'"),
     "network-root-edges-not-the-settings": (
         lambda: Network(("A",), [], {"A": DecisionTree("A", {0: Terminal(), 1: Terminal()},
                                                        frozenset())}, {"A": Alphabet((0, 1, 2))}),

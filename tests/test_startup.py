@@ -1,10 +1,11 @@
 """What a process pays to start: ``import boxnet`` loads no submodule
-(each public name is served from its module, imported on first use), and
-the CLI keeps numpy's OpenBLAS to one thread unless the caller chose a
-count.
+(each public name is served from its module, imported on first use), each
+CLI command loads only the modules it calls, and the CLI keeps numpy's
+OpenBLAS to one thread unless the caller chose a count.
 """
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -67,6 +68,44 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(boxnet, "no_such_name")
     with pytest.raises(AttributeError, match="^module 'boxnet' has no attribute 'cli_main'$"):
         boxnet.cli_main  # noqa: B018
+
+
+def _loaded_by(argv: list[str]) -> tuple[int, list[str]]:
+    """The exit code of ``main(argv)`` in a fresh interpreter, and the
+    ``boxnet.*`` modules that process then holds."""
+    code = (f"import sys; from boxnet.cli import main; rc = main({argv!r}); "
+            "print((rc, sorted(m for m in sys.modules if m.startswith('boxnet.'))))")
+    return ast.literal_eval(_python(code))
+
+
+NETWORK_LAYERS = ["boxnet.cli", "boxnet.network", "boxnet.resource", "boxnet.wiring"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "worked"],
+    ["joint", "worked", "--settings", "0,1,0"],
+    ["behavior", "worked"],
+], ids=["validate", "joint", "behavior"])
+def test_network_commands_load_only_the_network_layers(argv):
+    assert _loaded_by(argv) == (0, NETWORK_LAYERS)
+
+
+@pytest.mark.parametrize("command", ["ineq-eval", "ghz-eval"])
+def test_evaluations_load_no_lp(tmp_path, capsys, command):
+    """Scoring an inequality or a GHZ strategy needs neither the vertex
+    enumerator nor the simplex."""
+    from boxnet.cli import main
+
+    if command == "ineq-eval":
+        main(["behavior", "wired-pr", "-o", str(tmp_path / "wired.json")])
+        argv = ["ineq", "eval", "--ineq", "mao", "--behavior", str(tmp_path / "wired.json")]
+    else:
+        argv = ["ghz", "eval", "--angles", "0,1,0,1,0,1"]
+    capsys.readouterr()
+    rc, loaded = _loaded_by(argv)
+    assert rc in (0, 1)
+    assert {"boxnet.inequality", "boxnet.ghz"} <= set(loaded)
+    assert not {"boxnet.decompose", "boxnet.linprog"} & set(loaded)
 
 
 def _openblas() -> bool:
