@@ -90,9 +90,7 @@ def _resolve_scenario(arg: str) -> Path:
 
 
 def _parse_transcript_key(key: str) -> tuple:
-    if key == "":
-        return ()
-    return tuple(map(_parse_symbol, key.split(",")))
+    return tuple(map(_parse_symbol, key.split(","))) if key else ()
 
 
 def _from_json(make, data, source) -> object:
@@ -322,7 +320,7 @@ def _named_inequality(name: str):
 
 
 def cmd_ineq(args) -> int:
-    from .ghz import FloatBehavior
+    from .ghz import FloatBehavior, parse_float
     from .inequality import (InequalityError, chao_reichardt_probability_form, evaluate,
                              evaluate_cao_s14, verify_derivation_chain)
 
@@ -337,11 +335,14 @@ def cmd_ineq(args) -> int:
 
     if not args.behavior:
         raise InputError("ineq eval needs --behavior FILE")
-    if args.atol is not None and not (math.isfinite(args.atol) and args.atol >= 0):
-        raise InputError(f"--atol must be a finite number >= 0, got {args.atol}")
+    try:
+        atol = None if args.atol is None else parse_float(args.atol)
+    except ValueError as e:
+        raise InputError(f"--atol: {e}") from e
+    if atol is not None and not (math.isfinite(atol) and atol >= 0):
+        raise InputError(f"--atol must be a finite number >= 0, got {atol}")
     b = load_behavior_file(args.behavior)
-    atol = args.atol if args.atol is not None else \
-        (1e-9 if isinstance(b, FloatBehavior) else 0)
+    atol = atol if atol is not None else (1e-9 if isinstance(b, FloatBehavior) else 0)
     try:
         if args.ineq == "cr-prob":
             ev = chao_reichardt_probability_form(b, atol=atol)
@@ -364,12 +365,12 @@ def cmd_ineq(args) -> int:
 
 
 def cmd_ghz(args) -> int:
-    from .ghz import QuantumStrategy, ghz_behavior, search_max_violation
+    from .ghz import QuantumStrategy, ghz_behavior, parse_float, search_max_violation
 
     if args.action == "search":
         try:
             res = search_max_violation(_named_inequality(args.ineq), grid=args.grid,
-                                       step_floor=args.refine)
+                                       step_floor=parse_float(args.refine))
         except ValueError as e:
             raise InputError(f"--grid/--refine: {e}") from e
         payload = {"inequality": args.ineq,
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("eval", "derive"))
     p.add_argument("--ineq", choices=INEQ_CHOICES, default="mao")
     p.add_argument("--behavior", help="behavior JSON file (eval)")
-    p.add_argument("--atol", type=float, default=None,
+    p.add_argument("--atol", default=None,
                    help="satisfaction tolerance (default: 1e-9 for float "
                         "behaviors, exact otherwise)")
     p.set_defaults(func=cmd_ineq)
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ineq", choices=("mao", "cr-corr", "cao"), default="mao")
     p.add_argument("--grid", type=int, default=16,
                    help="grid points per angle (search)")
-    p.add_argument("--refine", type=float, default=1e-4,
+    p.add_argument("--refine", default="1e-4",
                    help="coordinate-descent step floor (search)")
     p.add_argument("--angles", help="a0,a1,b0,b1,c0,c1 in radians (eval)")
     p.add_argument("-o", "--output", help="write the behavior JSON here (eval)")

@@ -12,6 +12,7 @@ GHZ correlators (pair ``cos*cos``, triple ``sin*sin*sin``, singles 0).
 from __future__ import annotations
 
 import math
+import re
 from collections import abc
 from dataclasses import dataclass
 from itertools import product
@@ -41,6 +42,21 @@ _GHZ = np.zeros(8)
 _GHZ[0] = _GHZ[7] = 1 / math.sqrt(2)
 
 
+#: An ASCII decimal number: a sign, digits with a point, an exponent; or inf or nan.
+_DECIMAL = re.compile(r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)",
+                      re.ASCII | re.IGNORECASE)
+
+
+def parse_float(value: float | str) -> float:
+    """A float from a number, or from a string matching ``_DECIMAL``:
+    nothing else that ``float`` takes, such as spaces, underscores or
+    non-ASCII digits.  Infinite and NaN values are left to the caller."""
+    if isinstance(value, str) and not _DECIMAL.fullmatch(value):
+        raise ValueError(f"{value!r} does not spell a decimal number (ASCII digits, "
+                         f"an optional sign, point and exponent)")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One projective qubit measurement along cos(angle)*Z + sin(angle)*X."""
@@ -67,8 +83,9 @@ class QuantumStrategy:
                 raise ValueError(f"party {p!r} has no measurement settings")
 
     @classmethod
-    def from_angles(cls, angles: Mapping[str, Sequence[float]]) -> "QuantumStrategy":
-        return cls({p: tuple(MeasurementSetting(float(a)) for a in per)
+    def from_angles(cls, angles: Mapping[str, Sequence[float | str]]) -> "QuantumStrategy":
+        """Each angle a number, or a string read by ``parse_float``."""
+        return cls({p: tuple(MeasurementSetting(parse_float(a)) for a in per)
                     for p, per in angles.items()})
 
     def angles(self) -> dict[str, tuple[float, ...]]:

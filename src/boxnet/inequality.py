@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -185,23 +186,29 @@ def _compiled_rows(supports: tuple[tuple[tuple, tuple], ...], parties: tuple[str
 def _dots(behaviors: Sequence[Behavior], rows: Sequence[int], vectors: np.ndarray) -> np.ndarray:
     """``sum(vector * column)`` at each input row (one vector per row, or
     one for all) of behaviors of one kind and signature: a (behaviors x
-    rows) array of Fractions, or of floats added left to right."""
+    rows) array of integers over each exact behavior's denominator (a
+    +/-1 or 0/1 vector keeps each within it, so int64 numerators do not
+    overflow), or of floats added left to right."""
     width = vectors.shape[-1]
     if isinstance(behaviors[0], NonsignalingResource):
         cols = np.stack([b.numerators.reshape(-1, width)[rows] for b in behaviors])
-        sums = (vectors * cols).sum(axis=-1).tolist()
-        return np.array([[Fraction(v, b.denominator) for v in row]
-                         for row, b in zip(sums, behaviors)], dtype=object)
+        return (vectors * cols).sum(axis=-1)
     cols = np.stack([b.probabilities.reshape(-1, width)[rows] for b in behaviors])
     return _running_sum(vectors * cols)
 
 
 def _values(ineq: LinearInequality, behaviors: Sequence[Behavior]) -> list:
     """The left side on behaviors of one kind and signature: all terms'
-    correlators in one array, then one product with the coefficients."""
+    correlators in one array, then one product with the coefficients.  On
+    exact behaviors the correlators stay integers over each denominator and
+    the coefficients are taken over their lcm, so the product is in
+    integers and each value one ``Fraction``."""
     corrs = _dots(behaviors, *_term_rows(behaviors[0], [t.support for t in ineq.terms]))
-    if corrs.dtype == object:
-        return list(corrs @ np.array([t.coefficient for t in ineq.terms], dtype=object))
+    if isinstance(behaviors[0], NonsignalingResource):
+        scale = lcm(*(t.coefficient.denominator for t in ineq.terms))
+        ks = [t.coefficient.numerator * (scale // t.coefficient.denominator) for t in ineq.terms]
+        return [Fraction(sum(map(mul, ks, row)), scale * b.denominator)
+                for row, b in zip(corrs.tolist(), behaviors)]
     return _running_sum(corrs * [float(t.coefficient) for t in ineq.terms]).tolist()
 
 
@@ -226,7 +233,8 @@ def correlator(b: Behavior, parties: Sequence[str],
         if s not in b.input_alphabet(p):
             raise KeyError(f"party {p!r} has no setting {s}")
         _require_binary(b, p)
-    return _dots([b], *_term_rows(b, [(parties, settings)])).tolist()[0][0]
+    value = _dots([b], *_term_rows(b, [(parties, settings)])).tolist()[0][0]
+    return Fraction(value, b.denominator) if isinstance(b, NonsignalingResource) else value
 
 
 def evaluate(ineq: LinearInequality, b: Behavior, *,
@@ -385,7 +393,7 @@ def evaluate_cao_s14(b: Behavior, *,
                 raise AssertionError(
                     "conditioning probability vanished in one context but "
                     "not in the single-party marginal; behavior is signaling")
-            group += sign * (num / den)
+            group += sign * (num / den if isinstance(den, float) else Fraction(num, den))
         value += prefactor[c] * group
     value = value + correlator(b, ("A", "B"), (0, 2)) \
         + correlator(b, ("B", "C"), (2, 0))

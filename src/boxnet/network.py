@@ -53,7 +53,10 @@ from boxnet.resource import (
     TableError,
     ValidationReport,
     _INT64,
+    _INT_TYPE,
     _key_tuple,
+    _plain_keys,
+    _positions,
     _symbol,
     _Tensor,
 )
@@ -64,6 +67,7 @@ Behavior = NonsignalingResource
 
 Transcript = tuple[Symbol, ...]           # one party's outputs, sorted-resource-id order
 OutputAssignment = tuple[Transcript, ...]  # one tuple per resource, resource order
+_outcome_alphabet = lru_cache(maxsize=256)(Alphabet)   # one per tuple of int outcomes
 
 
 class NetworkError(ValueError):
@@ -163,8 +167,10 @@ class Network:
                 if not isinstance(mapping, abc.Mapping):
                     raise NetworkError(f"bins for {p!r}: expected a mapping, "
                                        f"got {type(mapping).__name__}")
-                try:
-                    self.bins[p] = {_key_tuple(k): _symbol(v) for k, v in mapping.items()}
+                plain = _plain_keys(mapping) and set(map(type, mapping.values())) <= _INT_TYPE
+                try:   # int-typed bins are taken as they are: parsing would not change them
+                    self.bins[p] = (dict(mapping) if plain else
+                                    {_key_tuple(k): _symbol(v) for k, v in mapping.items()})
                 except (TypeError, ValueError) as err:
                     raise NetworkError(f"bins for {p!r}: {err}") from None
 
@@ -177,26 +183,31 @@ class Network:
         self._tables: dict[Party, list[int]] = {}
         res_index = {r.id: i for i, r in enumerate(self.resources)}
         for p in self.parties:
-            rids = sorted(self.trees[p].resource_scope)
-            self._component[p] = tuple(
-                (res_index[rid], self.resources_by_id[rid].parties.index(p)) for rid in rids)
+            self._component[p] = component = tuple(
+                (res_index[rid], self.resources_by_id[rid].parties.index(p))
+                for rid in sorted(self.trees[p].resource_scope))
             paths, shape, _ = walks[p]
-            size = prod(shape[len(rids):])  # of the transcript space
+            size = prod(shape[len(component):])  # of the transcript space
             party_bins = self.bins.get(p)
             if party_bins is not None:
-                space = list(product(*(self.resources_by_id[rid].output_alphabet(p).values
-                                       for rid in rids)))
-                binned = [party_bins.get(tr) for tr in space]
+                space = _positions(tuple(self.resources[ri].output_alphabets[k]
+                                         for ri, k in component))   # shared, read only
+                binned = list(map(party_bins.get, space))
                 if None in binned:
                     raise NetworkError(f"bins for {p!r} not total: missing transcript "
-                                       f"{space[binned.index(None)]}")
+                                       f"{list(space)[binned.index(None)]}")
                 if len(party_bins) > size:
-                    stray = min(set(party_bins) - set(space))
+                    stray = min(set(party_bins).difference(space))
                     raise NetworkError(f"bins for {p!r}: key {stray} is not a transcript of {p!r}")
                 outcomes = [binned[offset % size] for _, offset, _ in paths]
             else:
                 outcomes = [offset % size if label is None else label for _, offset, label in paths]
-            self._outcome_alphabets[p] = alphabet = Alphabet(tuple(sorted(set(outcomes))))
+            if not set(map(type, outcomes)) <= _INT_TYPE:   # True or 1.0 hashes like 1
+                try:
+                    outcomes = list(map(_symbol, outcomes))
+                except ValueError as err:
+                    raise NetworkError(f"terminal labels of {p!r}: {err}") from None
+            self._outcome_alphabets[p] = alphabet = _outcome_alphabet(tuple(sorted(set(outcomes))))
             shape = (len(self.settings_alphabets[p].values), len(alphabet.values), *shape)
             position, block = alphabet.sorted_positions, prod(shape[2:])
             self._tables[p] = table = [0] * (shape[0] * size)
@@ -247,8 +258,7 @@ class Network:
         except ValueError as err:
             raise NetworkError(f"settings: {err}") from None
         if len(settings) != len(self.parties):
-            raise NetworkError(
-                f"{len(settings)} settings for {len(self.parties)} parties")
+            raise NetworkError(f"{len(settings)} settings for {len(self.parties)} parties")
         for p, s in zip(self.parties, settings):
             if s not in self.settings_alphabets[p]:
                 raise NetworkError(f"setting {s} outside alphabet of {p!r}")
@@ -258,9 +268,7 @@ class Network:
         return product(*(self.settings_alphabets[p].values for p in self.parties))
 
     def output_assignments(self) -> Iterable[OutputAssignment]:
-        return product(*(
-            [tuple(a) for a in r.output_space()] for r in self.resources
-        ))
+        return product(*(r.output_space() for r in self.resources))
 
 
 def joint_probability(

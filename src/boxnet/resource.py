@@ -220,6 +220,12 @@ def _align(parties: Sequence[Party], alphabets) -> tuple[Alphabet, ...]:
     return tuple(a if isinstance(a, Alphabet) else Alphabet(tuple(a)) for a in seq)
 
 
+@lru_cache(maxsize=256)
+def _positions(alphabets: tuple[Alphabet, ...]) -> dict[tuple[Symbol, ...], int]:
+    """Each tuple of the alphabets' product -> its position in product order; shared, read only."""
+    return {t: i for i, t in enumerate(product(*(a.values for a in alphabets)))}
+
+
 class _Tensor(NamedTuple):
     """A table as integer numerators, indexed [x_1..x_n, a_1..a_n] by
     alphabet position, over one denominator."""
@@ -366,8 +372,8 @@ class ProbabilityTable:
         """Every input tuple -> every output tuple -> value, in product
         order; a read-only view built from the array on first access."""
         if self._table is None:
-            out_space = list(self.output_space())
-            self._table = {x: dict(zip(out_space, row))
+            out = _positions(self.output_alphabets)   # each output tuple, in product order
+            self._table = {x: dict(zip(out, row))
                            for x, row in zip(self.input_space(), self._rows())}
         return self._table
 
@@ -423,9 +429,9 @@ class ProbabilityTable:
         column is reached), an output key that is not a tuple of integer
         symbols or lies outside the output alphabets (when its entry is
         reached) and, after the last entry, an input tuple outside the input
-        alphabets raise ``TableError``."""
-        width = prod(len(a) for a in self.output_alphabets)
-        out_index = {a: i for i, a in enumerate(self.output_space())}
+        alphabets raise ``TableError``.  Positions are read from ``_positions``."""
+        xs, out_index = _positions(self.input_alphabets), _positions(self.output_alphabets)
+        width = len(out_index)
 
         def key(k, what: str) -> tuple[Symbol, ...]:
             try:
@@ -435,7 +441,7 @@ class ProbabilityTable:
 
         raw = (table if _plain_keys(table)
                else {key(x, "input"): column for x, column in table.items()})
-        for row, x in enumerate(self.input_space()):
+        for row, x in enumerate(xs):
             if x not in raw:
                 raise TableError(f"resource {self.id!r}: missing input tuple {x}")
             column = raw[x]
@@ -445,15 +451,13 @@ class ProbabilityTable:
                 if i is None:
                     a = key(a, f"input {x}: output")
                     if a not in out_index:
-                        raise TableError(
-                            f"resource {self.id!r}: output tuple {a} at input {x} "
-                            f"is outside the output alphabets")
+                        raise TableError(f"resource {self.id!r}: output tuple {a} at input "
+                                         f"{x} is outside the output alphabets")
                     i = out_index[a]
                 yield row * width + i, x, a, value
-        extra = set(raw).difference(self.input_space())
-        if extra:
-            raise TableError(
-                f"resource {self.id!r}: input tuples outside the input alphabets: {sorted(extra)}")
+        if len(raw) > len(xs):   # every tuple of xs is a key of raw
+            raise TableError(f"resource {self.id!r}: input tuples outside the input "
+                             f"alphabets: {sorted(set(raw).difference(xs))}")
 
     def _signature_json(self) -> dict:
         return {
@@ -530,28 +534,27 @@ class NonsignalingResource(ProbabilityTable):
     # -- construction helpers -------------------------------------------------
 
     def _parse_table(self, table, shape: list[int]) -> _Tensor:
-        """A mapping table's entries as numerators over the lcm of their
-        denominators, read by ``_entries``; the column sums are left to
-        the structural check that every table gets.  They are in lowest terms:
-        for each prime power of the lcm, an entry supplies it with a numerator free of that prime.
+        """A mapping table's entries, read by ``_entries``, as numerators over the lcm of
+        their distinct denominators (at 1 nothing is rescaled); the column sums are left to
+        the structural check that every table gets.  They are in lowest terms: for each prime
+        power of the lcm, an entry supplies it with a numerator free of that prime.
 
-        An ``int`` or ``Fraction`` entry in [0, 1] is read as its numerator
-        and denominator; any other entry, or one out of range, goes through
-        ``as_probability``, which parses it or raises."""
+        An ``int`` or ``Fraction`` entry in [0, 1] gives its numerator and denominator, each
+        read once; any other entry, or one out of range, goes through ``as_probability``,
+        which parses it or raises."""
         nums, dens = [0] * prod(shape), [1] * prod(shape)   # flat position -> entry
         for i, x, a, value in self._entries(table):
-            if type(value) in _EXACT_TYPES and 0 <= value.numerator <= value.denominator:
-                v = value
-            else:
+            if (type(value) not in _EXACT_TYPES
+                    or not 0 <= (n := value.numerator) <= (d := value.denominator)):
                 try:
                     v = as_probability(value)
                 except (ValueError, TypeError) as exc:
-                    raise TableError(
-                        f"resource {self.id!r}: bad entry at input {x}, output {a}: {exc}"
-                    ) from exc
-            nums[i], dens[i] = v.numerator, v.denominator
-        den = lcm(*dens)
-        nums = [n * (den // d) for n, d in zip(nums, dens)]
+                    raise TableError(f"resource {self.id!r}: bad entry at input {x}, "
+                                     f"output {a}: {exc}") from exc
+                n, d = v.numerator, v.denominator
+            nums[i], dens[i] = n, d
+        den = lcm(*set(dens))
+        nums = [n * (den // d) for n, d in zip(nums, dens)] if den > 1 else nums
         return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object).reshape(shape), den)
 
     def _value(self, pos: tuple[int, ...]) -> Fraction:

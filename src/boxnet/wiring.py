@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Iterable, Mapping, Sequence, Union
@@ -82,6 +83,18 @@ class PathTrace:
     outcome_label: int | None
 
 
+@lru_cache(maxsize=1024)
+def _compiled(ins: tuple[tuple[Symbol, ...], ...], outs: tuple[tuple[Symbol, ...], ...]) -> tuple:
+    """The shape [x_r..., a_r...] of a party's shares with these input and output alphabets,
+    and each share as a walk reads it: its bit in the mask of those consulted, each input's
+    step, the set of outputs, and each output in sorted order with its step; read only."""
+    shape, n = (*map(len, ins), *map(len, outs)), len(ins)
+    return shape, [(1 << i, {x: k * prod(shape[i + 1:]) for k, x in enumerate(ins[i])},
+                    frozenset(outs[i]), sorted((out, j * prod(shape[n + i + 1:]))
+                                               for j, out in enumerate(outs[i])))
+                   for i in range(n)]
+
+
 def _tree_paths(
     t: DecisionTree,
     settings_alphabet: Alphabet,
@@ -91,7 +104,8 @@ def _tree_paths(
     offset, terminal label), the shape the offsets index and None; or ([],
     (), the first violation `validate_tree` reports).  The shape is [x_r...,
     a_r...]: the inputs, then the outputs, of the resources r in scope in
-    sorted-id order, by alphabet position; an offset is a flat index into it."""
+    sorted-id order, by alphabet position; an offset is a flat index into it.
+    Both are ``_compiled`` per signature: a node costs one lookup and an add per edge."""
     rids = sorted(t.resource_scope)
     for rid in rids:
         if rid not in resources:
@@ -103,14 +117,11 @@ def _tree_paths(
         return [], (), (f"root edges {sorted(t.root)} do not match the settings "
                         f"alphabet {list(settings_alphabet.values)}")
 
-    # Per resource: its bit in the mask of those consulted, its inputs, the
-    # offset's steps for an input and an output, its outputs' positions.  A
-    # walk returns None, or the first violation and the edges back up to it.
-    ins = [resources[rid].input_alphabet(t.party).values for rid in rids]
-    outs = [resources[rid].output_alphabet(t.party).sorted_positions for rid in rids]
-    shape = (*map(len, ins), *map(len, outs))
-    compiled = {rid: (1 << i, ins[i], prod(shape[i + 1:]), prod(shape[len(rids) + i + 1:]),
-                      outs[i]) for i, rid in enumerate(rids)}
+    # A walk returns None, or the first violation and the edges back up to it.
+    shape, compiled = _compiled(
+        tuple(resources[rid].input_alphabet(t.party).values for rid in rids),
+        tuple(resources[rid].output_alphabet(t.party).values for rid in rids))
+    compiled = dict(zip(rids, compiled))
     everything, paths = (1 << len(rids)) - 1, []
 
     def walk(node: Node, consulted: int, offset: int) -> list | None:
@@ -123,18 +134,19 @@ def _tree_paths(
         rid = node.resource_choice
         if rid not in compiled:
             return [f"consults {rid!r}, which is outside the scope"]
-        bit, inputs, in_step, out_step, positions = compiled[rid]
+        bit, in_steps, out_keys, edges = compiled[rid]
         if consulted & bit:
             return [f"consults {rid!r} twice"]
-        if node.input_choice not in inputs:
+        try:   # an unhashable input is no symbol either
+            offset += in_steps[node.input_choice]
+        except (KeyError, TypeError):
             return [f"gives {rid!r} input {node.input_choice}, outside "
-                    f"this party's alphabet {list(inputs)}"]
-        if node.children.keys() != positions.keys():
+                    f"this party's alphabet {list(in_steps)}"]
+        if node.children.keys() != out_keys:
             return [f"node for {rid!r} has output edges "
-                    f"{sorted(node.children)}, expected {list(positions)}"]
-        offset += inputs.index(node.input_choice) * in_step
-        for out, j in positions.items():  # in sorted order
-            error = walk(node.children[out], consulted | bit, offset + j * out_step)
+                    f"{sorted(node.children)}, expected {sorted(out_keys)}"]
+        for out, out_offset in edges:  # in sorted order
+            error = walk(node.children[out], consulted | bit, offset + out_offset)
             if error is not None:
                 return [*error, f" -> {rid}:{out}"]
         return None

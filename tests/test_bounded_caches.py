@@ -51,4 +51,4 @@ def test_every_cache_in_the_package_is_bounded():
     # The scan reads the modules that do cache.
     cached = [path.name for path in sorted(SRC.glob("*.py"))
               if "lru_cache(maxsize=" in path.read_text()]
-    assert cached == ["decompose.py", "inequality.py", "network.py", "resource.py"]
+    assert cached == ["decompose.py", "inequality.py", "network.py", "resource.py", "wiring.py"]

@@ -589,6 +589,40 @@ def test_flags_are_refused_in_the_librarys_words(capsys, argv, wording):
     assert err.startswith("input error:") and wording in err, err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--angles", "1_0,\u0660, 0 ,0,0,0"),   # read as A = (10.0, 0.0) by float
+    ("--angles", "0,0,0,0,0,\u0661"),
+    ("--angles", "0,0,0,0,0,0\n"),
+    ("--refine", " 1e-4"),
+    ("--refine", "1_0e-4"),
+    ("--atol", "1e-9 "),
+    ("--atol", "\uff11"),
+], ids=["angles-underscore", "angles-arabic-digit", "angles-newline", "refine-space",
+        "refine-underscore", "atol-space", "atol-fullwidth-digit"])
+def test_float_flags_take_ascii_decimals_only(tmp_path, capsys, flag, value):
+    """``float`` reads these; the flags refuse them as input errors."""
+    argv = {"--angles": ["ghz", "eval"], "--refine": ["ghz", "search", "--grid", "2"],
+            "--atol": ["ineq", "eval", "--behavior", _write(tmp_path / "b.json", make_pr_box(
+                ).to_json_dict())]}[flag]
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "does not spell a decimal number" in err, err
+
+
+def test_float_flags_read_every_ascii_decimal_spelling(capsys):
+    """Signs, points, exponents and the ``repr`` of floats read as ``float``
+    reads them: the same output as the spelling ``repr`` gives."""
+    for spelled in ("0.7853981633974483", "-1.5707963267948966", "1e-05", "+.5", "2.",
+                    "1E+2", "-0", "007"):
+        assert main(["ghz", "eval", "--angles=" + ",".join([spelled] * 6)]) == 0
+        got = capsys.readouterr().out
+        assert main(["ghz", "eval", "--angles=" + ",".join([repr(float(spelled))] * 6)]) == 0
+        assert capsys.readouterr().out == got
+    rc, data = run_json(capsys, "ghz", "search", "--grid", "2", "--refine", "5E-1")
+    assert rc == 0 and data == run_json(capsys, "ghz", "search", "--grid", "2",
+                                        "--refine", "0.5")[1]
+
+
 def test_empty_vertex_file_exits_two(tmp_path, capsys):
     vfile = _write(tmp_path / "v.json", [])
     assert main(["decompose", str(FIXTURES / "wired-pr" / "pr_ab.json"), "--vertices", vfile]) == 2

@@ -495,3 +495,52 @@ def test_cached_term_rows_match_the_uncached_build():
     assert info.hits + info.misses == calls and info.hits >= calls // 2
     assert info.maxsize == 256 and info.currsize == min(info.misses, 256)
     assert info.misses > 256   # more signatures and support lists than the cache holds
+
+
+# -- integer values against one Fraction per correlator ------------------------------------
+
+
+def ref_values(ineq, behaviors):
+    """``_values`` on exact behaviors as it was: one ``Fraction`` per
+    correlator, then an object-dtype product with the coefficients."""
+    rows, vectors = _term_rows(behaviors[0], [t.support for t in ineq.terms])
+    width = vectors.shape[-1]
+    cols = np.stack([b.numerators.reshape(-1, width)[rows] for b in behaviors])
+    sums = (vectors * cols).sum(axis=-1).tolist()
+    corrs = np.array([[Fraction(v, b.denominator) for v in row]
+                      for row, b in zip(sums, behaviors)], dtype=object)
+    return list(corrs @ np.array([t.coefficient for t in ineq.terms], dtype=object))
+
+
+def test_integer_values_match_a_fraction_per_correlator():
+    """On stacks of exact behaviors (Python-int numerators among them) and
+    inequalities with non-integer coefficients, each value is ``==`` to the
+    reference's, a ``Fraction`` in lowest terms."""
+    rng = random.Random(12)
+    halves = LinearInequality("halves", (_term(Fraction(1, 2), A=0, B=1),
+                                         _term(Fraction(-7, 3), A=1, C=0),
+                                         _term(Fraction(5, 6), A=1, B=0, C=1)), frac(1), S222)
+    for counts, extra in ((S222, NAMED_222 + [halves]), (S232, [cao_s14_linearized()]),
+                          ({"A": 3, "B": 2}, [])):
+        vertices = deterministic_behaviors(counts)
+        stack = [mixture(rng, f"m{i}", vertices, BIG_DEN if i % 3 == 0 else rng.choice(
+            [2, 6, 35, 1024])) for i in range(24)]   # one signature
+        family = exact_family(rng, counts, 24)       # output alphabets vary
+        for behaviors in (stack, family):
+            assert {b.numerators.dtype for b in behaviors} == {np.dtype(np.int64), np.dtype(object)}
+            assert any(b.denominator >= 2 ** 63 for b in behaviors)
+        for ineq in extra + [random_inequality(rng, counts) for _ in range(12)]:
+            got, want = _values(ineq, stack), ref_values(ineq, stack)
+            assert len(got) == len(stack) and all(same(g, w) for g, w in zip(got, want)), ineq
+            for b in family:
+                assert same(_values(ineq, [b])[0], ref_values(ineq, [b])[0]), (ineq, b.id)
+    assert any(t.coefficient.denominator > 1 for t in halves.terms)
+
+
+def test_derivation_chain_is_unchanged_by_integer_values(monkeypatch):
+    """Every step of the chain, scored through ``_values``, reads the same
+    with the reference in its place."""
+    report = inequality.verify_derivation_chain()
+    monkeypatch.setattr(inequality, "_values", ref_values)
+    assert report == inequality.verify_derivation_chain()
+    assert report.all_passed and len(report.steps) == 6

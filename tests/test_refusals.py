@@ -72,6 +72,12 @@ def lone(party="A"):
     return Network((party,), [], {party: bare(party)}, {party: ONE}, name=party)
 
 
+def labeled(*labels):
+    """One party, no resources, answering ``labels[s]`` at setting s."""
+    tree = DecisionTree("A", {s: Terminal(label) for s, label in enumerate(labels)}, frozenset())
+    return Network(("A",), [], {"A": tree}, {"A": Alphabet.of_size(len(labels))})
+
+
 def coin_net(party):
     """One party reading its own fair coin, whose id is 'coin'."""
     coin = make_shared_randomness((party,), {(0,): F(1, 2), (1,): F(1, 2)}, id="coin")
@@ -132,6 +138,19 @@ CASES = {
                                                        frozenset())}, {"A": Alphabet((0, 1, 2))}),
         NetworkError,
         "tree of 'A' invalid: root edges [0, 1] do not match the settings alphabet [0, 1, 2]"),
+    # terminal labels are symbols; (0, True) hashes like (0, 1), built first
+    "network-bool-terminal-label": (lambda: labeled(True), NetworkError,
+                                    "terminal labels of 'A': alphabet symbol True is not an integer"),
+    "network-float-terminal-label": (lambda: labeled(1.0), NetworkError,
+                                     "terminal labels of 'A': alphabet symbol 1.0 is not an integer"),
+    "network-bool-label-after-int-labels": (
+        lambda: (labeled(0, 1), labeled(0, True)),
+        NetworkError, "terminal labels of 'A': alphabet symbol True is not an integer"),
+    # a set of the labels would keep 1 and drop True
+    "network-bool-label-beside-one": (lambda: labeled(1, True), NetworkError,
+                                      "terminal labels of 'A': alphabet symbol True is not an integer"),
+    "network-str-terminal-label": (lambda: labeled(0, "1"), NetworkError,
+                                   "terminal labels of 'A': alphabet symbol '1' is not an integer"),
     "joint-distribution-settings-count": (lambda: joint_distribution(lone(), (0, 0)),
                                           NetworkError, "2 settings for 1 parties"),
     # marginal
@@ -243,6 +262,9 @@ CASES = {
     # GHZ strategies
     "quantum-strategy-no-settings": (lambda: QuantumStrategy({"A": ()}),
                                      ValueError, "party 'A' has no measurement settings"),
+    "ghz-underscore-angle": (
+        lambda: QuantumStrategy.from_angles({"A": ("1_0", "0")}), ValueError,
+        "'1_0' does not spell a decimal number (ASCII digits, an optional sign, point and exponent)"),
     "ghz-other-parties": (
         lambda: ghz_behavior(QuantumStrategy.from_angles({"A": [0.0], "B": [0.0]})),
         ValueError, "a GHZ strategy names parties ('A', 'B', 'C'), got ['A', 'B']"),
