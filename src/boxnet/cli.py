@@ -131,7 +131,7 @@ def _read_scenario(arg: str) -> tuple[dict, dict]:
 
     def fields(d):
         parties = tuple(_json_field(d, "parties", list))
-        settings = {p: Alphabet(tuple(_json_field(d, "settings", dict)[p])) for p in parties}
+        settings = {p: Alphabet(_json_field(d, "settings", dict)[p]) for p in parties}
         resources = [_load_entry(e, path, NonsignalingResource.from_json_dict)
                      for e in _json_field(d, "resources", list)]
         trees = {p: _load_entry(_json_field(d, "trees", dict)[p], path,

@@ -133,8 +133,8 @@ class FloatBehavior(ProbabilityTable):
                 raise TableError(f"column {x} sums to {total}, not 1")
         self.require_nonsignaling("construction")
 
-    def _value(self, pos: tuple[int, ...]) -> float:
-        return float(self.probabilities[pos])
+    def _value(self, pos: int) -> float:
+        return float(self.probabilities.flat[pos])
 
     def _rows(self) -> list[list[float]]:
         width = math.prod(len(a) for a in self.output_alphabets)
@@ -187,11 +187,10 @@ def ghz_behavior(strategy: QuantumStrategy, *, id: str = "ghz") -> FloatBehavior
             per.append(((eye + m) / 2, (eye - m) / 2))
         projectors[p] = per
 
-    in_alphas = [Alphabet(tuple(range(len(strategy.settings[p]))))
-                 for p in GHZ_PARTIES]
+    in_alphas = [Alphabet.of_size(len(strategy.settings[p])) for p in GHZ_PARTIES]
     bits = Alphabet((0, 1))
     probs = np.empty([len(a) for a in in_alphas] + [2, 2, 2])
-    for ctx in product(*(a.values for a in in_alphas)):
+    for ctx in product(*in_alphas):
         for outs in product((0, 1), repeat=3):
             op = np.kron(np.kron(projectors["A"][ctx[0]][outs[0]],
                                  projectors["B"][ctx[1]][outs[1]]),

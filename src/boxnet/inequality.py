@@ -125,9 +125,9 @@ class Evaluation:
 
 
 def _require_binary(b: Behavior, p: str) -> None:
-    if not set(b.output_alphabet(p).values) <= {0, 1}:
+    if not set(b.output_alphabet(p)) <= {0, 1}:
         raise InequalityError(
-            f"party {p!r} outcomes {b.output_alphabet(p).values} are not "
+            f"party {p!r} outcomes {b.output_alphabet(p)} are not "
             "within {0, 1}; correlators need binary +/-1 outcomes")
 
 
@@ -137,7 +137,7 @@ def _check_scenario(b: Behavior, settings_counts: Mapping[str, int]) -> None:
             f"behavior parties {sorted(b.parties)} do not match the "
             f"inequality's parties {sorted(settings_counts)}")
     for p, count in settings_counts.items():
-        have = b.input_alphabet(p).values
+        have = b.input_alphabet(p)
         if have != tuple(range(count)):
             raise InequalityError(
                 f"party {p!r} has settings {have}, inequality needs "
@@ -169,12 +169,12 @@ def _compiled_rows(supports: tuple[tuple[tuple, tuple], ...], parties: tuple[str
                    output_alphabets: tuple[Alphabet, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``_term_rows`` for one signature, cached."""
     rows, signs = [], []
-    outputs = list(product(*(a.values for a in output_alphabets)))
+    outputs = list(product(*output_alphabets))
     for term_parties, settings in supports:
         idx = [parties.index(p) for p in term_parties]
         x = [0] * len(parties)
         for i, s in zip(idx, settings):
-            x[i] = input_alphabets[i].values.index(s)
+            x[i] = input_alphabets[i].index(s)
         rows.append(int(np.ravel_multi_index(x, [len(a) for a in input_alphabets])))
         signs.append([prod(SIGN[a[i]] for i in idx) for a in outputs])
     rows = np.array(rows, dtype=np.intp)

@@ -126,10 +126,12 @@ class Network:
         if not isinstance(trees, abc.Mapping):
             trees = {t.party: t for t in trees}
         self.trees = dict(trees)
-        self.settings_alphabets = {
-            p: (a if isinstance(a, Alphabet) else Alphabet(tuple(a)))
-            for p, a in dict(settings_alphabets).items()
-        }
+        self.settings_alphabets = {}
+        for p, a in dict(settings_alphabets).items():
+            try:
+                self.settings_alphabets[p] = Alphabet(a)
+            except (TypeError, ValueError) as err:
+                raise NetworkError(f"settings alphabet of {p!r}: {err}") from None
         for kind, keyed in (("trees", self.trees), ("settings alphabets", self.settings_alphabets),
                             ("bins", bins or {})):
             for p in keyed:
@@ -208,11 +210,11 @@ class Network:
                 except ValueError as err:
                     raise NetworkError(f"terminal labels of {p!r}: {err}") from None
             self._outcome_alphabets[p] = alphabet = _outcome_alphabet(tuple(sorted(set(outcomes))))
-            shape = (len(self.settings_alphabets[p].values), len(alphabet.values), *shape)
-            position, block = alphabet.sorted_positions, prod(shape[2:])
+            shape = (len(self.settings_alphabets[p]), len(alphabet), *shape)
+            position, block = _positions((alphabet,)), prod(shape[2:])   # (outcome,) -> position
             self._tables[p] = table = [0] * (shape[0] * size)
             for (s, offset, _), o in zip(paths, outcomes):
-                table[s * size + offset % size] = (s * shape[1] + position[o]) * block + offset
+                table[s * size + offset % size] = (s * shape[1] + position[(o,)]) * block + offset
             self._wirings[p] = np.bincount(table, minlength=prod(shape)).reshape(shape)
 
         # The contraction labels (module docstring) of each table's and each wiring's axes.
@@ -229,20 +231,17 @@ class Network:
     def _path(self, p: Party, setting: Symbol,
               transcript: Transcript) -> tuple[tuple[Symbol, ...], Symbol]:
         """The inputs, in sorted-id order, and the outcome of p's path at a
-        setting and transcript, read from p's path table.  ``KeyError`` for
-        a symbol outside p's alphabets or a transcript of the wrong length."""
+        setting and transcript, read from p's path table at their row in
+        ``_positions`` of p's settings and transcript alphabets.  ``KeyError``
+        for a symbol outside those alphabets or a transcript of the wrong length."""
         component = self._component[p]
-        if len(transcript) != len(component):
-            raise KeyError(f"transcript {transcript} of {p!r} has the wrong length")
-        row = self.settings_alphabets[p].sorted_positions[setting]
-        for (ri, pos), symbol in zip(component, transcript):
-            outs = self.resources[ri].output_alphabets[pos]
-            row = row * len(outs.values) + outs.sorted_positions[symbol]
+        outs = (self.resources[ri].output_alphabets[pos] for ri, pos in component)
+        row = _positions((self.settings_alphabets[p], *outs))[(setting, *transcript)]
         # The wiring tensor's index of the path: setting, outcome, inputs, outputs.
         index = np.unravel_index(self._tables[p][row], self._wirings[p].shape)
-        inputs = tuple(self.resources[ri].input_alphabets[pos].values[i]
+        inputs = tuple(self.resources[ri].input_alphabets[pos][i]
                        for (ri, pos), i in zip(component, index[2:]))
-        return inputs, self._outcome_alphabets[p].values[index[1]]
+        return inputs, self._outcome_alphabets[p][index[1]]
 
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
         """The party's final outcome for a transcript: the bin when one is
@@ -265,7 +264,7 @@ class Network:
         return settings
 
     def settings_space(self) -> Iterable[tuple[Symbol, ...]]:
-        return product(*(self.settings_alphabets[p].values for p in self.parties))
+        return product(*(self.settings_alphabets[p] for p in self.parties))
 
     def output_assignments(self) -> Iterable[OutputAssignment]:
         return product(*(r.output_space() for r in self.resources))
@@ -281,7 +280,10 @@ def joint_probability(
     table entries.  Exact.  ``KeyError`` unless the outputs are one tuple
     per resource, of one symbol per party, in the resource's alphabets."""
     settings = net._check_settings(settings)
-    shape = [len(o) if hasattr(o, "__len__") else None for o in outputs]
+    try:
+        shape = [len(o) for o in outputs]
+    except TypeError:   # outputs, or one of its entries, has no length
+        shape = None
     if shape != [len(r.parties) for r in net.resources]:
         raise KeyError(f"output assignment {outputs} does not have the shape of the resources")
     inputs_by_resource = [[0] * len(r.parties) for r in net.resources]
@@ -455,7 +457,7 @@ def joint_distribution(
     settings = net._check_settings(settings)
     if not allow_unnormalized:
         _refuse_unchecked(net)
-    wirings = [net._wirings[p][net.settings_alphabets[p].values.index(s)].sum(axis=0)
+    wirings = [net._wirings[p][net.settings_alphabets[p].index(s)].sum(axis=0)
                for p, s in zip(net.parties, settings)]
     output = [l for labels in net._table_labels for l in labels[len(labels) // 2:]]
     nums, den = _contract_network(net, wirings, [l[2:] for l in net._party_labels], output)
@@ -488,10 +490,8 @@ def induced_behavior(net: Network) -> Behavior:
             f"behavior({net.name})", net.parties,
             [net.settings_alphabets[p] for p in net.parties],
             [net.outcome_alphabet(p) for p in net.parties], behavior)
-    except TableError as err:   # entries are >= 0: one above 1 puts its column's sum above 1
-        if err.fault is None or err.fault.outputs is not None:
-            raise
-        fault = err.fault
+    except TableError as err:   # entries are >= 0: one above 1 puts its column's sum above 1,
+        fault = err.fault         # and a column's sum is reported before its entries
     raise _unnormalized(fault.inputs, fault.value)
 
 

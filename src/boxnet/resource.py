@@ -21,7 +21,7 @@ import operator
 from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -103,52 +103,50 @@ def _parse_symbol(value) -> Symbol:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """An ordered finite set of symbols (small non-negative integers).
+class Alphabet(tuple):
+    """An ordered finite set of symbols (small non-negative integers): the
+    tuple of its symbols, so equality, hashing, ``index`` and ``repr`` are
+    the tuple's.
 
     Each symbol is stored as an ``int``; a value that is not an integer,
-    or is a ``bool``, raises ``ValueError``."""
+    or is a ``bool``, raises ``ValueError``.  An ``Alphabet`` argument is
+    returned as it is."""
 
-    values: tuple[Symbol, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(_symbol(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __new__(cls, values):
+        if isinstance(values, cls):
+            return values
+        vals = tuple.__new__(cls, map(_symbol, values))
         if not vals:
             raise ValueError("alphabet must be non-empty")
         if len(set(vals)) != len(vals):
             raise ValueError(f"alphabet has duplicate symbols: {vals}")
+        return vals
 
     @classmethod
     def of_size(cls, n: int) -> "Alphabet":
         """The symbols 0..n-1.  Alphabets are immutable, so one is shared
         per size; ``n`` is parsed by ``operator.index`` before the lookup,
-        so a size that is not an integer always raises ``TypeError``."""
+        so a size that is not an integer, or is a ``bool``, always raises
+        ``TypeError``."""
+        if isinstance(n, bool):
+            raise TypeError("'bool' object cannot be interpreted as an integer")
         return cls._of_size(operator.index(n))
 
     @classmethod
     @lru_cache(maxsize=64)
     def _of_size(cls, n: int) -> "Alphabet":
-        return cls(tuple(range(n)))
+        return cls(range(n))
 
-    @cached_property
-    def sorted_positions(self) -> dict[Symbol, int]:
-        """Each symbol's position in ``values``, keyed in sorted order."""
-        return dict(sorted(zip(self.values, range(len(self.values)))))
+    @property
+    def values(self) -> "Alphabet":
+        """The alphabet itself."""
+        return self
 
     @property
     def first(self) -> Symbol:
-        return self.values[0]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __contains__(self, symbol: object) -> bool:
-        return symbol in self.values
+        return self[0]
 
 
 @dataclass(frozen=True)
@@ -217,13 +215,13 @@ def _align(parties: Sequence[Party], alphabets) -> tuple[Alphabet, ...]:
         seq = list(alphabets)
         if len(seq) != len(parties):
             raise ValueError(f"{len(seq)} alphabets for {len(parties)} parties")
-    return tuple(a if isinstance(a, Alphabet) else Alphabet(tuple(a)) for a in seq)
+    return tuple(map(Alphabet, seq))
 
 
 @lru_cache(maxsize=256)
 def _positions(alphabets: tuple[Alphabet, ...]) -> dict[tuple[Symbol, ...], int]:
     """Each tuple of the alphabets' product -> its position in product order; shared, read only."""
-    return {t: i for i, t in enumerate(product(*(a.values for a in alphabets)))}
+    return {t: i for i, t in enumerate(product(*alphabets))}
 
 
 class _Tensor(NamedTuple):
@@ -238,7 +236,7 @@ def _symbols(alphabets: Sequence[Alphabet], idx: Sequence[int],
              positions: Sequence[int]) -> tuple[Symbol, ...]:
     """The symbols of the parties ``idx`` at their alphabet ``positions``,
     one position per party."""
-    return tuple(alphabets[i].values[k] for i, k in zip(idx, positions))
+    return tuple(alphabets[i][k] for i, k in zip(idx, positions))
 
 
 def _sum_out(arr: np.ndarray, axis: int, count: int = 1) -> np.ndarray:
@@ -294,7 +292,7 @@ def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
                 party=parties[j],
                 context=dict(zip([parties[i] for i in others],
                                  _symbols(input_alphabets, others, pos[:j] + pos[j + 1:n]))),
-                inputs=(input_alphabets[j].first, input_alphabets[j].values[pos[j]]),
+                inputs=(input_alphabets[j].first, input_alphabets[j][pos[j]]),
                 outputs=_symbols(output_alphabets, others, pos[n:]),
                 values=(value(v0), value(v1)),
             )
@@ -362,10 +360,10 @@ class ProbabilityTable:
         self.nonsignaling_checked = False
 
     def input_space(self) -> Iterable[tuple[Symbol, ...]]:
-        return product(*(a.values for a in self.input_alphabets))
+        return product(*self.input_alphabets)
 
     def output_space(self) -> Iterable[tuple[Symbol, ...]]:
-        return product(*(a.values for a in self.output_alphabets))
+        return product(*self.output_alphabets)
 
     @property
     def table(self) -> dict[tuple[Symbol, ...], dict[tuple[Symbol, ...], object]]:
@@ -378,15 +376,12 @@ class ProbabilityTable:
         return self._table
 
     def prob(self, inputs: Sequence[Symbol], outputs: Sequence[Symbol]):
-        """The value at one input and output tuple, read from the array at
-        the symbols' alphabet positions; ``KeyError`` outside the table."""
-        pos = []
-        for key, alphabets in ((_key_tuple(inputs), self.input_alphabets),
-                               (_key_tuple(outputs), self.output_alphabets)):
-            if len(key) != len(alphabets) or not all(map(Alphabet.__contains__, alphabets, key)):
-                raise KeyError(key)
-            pos += (a.values.index(s) for a, s in zip(alphabets, key))
-        return self._value(tuple(pos))
+        """The value at one input and output tuple: the array's entry at
+        their positions in ``_positions`` of the input and of the output
+        alphabets; ``KeyError`` outside the table."""
+        x, a = _key_tuple(inputs), _key_tuple(outputs)
+        out = _positions(self.output_alphabets)
+        return self._value(_positions(self.input_alphabets)[x] * len(out) + out[a])
 
     def party_index(self, party: Party) -> int:
         try:
@@ -463,8 +458,8 @@ class ProbabilityTable:
         return {
             "id": self.id,
             "parties": list(self.parties),
-            "inputs": {p: list(a.values) for p, a in zip(self.parties, self.input_alphabets)},
-            "outputs": {p: list(a.values) for p, a in zip(self.parties, self.output_alphabets)},
+            "inputs": {p: list(a) for p, a in zip(self.parties, self.input_alphabets)},
+            "outputs": {p: list(a) for p, a in zip(self.parties, self.output_alphabets)},
         }
 
 
@@ -557,8 +552,8 @@ class NonsignalingResource(ProbabilityTable):
         nums = [n * (den // d) for n, d in zip(nums, dens)] if den > 1 else nums
         return _Tensor(np.array(nums, dtype=np.int64 if den < _INT64 else object).reshape(shape), den)
 
-    def _value(self, pos: tuple[int, ...]) -> Fraction:
-        return Fraction(int(self.numerators[pos]), self.denominator)
+    def _value(self, pos: int) -> Fraction:
+        return Fraction(int(self.numerators.flat[pos]), self.denominator)
 
     def _rows(self, form=lambda v: v) -> Iterable[Iterable]:
         """The Fractions of each input tuple, one shared Fraction per value,
@@ -648,8 +643,8 @@ def _json_parts(data: Mapping, value) -> tuple:
 
     parties = _json_field(data, "parties", list)
     return (parties,
-            {p: Alphabet(tuple(data["inputs"][p])) for p in parties},
-            {p: Alphabet(tuple(data["outputs"][p])) for p in parties},
+            {p: Alphabet(data["inputs"][p]) for p in parties},
+            {p: Alphabet(data["outputs"][p]) for p in parties},
             {x: {a: value(v) for a, v in _parse_keys(column, key).items()}
              for x, column in _parse_keys(data["table"], key).items()})
 
@@ -763,7 +758,7 @@ def marginal(
         xi = _symbol(fixed_inputs.get(p, r.input_alphabets[i].first))
         if xi not in r.input_alphabets[i]:
             raise ValueError(f"fixed input {xi} outside alphabet of party {p!r}")
-        pick[i] = r.input_alphabets[i].values.index(xi)
+        pick[i] = r.input_alphabets[i].index(xi)
 
     if not drop_idx and (id is None or id == r.id):
         return r
@@ -820,8 +815,8 @@ def condition(
     n = len(r.parties)
     pick = [slice(None)] * (2 * n)
     for i in obs_idx:
-        pick[i] = r.input_alphabets[i].values.index(obs_in[i])
-        pick[n + i] = r.output_alphabets[i].values.index(obs_out[i])
+        pick[i] = r.input_alphabets[i].index(obs_in[i])
+        pick[n + i] = r.output_alphabets[i].index(obs_out[i])
     event = r.numerators[tuple(pick)]
     mass = int(event[(0,) * len(keep_idx)].sum())
     if mass == 0:
@@ -869,7 +864,7 @@ def make_local_deterministic(
         fns.append(f)
 
     table = {x: {tuple(f[xi] for f, xi in zip(fns, x)): 1}
-             for x in product(*(a.values for a in in_alphas))}
+             for x in product(*in_alphas)}
 
     if id is None:
         id = "det:" + ";".join(
@@ -896,10 +891,7 @@ def make_shared_randomness(
     for a in dist:
         if len(a) != len(parties):
             raise ValueError(f"outcome {a} does not align with {len(parties)} parties")
-    out_alphas = [
-        Alphabet(tuple(sorted({a[i] for a in dist})))
-        for i in range(len(parties))
-    ]
+    out_alphas = [Alphabet(sorted({a[i] for a in dist})) for i in range(len(parties))]
     in_alphas = [Alphabet((0,))] * len(parties)
     x0 = (0,) * len(parties)
     return NonsignalingResource.make(id, parties, in_alphas, out_alphas, {x0: dist})

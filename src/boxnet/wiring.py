@@ -113,14 +113,14 @@ def _tree_paths(
         if t.party not in resources[rid].parties:
             return [], (), f"party {t.party!r} is not a member of resource {rid!r}"
 
-    if set(t.root) != set(settings_alphabet.values):
+    if set(t.root) != set(settings_alphabet):
         return [], (), (f"root edges {sorted(t.root)} do not match the settings "
-                        f"alphabet {list(settings_alphabet.values)}")
+                        f"alphabet {list(settings_alphabet)}")
 
     # A walk returns None, or the first violation and the edges back up to it.
     shape, compiled = _compiled(
-        tuple(resources[rid].input_alphabet(t.party).values for rid in rids),
-        tuple(resources[rid].output_alphabet(t.party).values for rid in rids))
+        tuple(resources[rid].input_alphabet(t.party) for rid in rids),
+        tuple(resources[rid].output_alphabet(t.party) for rid in rids))
     compiled = dict(zip(rids, compiled))
     everything, paths = (1 << len(rids)) - 1, []
 
@@ -151,7 +151,7 @@ def _tree_paths(
                 return [*error, f" -> {rid}:{out}"]
         return None
 
-    for position, setting in enumerate(settings_alphabet.values):
+    for position, setting in enumerate(settings_alphabet):
         error = walk(t.root[setting], 0, 0)
         if error is not None:
             return [], (), f"path [setting {setting}{''.join(reversed(error[1:]))}] {error[0]}"
@@ -181,9 +181,7 @@ def validate_tree(
 
     The first violation is reported with its path from the root.
     """
-    if not isinstance(settings_alphabet, Alphabet):
-        settings_alphabet = Alphabet(tuple(settings_alphabet))
-    error = _tree_paths(t, settings_alphabet, resources)[2]
+    error = _tree_paths(t, Alphabet(settings_alphabet), resources)[2]
     return ValidationReport.ok() if error is None else ValidationReport.fail([error])
 
 
@@ -303,12 +301,12 @@ def append_unused(
         if dummy_inputs[rid] not in r.input_alphabet(t.party):
             raise ValueError(
                 f"dummy input {dummy_inputs[rid]} outside {rid!r}'s alphabet "
-                f"{list(r.input_alphabet(t.party).values)} for {t.party!r}")
+                f"{list(r.input_alphabet(t.party))} for {t.party!r}")
 
     def chain_below(terminal: Terminal, *_) -> Node:
         node: Node = terminal
         for rid in reversed(unused):
-            outs = resources[rid].output_alphabet(t.party).values
+            outs = resources[rid].output_alphabet(t.party)
             node = Internal(rid, dummy_inputs[rid], {out: node for out in outs})
         return node
 
@@ -327,8 +325,8 @@ def bottom_encode(r: NonsignalingResource) -> NonsignalingResource:
     """
     r.require_nonsignaling("bottom_encode")
     n = len(r.parties)
-    in_alphas = [Alphabet(a.values + (max(a.values) + 1,)) for a in r.input_alphabets]
-    out_alphas = [Alphabet(a.values + (max(a.values) + 1,)) for a in r.output_alphabets]
+    in_alphas = [Alphabet(a + (max(a) + 1,)) for a in r.input_alphabets]
+    out_alphas = [Alphabet(a + (max(a) + 1,)) for a in r.output_alphabets]
     nums = np.zeros([len(a) for a in in_alphas + out_alphas], dtype=r.numerators.dtype)
     for opted_out in product((False, True), repeat=n):
         # Opted-out parties sit at their new last symbols; the others get r's

@@ -133,6 +133,15 @@ CASES = {
     "network-settings-unknown-party": (
         lambda: Network(("A",), [], {"A": bare()}, {"A": ONE, "Z": ONE}),
         NetworkError, "settings alphabets name unknown party 'Z'"),
+    "network-settings-alphabet-not-iterable": (
+        lambda: Network(("A",), [], {"A": bare()}, {"A": 2}),
+        NetworkError, "settings alphabet of 'A': 'int' object is not iterable"),
+    "network-settings-alphabet-str-symbol": (
+        lambda: Network(("A",), [], {"A": bare()}, {"A": [0, "x"]}),
+        NetworkError, "settings alphabet of 'A': alphabet symbol 'x' is not an integer"),
+    "network-settings-alphabet-empty": (
+        lambda: Network(("A",), [], {"A": bare()}, {"A": []}),
+        NetworkError, "settings alphabet of 'A': alphabet must be non-empty"),
     "network-root-edges-not-the-settings": (
         lambda: Network(("A",), [], {"A": DecisionTree("A", {0: Terminal(), 1: Terminal()},
                                                        frozenset())}, {"A": Alphabet((0, 1, 2))}),

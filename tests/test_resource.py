@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 from fractions import Fraction
 from itertools import product
@@ -64,8 +65,29 @@ def test_alphabet_symbols_are_integers():
 
 def test_alphabet_of_size_refuses_a_float_size_after_an_int_one():
     assert Alphabet.of_size(2).values == (0, 1)
-    with pytest.raises(TypeError):
-        Alphabet.of_size(2.0)
+    for bad in (2.0, True, False):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Alphabet.of_size(bad)
+
+
+def test_an_alphabet_is_the_tuple_of_its_symbols():
+    a = Alphabet((3, 0, 1))
+    assert Alphabet(a) is a
+    assert a == tuple(a) == (3, 0, 1) and hash(a) == hash(tuple(a))
+    assert hash((a, BITS)) == hash(((3, 0, 1), (0, 1)))
+    assert a.values is a and a.first == 3 and repr(a) == "(3, 0, 1)"
+    assert len(a) == 3 and 0 in a and 2 not in a and a.index(1) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(a, protocol))
+        assert type(back) is Alphabet and back == a
+    for bad, message in (((), "alphabet must be non-empty"),
+                         ((0, 1, 0), "alphabet has duplicate symbols: (0, 1, 0)"),
+                         ((0, True), "alphabet symbol True is not an integer"),
+                         ((0, 1.0), "alphabet symbol 1.0 is not an integer"),
+                         ((0, "1"), "alphabet symbol '1' is not an integer")):
+        with pytest.raises(ValueError) as refused:
+            Alphabet(bad)
+        assert str(refused.value) == message
 
 
 def test_pr_box_is_nonsignaling_by_direct_summation():
