@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ VERTEX_CAP_ENV = "NONSIG_VERTEX_CAP"
 DEFAULT_VERTEX_CAP = 10**6
 
 
-@dataclass
+@dataclass   # not a NamedTuple: __post_init__ checks its weights
 class Mixture:
     """Convex combination: positive exact weights summing to one."""
 
@@ -69,7 +69,7 @@ class Mixture:
         return iter(self.components)
 
 
-@dataclass
+@dataclass   # not a NamedTuple: __post_init__ checks it, and cached columns need a __dict__
 class VertexSet:
     """Extreme points of a polytope of same-signature resources, each
     tagged with where it came from ('deterministic' or 'pr-class')."""
@@ -107,8 +107,7 @@ class VertexSet:
         return Columns(rows, values, den)
 
 
-@dataclass
-class Infeasible:
+class Infeasible(NamedTuple):
     """Separating functional: G(Q) = sum coefficients[(x, a)] * Q(a|x)
     satisfies G(vertex) <= threshold for every vertex in the set that was
     tested, while G(target) = value > threshold."""
@@ -124,8 +123,7 @@ class Infeasible:
         return sum(c * q.prob(x, a) for (x, a), c in self.coefficients.items())
 
 
-@dataclass
-class LocalityResult:
+class LocalityResult(NamedTuple):
     local: bool
     mixture: Mixture | None = None
     certificate: Infeasible | None = None

@@ -16,7 +16,7 @@ import re
 from collections import abc
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def parse_float(value: float | str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)   # not a NamedTuple: __post_init__ refuses an angle that is not finite
 class MeasurementSetting:
     """One projective qubit measurement along cos(angle)*Z + sin(angle)*X."""
 
@@ -68,7 +68,7 @@ class MeasurementSetting:
             raise ValueError(f"measurement angle must be finite, got {self.angle}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)   # not a NamedTuple: __post_init__ freezes and checks its settings
 class QuantumStrategy:
     """One MeasurementSetting per (party, setting)."""
 
@@ -217,8 +217,7 @@ def _closed_form_value(ineq: LinearInequality,
     return total
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     strategy: QuantumStrategy
     value: float
 

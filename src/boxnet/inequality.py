@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class InequalityError(ValueError):
     """An inequality and a behavior (or two inequalities) do not fit together."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)   # not a NamedTuple: __post_init__ parses and sorts its fields
 class CorrelatorTerm:
     """One ``coefficient * <P_s Q_t ...>`` summand.
 
@@ -72,7 +72,7 @@ def _term(coefficient: Union[int, Fraction], **setting_by_party: int) -> Correla
                           tuple(setting_by_party.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)   # not a NamedTuple: __post_init__ checks its scenario and terms
 class LinearInequality:
     """``sum(coefficient * correlator) <= bound`` over a fixed scenario.
 
@@ -114,8 +114,7 @@ class LinearInequality:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """Left-hand-side value of an inequality on one behavior."""
 
     value: Union[Fraction, float]
@@ -482,16 +481,14 @@ def deterministic_behaviors(settings_counts: Mapping[str, int]) -> list[Nonsigna
         [Alphabet((0, 1))] * len(parties)).vertices
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     name: str
     description: str
     passed: bool
     witness: Union[str, None] = None
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     steps: tuple[ChainStep, ...]
 
     @property

@@ -77,7 +77,7 @@ from typing import Sequence
 import numpy as np
 
 
-@dataclass
+@dataclass   # not a NamedTuple: as tuples, Feasible([x]) == FarkasInfeasible([x])
 class Feasible:
     solution: list[Fraction]
 
@@ -85,7 +85,7 @@ class Feasible:
         return True
 
 
-@dataclass
+@dataclass   # not a NamedTuple: as tuples, FarkasInfeasible([x]) == Feasible([x])
 class FarkasInfeasible:
     """y with y^T A <= 0 and y^T b > 0 for the original (unflipped) system."""
 

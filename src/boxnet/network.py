@@ -36,7 +36,6 @@ settings, and is validated as such on construction.
 from __future__ import annotations
 
 from collections import Counter, abc
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
@@ -63,8 +62,6 @@ from boxnet.resource import (
 from boxnet.resource import marginal as resource_marginal
 from boxnet.wiring import DecisionTree, Terminal, _rewrite, _tree_paths
 
-Behavior = NonsignalingResource
-
 Transcript = tuple[Symbol, ...]           # one party's outputs, sorted-resource-id order
 OutputAssignment = tuple[Transcript, ...]  # one tuple per resource, resource order
 _outcome_alphabet = lru_cache(maxsize=256)(Alphabet)   # one per tuple of int outcomes
@@ -75,8 +72,7 @@ class NetworkError(ValueError):
     trees, non-total bins) or an operation's precondition failed."""
 
 
-@dataclass
-class JointDistribution:
+class JointDistribution(NamedTuple):
     """Distribution of complete transcripts for one settings tuple.
 
     ``table`` maps each output assignment — a tuple with one entry per
@@ -123,6 +119,8 @@ class Network:
             raise NetworkError(f"duplicate resource ids: {ids}")
         self.resources_by_id = {r.id: r for r in self.resources}
 
+        if isinstance(trees, DecisionTree):   # a tuple, so iterable, but not of trees
+            raise NetworkError("trees: expected a mapping or an iterable of trees, got one tree")
         if not isinstance(trees, abc.Mapping):
             trees = {t.party: t for t in trees}
         self.trees = dict(trees)
@@ -471,7 +469,7 @@ def joint_distribution(
     return JointDistribution(settings=settings, table=table, total=Fraction(total, den))
 
 
-def induced_behavior(net: Network) -> Behavior:
+def induced_behavior(net: Network) -> NonsignalingResource:
     """The network as seen from outside: settings in, binned outcomes out.
 
     One contraction keeps every party's setting and outcome open, in the
@@ -495,7 +493,7 @@ def induced_behavior(net: Network) -> Behavior:
     raise _unnormalized(fault.inputs, fault.value)
 
 
-def marginal_without_party(net: Network, p: Party) -> Behavior:
+def marginal_without_party(net: Network, p: Party) -> NonsignalingResource:
     """Behavior of the other parties, computed two independent ways and
     compared exactly:
 
@@ -517,17 +515,11 @@ def marginal_without_party(net: Network, p: Party) -> Behavior:
 
     via_behavior = resource_marginal(induced_behavior(net), rest)
 
-    reduced_resources = []
-    for r in net.resources:
-        if p not in r.parties:
-            reduced_resources.append(r)
-            continue
-        others = [q for q in r.parties if q != p]
-        if others:
-            reduced_resources.append(resource_marginal(r, others, id=r.id))
     reduced = Network(
         parties=rest,
-        resources=reduced_resources,
+        resources=[r if p not in r.parties
+                   else resource_marginal(r, [q for q in r.parties if q != p], id=r.id)
+                   for r in net.resources if r.parties != (p,)],   # those only p held vanish
         trees={q: net.trees[q] for q in rest},
         settings_alphabets={q: net.settings_alphabets[q] for q in rest},
         bins={q: net.bins[q] for q in rest if q in net.bins},

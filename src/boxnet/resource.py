@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from collections import abc
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
@@ -104,7 +103,7 @@ def _parse_symbol(value) -> Symbol:
 
 
 class Alphabet(tuple):
-    """An ordered finite set of symbols (small non-negative integers): the
+    """An ordered finite set of symbols (integers, negative ones too): the
     tuple of its symbols, so equality, hashing, ``index`` and ``repr`` are
     the tuple's.
 
@@ -149,8 +148,7 @@ class Alphabet(tuple):
         return self[0]
 
 
-@dataclass(frozen=True)
-class SignalingWitness:
+class SignalingWitness(NamedTuple):
     """First located violation of the one-party nonsignaling condition.
 
     ``party`` could influence the others by switching between the two
@@ -171,10 +169,9 @@ class SignalingWitness:
                 f"{self.values[0]} vs {self.values[1]} on outputs {self.outputs}")
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
-    errors: list[str] = field(default_factory=list)
+    errors: list[str]
     witness: object | None = None
 
     def __bool__(self) -> bool:
@@ -182,7 +179,7 @@ class ValidationReport:
 
     @classmethod
     def ok(cls) -> "ValidationReport":
-        return cls(True)
+        return cls(True, [])
 
     @classmethod
     def fail(cls, errors: list[str], witness: object | None = None) -> "ValidationReport":
@@ -914,7 +911,9 @@ def make_pr_box(
     parties = tuple(parties)
     if len(parties) != 2:
         raise ValueError("a PR box has exactly two parties")
-    alpha, beta, gamma = alpha & 1, beta & 1, gamma & 1
+    for name, bit in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if _symbol(bit) not in (0, 1):
+            raise ValueError(f"PR-box bit {name}={bit!r} is not 0 or 1")
     table = {(x, y): {(a, a ^ rhs): Fraction(1, 2) for a in (0, 1)}
              for x, y in product((0, 1), repeat=2)
              for rhs in [(x & y) ^ (alpha & x) ^ (beta & y) ^ gamma]}

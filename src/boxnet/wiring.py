@@ -23,11 +23,10 @@ terminal labels and renaming.
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -37,14 +36,15 @@ from boxnet.resource import (
     Party,
     Symbol,
     ValidationReport,
+    _INT_TYPE,
+    _key_tuple,
     _parse_keys,
     _parse_symbol,
     _Tensor,
 )
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(NamedTuple):
     """Leaf of a decision tree.  ``outcome`` is the party's final outcome
     symbol for this transcript; ``None`` means "use the default labeling"
     (the canonical transcript index — see the network module)."""
@@ -52,8 +52,7 @@ class Terminal:
     outcome: int | None = None
 
 
-@dataclass(frozen=True)
-class Internal:
+class Internal(NamedTuple):
     """Consult ``resource_choice`` with ``input_choice``; ``children``
     maps each output symbol this party can see to the next node."""
 
@@ -65,15 +64,13 @@ class Internal:
 Node = Union[Internal, Terminal]
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     party: Party
     root: dict[Symbol, Node]  # setting -> first node
     resource_scope: frozenset[str]
 
 
-@dataclass(frozen=True)
-class PathTrace:
+class PathTrace(NamedTuple):
     """Result of walking one maximal path: the input each resource was
     given, the order the resources were consulted in, and the terminal's
     outcome label (None when terminals are unlabeled)."""
@@ -105,7 +102,7 @@ def _tree_paths(
     (), the first violation `validate_tree` reports).  The shape is [x_r...,
     a_r...]: the inputs, then the outputs, of the resources r in scope in
     sorted-id order, by alphabet position; an offset is a flat index into it.
-    Both are ``_compiled`` per signature: a node costs one lookup and an add per edge."""
+    Both are ``_compiled`` per signature; a node costs a lookup, a type test and an add per edge."""
     rids = sorted(t.resource_scope)
     for rid in rids:
         if rid not in resources:
@@ -116,6 +113,11 @@ def _tree_paths(
     if set(t.root) != set(settings_alphabet):
         return [], (), (f"root edges {sorted(t.root)} do not match the settings "
                         f"alphabet {list(settings_alphabet)}")
+    if not _INT_TYPE.issuperset(map(type, t.root)):
+        try:   # True, 1.0 or Fraction(1) would match the setting 1
+            _key_tuple(t.root)
+        except ValueError as err:
+            return [], (), f"root edges: {err}"
 
     # A walk returns None, or the first violation and the edges back up to it.
     shape, compiled = _compiled(
@@ -145,6 +147,11 @@ def _tree_paths(
         if node.children.keys() != out_keys:
             return [f"node for {rid!r} has output edges "
                     f"{sorted(node.children)}, expected {sorted(out_keys)}"]
+        if type(node.input_choice) is not int or not _INT_TYPE.issuperset(map(type, node.children)):
+            try:   # True, 1.0 or Fraction(1) passes the checks above as 1
+                _key_tuple((node.input_choice, *node.children))
+            except ValueError as err:
+                return [f"node for {rid!r}: {err}"]
         for out, out_offset in edges:  # in sorted order
             error = walk(node.children[out], consulted | bit, offset + out_offset)
             if error is not None:
@@ -173,7 +180,8 @@ def validate_tree(
           exactly once (which forces uniform path length |scope| + 1);
     (iii) every internal node's input is in this party's input alphabet
           of the chosen resource, and its outgoing edges are labeled
-          bijectively with this party's output alphabet of that resource;
+          bijectively with this party's output alphabet of that resource
+          (inputs and edges, the root's too, are symbols: not True or 1.0);
     plus: terminal labels, when used at all, are used on every terminal
           (the party's outcome alphabet is the union of labels over all
           settings; a label can be reachable under some settings only,

@@ -93,6 +93,22 @@ def reads_coin(edges=(0, 1)):
                         frozenset({"coin"}))
 
 
+ECHO = make_local_deterministic(("A",), [BITS], [BITS], {"A": {0: 0, 1: 1}}, id="echo")
+
+
+def reads_echo(x=0, edges=(0, 1), settings=(0,), below=None):
+    """One party 'A' reading 'echo' at input ``x``, with an edge for each
+    output in ``edges`` and a root edge for each of ``settings``; with
+    ``below``, 'echo' is read under each edge of a fair coin read first."""
+    node = Internal("echo", x, {e: Terminal() for e in edges})
+    resources = [ECHO]
+    if below is not None:
+        resources.append(make_shared_randomness(("A",), {(0,): F(1, 2), (1,): F(1, 2)}, id="coin"))
+        node = Internal("coin", 0, {0: reads_echo().trees["A"].root[0], 1: node})
+    tree = DecisionTree("A", {s: node for s in settings}, frozenset(r.id for r in resources))
+    return Network(("A",), resources, {"A": tree}, {"A": Alphabet.of_size(len(settings))})
+
+
 def table_for_a(inputs, outputs):
     """The resource 't' of party 'A' answering 0, with alphabets as given."""
     return NonsignalingResource.make("t", ("A",), inputs, outputs, {(0,): {(0,): 1, (1,): 0}})
@@ -130,6 +146,9 @@ CASES = {
     "network-tree-list-unknown-party": (
         lambda: Network(("A",), [], [bare(), bare("Z")], {"A": ONE}),
         NetworkError, "trees name unknown party 'Z'"),
+    # a tree is a tuple of its fields, so iterable: its fields are no trees
+    "network-one-tree": (lambda: Network(("A",), [], bare(), {"A": ONE}), NetworkError,
+                         "trees: expected a mapping or an iterable of trees, got one tree"),
     "network-settings-unknown-party": (
         lambda: Network(("A",), [], {"A": bare()}, {"A": ONE, "Z": ONE}),
         NetworkError, "settings alphabets name unknown party 'Z'"),
@@ -147,6 +166,19 @@ CASES = {
                                                        frozenset())}, {"A": Alphabet((0, 1, 2))}),
         NetworkError,
         "tree of 'A' invalid: root edges [0, 1] do not match the settings alphabet [0, 1, 2]"),
+    # tree inputs and edges are symbols: True, 1.0 and Fraction(1) hash and equal like 1
+    "tree-bool-input": (lambda: reads_echo(x=True), NetworkError,
+                        "tree of 'A' invalid: path [setting 0] node for 'echo': "
+                        "alphabet symbol True is not an integer"),
+    "tree-float-output-edge": (lambda: reads_echo(edges=(0, 1.0)), NetworkError,
+                               "tree of 'A' invalid: path [setting 0] node for 'echo': "
+                               "alphabet symbol 1.0 is not an integer"),
+    "tree-bool-edge-below-root": (lambda: reads_echo(edges=(False, 1), below=True), NetworkError,
+                                  "tree of 'A' invalid: path [setting 0 -> coin:1] node for "
+                                  "'echo': alphabet symbol False is not an integer"),
+    "tree-fraction-root-edge": (lambda: reads_echo(settings=(F(0), 1)), NetworkError,
+                                "tree of 'A' invalid: root edges: "
+                                "alphabet symbol Fraction(0, 1) is not an integer"),
     # terminal labels are symbols; (0, True) hashes like (0, 1), built first
     "network-bool-terminal-label": (lambda: labeled(True), NetworkError,
                                     "terminal labels of 'A': alphabet symbol True is not an integer"),
@@ -236,6 +268,17 @@ CASES = {
         ValueError, "function for 'A' maps [1] outside the output alphabet"),
     "pr-box-three-parties": (lambda: make_pr_box(parties=("A", "B", "C")),
                              ValueError, "a PR box has exactly two parties"),
+    # the eight PR-class boxes take bits; a bool or a float is no symbol
+    "pr-box-alpha-two": (lambda: make_pr_box(alpha=2), ValueError,
+                         "PR-box bit alpha=2 is not 0 or 1"),
+    "pr-box-beta-minus-one": (lambda: make_pr_box(beta=-1), ValueError,
+                              "PR-box bit beta=-1 is not 0 or 1"),
+    "pr-box-gamma-three": (lambda: make_pr_box(gamma=3), ValueError,
+                           "PR-box bit gamma=3 is not 0 or 1"),
+    "pr-box-bool-bit": (lambda: make_pr_box(alpha=True), ValueError,
+                        "alphabet symbol True is not an integer"),
+    "pr-box-float-bit": (lambda: make_pr_box(gamma=1.0), ValueError,
+                         "alphabet symbol 1.0 is not an integer"),
     "shared-randomness-misaligned-outcome": (
         lambda: make_shared_randomness(("A", "B"), {(0,): 1}),
         ValueError, "outcome (0,) does not align with 2 parties"),

@@ -1,7 +1,8 @@
 """What a process pays to start: ``import boxnet`` loads no submodule
 (each public name is served from its module, imported on first use), each
-CLI command loads only the modules it calls, and the CLI keeps numpy's
-OpenBLAS to one thread unless the caller chose a count.
+CLI command loads only the modules it calls, the modules every command
+loads declare no dataclass, and the CLI keeps numpy's OpenBLAS to one
+thread unless the caller chose a count.
 """
 from __future__ import annotations
 
@@ -88,6 +89,41 @@ NETWORK_LAYERS = ["boxnet.cli", "boxnet.network", "boxnet.resource", "boxnet.wir
 ], ids=["validate", "joint", "behavior"])
 def test_network_commands_load_only_the_network_layers(argv):
     assert _loaded_by(argv) == (0, NETWORK_LAYERS)
+
+
+def dataclass_uses(source: str) -> list[str]:
+    """Each import from ``dataclasses`` and each ``dataclass`` decorator in
+    ``source``, by an AST scan: what numpy imports plays no part."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(f"line {node.lineno}: import")
+        for decorator in getattr(node, "decorator_list", ()):
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+                found.append(f"line {decorator.lineno}: @{node.name}")
+    return found
+
+
+def test_scan_finds_dataclasses():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclasses.dataclass(frozen=True)\nclass A: pass\n@dataclass\nclass B: pass\n"
+              "class C(NamedTuple): pass\n")
+    assert dataclass_uses(source) == ["line 1: import", "line 2: import", "line 3: @A", "line 5: @B"]
+
+
+def test_start_up_path_declares_no_dataclass():
+    """The modules every network command loads build their records as
+    ``NamedTuple``s; the records that check themselves live elsewhere."""
+    package = Path(boxnet.__file__).parent
+    found = {name: dataclass_uses((package / f"{name}.py").read_text())
+             for name in ("resource", "network", "wiring", "cli")}
+    assert found == {"resource": [], "network": [], "wiring": [], "cli": []}
+    kept = [line.split("@")[1] for name in ("decompose", "ghz", "inequality", "linprog")
+            for line in dataclass_uses((package / f"{name}.py").read_text()) if "@" in line]
+    assert kept == ["Mixture", "VertexSet", "MeasurementSetting", "QuantumStrategy",
+                    "CorrelatorTerm", "LinearInequality", "Feasible", "FarkasInfeasible"]
 
 
 @pytest.mark.parametrize("command", ["ineq-eval", "ghz-eval"])
