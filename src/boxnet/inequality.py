@@ -450,15 +450,10 @@ def add(first: LinearInequality, second: LinearInequality) -> LinearInequality:
         raise InequalityError(
             f"cannot add inequalities over different scenarios "
             f"{first.settings_counts} vs {second.settings_counts}")
-    merged: dict[tuple, Fraction] = {}
-    order: list[tuple] = []
+    merged: dict[tuple, Fraction] = {}   # in first-insertion order
     for t in first.terms + second.terms:
-        if t.support not in merged:
-            merged[t.support] = Fraction(0)
-            order.append(t.support)
-        merged[t.support] += t.coefficient
-    terms = tuple(CorrelatorTerm(merged[s], s[0], s[1])
-                  for s in order if merged[s] != 0)
+        merged[t.support] = merged.get(t.support, Fraction(0)) + t.coefficient
+    terms = tuple(CorrelatorTerm(c, *s) for s, c in merged.items() if c != 0)
     return LinearInequality(name=f"({first.name})+({second.name})",
                             terms=terms, bound=first.bound + second.bound,
                             settings_counts=dict(first.settings_counts))

@@ -21,7 +21,7 @@ in exact integer arithmetic, each pair step one batched matrix product
 (``np.matmul``) between transposes; their cost follows the widest
 intermediate tensor, not the number of transcripts.
 ``joint_probability`` evaluates one transcript directly, reading each
-party's path table: its paths' flat indices in W_p.
+party's path from W_p, the one form a party is compiled into.
 
 Each network numbers the tensors' axes once, as int labels, in the order
 the operands first name them: every resource's input axes and then its
@@ -141,63 +141,54 @@ class Network:
             if p not in self.settings_alphabets:
                 raise NetworkError(f"no settings alphabet for party {p!r}")
 
-        for r in self.resources:
-            for q in r.parties:
-                if q not in self.parties:
+        # Each party's shares: resource id -> (its index, p's position in it).
+        shares: dict[Party, dict[str, tuple[int, int]]] = {p: {} for p in self.parties}
+        for ri, r in enumerate(self.resources):
+            for k, q in enumerate(r.parties):
+                if q not in shares:
                     raise NetworkError(
                         f"resource {r.id!r} names {q!r}, which is not a network party")
+                shares[q][r.id] = ri, k
 
-        # Scope consistency: p consults exactly the resources it shares.
-        walks = {}
+        # Per party, in one pass: check its scope, walk its tree, parse and check its bins;
+        # keep where its shares are in an output assignment, in sorted-id order, its outcome
+        # alphabet (bins, else labels, else transcript indices) and its wiring tensor.
+        self.bins: dict[Party, dict[Transcript, int]] = {}
+        self._component: dict[Party, tuple[tuple[int, int], ...]] = {}
+        self._outcome_alphabets: dict[Party, Alphabet] = {}
+        self._wirings: dict[Party, np.ndarray] = {}
         for p in self.parties:
-            member_of = {r.id for r in self.resources if p in r.parties}
             scope = self.trees[p].resource_scope
-            if scope != member_of:
+            if scope != shares[p].keys():
                 raise NetworkError(
                     f"party {p!r}: tree scope {sorted(scope)} != shared resources "
-                    f"{sorted(member_of)} (use append_unused or bottom_encode "
+                    f"{sorted(shares[p])} (use append_unused or bottom_encode "
                     f"to cover unconsulted shares)")
-            walks[p] = _tree_paths(self.trees[p], self.settings_alphabets[p], self.resources_by_id)
-            if walks[p][2] is not None:
-                raise NetworkError(f"tree of {p!r} invalid: {walks[p][2]}")
-
-        self.bins: dict[Party, dict[Transcript, int]] = {}
-        if bins:
-            for p, mapping in bins.items():
+            paths, shape, error = _tree_paths(self.trees[p], self.settings_alphabets[p],
+                                              self.resources_by_id)
+            if error is not None:
+                raise NetworkError(f"tree of {p!r} invalid: {error}")
+            self._component[p] = component = tuple(shares[p][rid] for rid in sorted(scope))
+            size = prod(shape[len(component):])  # of the transcript space
+            if p in (bins or {}):
+                mapping = bins[p]
                 if not isinstance(mapping, abc.Mapping):
                     raise NetworkError(f"bins for {p!r}: expected a mapping, "
                                        f"got {type(mapping).__name__}")
                 plain = _plain_keys(mapping) and set(map(type, mapping.values())) <= _INT_TYPE
                 try:   # int-typed bins are taken as they are: parsing would not change them
-                    self.bins[p] = (dict(mapping) if plain else
-                                    {_key_tuple(k): _symbol(v) for k, v in mapping.items()})
+                    self.bins[p] = own = (dict(mapping) if plain else
+                                          {_key_tuple(k): _symbol(v) for k, v in mapping.items()})
                 except (TypeError, ValueError) as err:
                     raise NetworkError(f"bins for {p!r}: {err}") from None
-
-        # Per party: where its component of each resource in scope, in sorted-id
-        # order, is in an output assignment; its outcome alphabet (bins, else labels,
-        # else transcript indices); its wiring tensor; and its path table.
-        self._component: dict[Party, tuple[tuple[int, int], ...]] = {}
-        self._outcome_alphabets: dict[Party, Alphabet] = {}
-        self._wirings: dict[Party, np.ndarray] = {}
-        self._tables: dict[Party, list[int]] = {}
-        res_index = {r.id: i for i, r in enumerate(self.resources)}
-        for p in self.parties:
-            self._component[p] = component = tuple(
-                (res_index[rid], self.resources_by_id[rid].parties.index(p))
-                for rid in sorted(self.trees[p].resource_scope))
-            paths, shape, _ = walks[p]
-            size = prod(shape[len(component):])  # of the transcript space
-            party_bins = self.bins.get(p)
-            if party_bins is not None:
                 space = _positions(tuple(self.resources[ri].output_alphabets[k]
                                          for ri, k in component))   # shared, read only
-                binned = list(map(party_bins.get, space))
+                binned = list(map(own.get, space))
                 if None in binned:
                     raise NetworkError(f"bins for {p!r} not total: missing transcript "
                                        f"{list(space)[binned.index(None)]}")
-                if len(party_bins) > size:
-                    stray = min(set(party_bins).difference(space))
+                if len(own) > size:
+                    stray = min(set(own).difference(space))
                     raise NetworkError(f"bins for {p!r}: key {stray} is not a transcript of {p!r}")
                 outcomes = [binned[offset % size] for _, offset, _ in paths]
             else:
@@ -210,10 +201,9 @@ class Network:
             self._outcome_alphabets[p] = alphabet = _outcome_alphabet(tuple(sorted(set(outcomes))))
             shape = (len(self.settings_alphabets[p]), len(alphabet), *shape)
             position, block = _positions((alphabet,)), prod(shape[2:])   # (outcome,) -> position
-            self._tables[p] = table = [0] * (shape[0] * size)
-            for (s, offset, _), o in zip(paths, outcomes):
-                table[s * size + offset % size] = (s * shape[1] + position[(o,)]) * block + offset
-            self._wirings[p] = np.bincount(table, minlength=prod(shape)).reshape(shape)
+            index = [(s * shape[1] + position[(o,)]) * block + offset
+                     for (s, offset, _), o in zip(paths, outcomes)]   # one path per 1 of W_p
+            self._wirings[p] = np.bincount(index, minlength=prod(shape)).reshape(shape)
 
         # The contraction labels (module docstring) of each table's and each wiring's axes.
         ends = list(accumulate((2 * len(r.parties) for r in self.resources), initial=0))
@@ -228,18 +218,19 @@ class Network:
 
     def _path(self, p: Party, setting: Symbol,
               transcript: Transcript) -> tuple[tuple[Symbol, ...], Symbol]:
-        """The inputs, in sorted-id order, and the outcome of p's path at a
-        setting and transcript, read from p's path table at their row in
-        ``_positions`` of p's settings and transcript alphabets.  ``KeyError``
-        for a symbol outside those alphabets or a transcript of the wrong length."""
-        component = self._component[p]
+        """The inputs, in sorted-id order, and the outcome of p's path at a setting
+        and transcript: where p's wiring tensor holds its one 1 there.  ``KeyError``
+        for a symbol outside p's alphabets or a transcript of the wrong length."""
+        component, wiring = self._component[p], self._wirings[p]
         outs = (self.resources[ri].output_alphabets[pos] for ri, pos in component)
         row = _positions((self.settings_alphabets[p], *outs))[(setting, *transcript)]
-        # The wiring tensor's index of the path: setting, outcome, inputs, outputs.
-        index = np.unravel_index(self._tables[p][row], self._wirings[p].shape)
+        size = prod(wiring.shape[2 + len(component):])   # of the transcript space
+        s, t = divmod(row, size)
+        hit = np.flatnonzero(wiring[s].reshape(-1, size)[:, t])[0]
+        o, *index = np.unravel_index(hit, wiring.shape[1:2 + len(component)])
         inputs = tuple(self.resources[ri].input_alphabets[pos][i]
-                       for (ri, pos), i in zip(component, index[2:]))
-        return inputs, self._outcome_alphabets[p][index[1]]
+                       for (ri, pos), i in zip(component, index))
+        return inputs, self._outcome_alphabets[p][o]
 
     def outcome_of(self, p: Party, setting: Symbol, transcript: Transcript) -> Symbol:
         """The party's final outcome for a transcript: the bin when one is

@@ -270,10 +270,11 @@ def test_pr_chains(k):
 
 
 def test_path_table_matches_per_transcript_tracing(monkeypatch):
-    """The compiled path table against ``reference_compiled`` on every
-    network the tests above build (they run with their checks replaced by
-    a recorder), and on a network over output alphabets out of sorted
-    order, binned and not."""
+    """Each party's compiled wiring tensor, and the outcomes ``outcome_of``
+    reads from it, against ``reference_compiled`` on every network the
+    tests above build (they run with their checks replaced by a recorder),
+    and on a network over output alphabets out of sorted order, binned and
+    not."""
     nets = {}
     for check in ("assert_agrees", "assert_same_behavior", "assert_same_joint"):
         monkeypatch.setattr(sys.modules[__name__], check,

@@ -1,6 +1,6 @@
 """Refusals of malformed arguments: constructors, marginals, conditioning,
 subset checks, mixtures, vertex sets, network composition, decision trees,
-correlator inequalities and GHZ strategies.
+correlator inequalities, GHZ strategies and the GHZ search.
 
 One table of cases, each a call that must raise: the test asserts the
 exception type and its whole message.
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from boxnet.decompose import Mixture, VertexSet, decompose_extremal, ns_vertices_222
-from boxnet.ghz import FloatBehavior, QuantumStrategy, ghz_behavior
+from boxnet.ghz import FloatBehavior, QuantumStrategy, ghz_behavior, search_max_violation
 from boxnet.inequality import (
     CorrelatorTerm,
     InequalityError,
@@ -320,6 +320,20 @@ CASES = {
     "ghz-other-parties": (
         lambda: ghz_behavior(QuantumStrategy.from_angles({"A": [0.0], "B": [0.0]})),
         ValueError, "a GHZ strategy names parties ('A', 'B', 'C'), got ['A', 'B']"),
+    "ghz-string-angles": (
+        lambda: QuantumStrategy.from_angles({"A": "12", "B": "34", "C": "56"}),
+        ValueError, "party 'A': expected a sequence of angles, got '12'"),
+    "ghz-bytes-angles": (
+        lambda: QuantumStrategy.from_angles({"A": [0.0, 1.0], "B": b"12", "C": [0.0, 1.0]}),
+        ValueError, "party 'B': expected a sequence of angles, got b'12'"),
+    # the GHZ search: an integer grid, a numeric step floor
+    "ghz-search-fractional-grid": (lambda: search_max_violation(mao_inequality(), grid=2.5),
+                                   ValueError, "grid must be an integer, got 2.5"),
+    "ghz-search-bool-grid": (lambda: search_max_violation(mao_inequality(), grid=True),
+                             ValueError, "grid must be an integer, got True"),
+    "ghz-search-bool-step-floor": (
+        lambda: search_max_violation(mao_inequality(), step_floor=True),
+        ValueError, "step_floor must be a number, got True"),
     # network operations
     "marginal-without-unknown-party": (lambda: marginal_without_party(lone(), "Z"),
                                        NetworkError, "no party 'Z' in network"),
