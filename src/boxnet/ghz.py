@@ -12,6 +12,7 @@ GHZ correlators (pair ``cos*cos``, triple ``sin*sin*sin``, singles 0).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from collections import abc
@@ -86,9 +87,9 @@ class QuantumStrategy:
     @classmethod
     def from_angles(cls, angles: Mapping[str, Sequence[float | str]]) -> "QuantumStrategy":
         """Each angle a number, or a string read by ``parse_float``; a party's
-        angles are a sequence of them, not one string or bytes object."""
+        angles are a sequence of them, not a number, string, bytes or mapping."""
         for p, per in angles.items():
-            if isinstance(per, (str, bytes)):
+            if isinstance(per, (str, bytes, abc.Mapping)) or not isinstance(per, abc.Iterable):
                 raise ValueError(f"party {p!r}: expected a sequence of angles, got {per!r}")
         return cls({p: tuple(MeasurementSetting(parse_float(a)) for a in per)
                     for p, per in angles.items()})
@@ -236,7 +237,7 @@ def search_max_violation(ineq: LinearInequality, *, grid: int = 16,
     (16**5 values, 8 MiB, at the defaults).  Ties on the grid break toward
     the lexicographically smallest angle tuple.
     ``grid`` must be an integer of at least 1 and ``step_floor`` a
-    positive finite number, neither a ``bool``, else the descent would
+    positive finite real number, neither a ``bool``, else the descent would
     never stop.  The descent finds a local maximum only.  Measured for
     ``mao``: from grids of 1 to 4 points it stops at the stationary value
     4.0; grids of 5 to 13 and of 16 points reach 2 + 2*sqrt(2), and on 5
@@ -246,7 +247,7 @@ def search_max_violation(ineq: LinearInequality, *, grid: int = 16,
     grid = operator.index(grid)
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
-    if isinstance(step_floor, bool):
+    if isinstance(step_floor, bool) or not isinstance(step_floor, numbers.Real):
         raise ValueError(f"step_floor must be a number, got {step_floor!r}")
     if not (math.isfinite(step_floor) and step_floor > 0):
         raise ValueError(f"step_floor must be positive and finite, got {step_floor}")

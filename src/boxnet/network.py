@@ -87,6 +87,18 @@ class JointDistribution(NamedTuple):
     total: Fraction
 
 
+@lru_cache(maxsize=256)
+def _labels(counts: tuple[int, ...], components: tuple[tuple[tuple[int, int], ...], ...]) -> tuple:
+    """The contraction labels (module docstring) of the axes of tables of ``counts``
+    parties and of wirings of parties holding ``components``; shared, read only."""
+    ends = list(accumulate((2 * c for c in counts), initial=0))
+    return (tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])),
+            tuple((ends[-1] + 2 * i, ends[-1] + 2 * i + 1,
+                   *(ends[ri] + pos for ri, pos in component),
+                   *((ends[ri] + ends[ri + 1]) // 2 + pos for ri, pos in component))
+                  for i, component in enumerate(components)))
+
+
 class Network:
     """Immutable-after-validation assembly of parties, resources, trees.
 
@@ -205,14 +217,9 @@ class Network:
                      for (s, offset, _), o in zip(paths, outcomes)]   # one path per 1 of W_p
             self._wirings[p] = np.bincount(index, minlength=prod(shape)).reshape(shape)
 
-        # The contraction labels (module docstring) of each table's and each wiring's axes.
-        ends = list(accumulate((2 * len(r.parties) for r in self.resources), initial=0))
-        self._table_labels = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
-        self._party_labels = tuple(
-            (ends[-1] + 2 * i, ends[-1] + 2 * i + 1,
-             *(ends[ri] + pos for ri, pos in self._component[p]),
-             *((ends[ri] + ends[ri + 1]) // 2 + pos for ri, pos in self._component[p]))
-            for i, p in enumerate(self.parties))
+        self._table_labels, self._party_labels = _labels(
+            tuple(len(r.parties) for r in self.resources),
+            tuple(self._component[p] for p in self.parties))
 
     # -- core evaluation ------------------------------------------------------
 

@@ -31,6 +31,7 @@ Symbol = int
 Party = str
 
 _INT64 = 2 ** 63
+_SMALL = 64   # most entries checked by one sum and one product (cached rows grow as size**2)
 _JSON_KINDS = {list: "list", dict: "object", bool: "boolean"}
 _INT_TYPE, _TUPLE_TYPE = {int}, {tuple}
 _EXACT_TYPES = {int, Fraction}
@@ -296,6 +297,20 @@ def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
     return None
 
 
+@lru_cache(maxsize=256)
+def _signal_rows(shape: tuple[int, ...]) -> np.ndarray:
+    """The one-party marginal differences of a table of this ``shape`` as rows
+    over its flat entries: for each party j, input k > 0 of j, context of the
+    other inputs and tuple of the other outputs, +1 on the entries at x_j = k
+    and -1 on those at x_j = 0, every a_j.  Shared, read only."""
+    n, size = len(shape) // 2, prod(shape)
+    basis = np.eye(size, dtype=np.int64).reshape(*shape, size)
+    margs = (np.moveaxis(basis.sum(axis=n + j), j, 0) for j in range(n))
+    rows = np.concatenate([(m[1:] - m[:1]).reshape(-1, size) for m in margs])
+    rows.flags.writeable = False
+    return rows
+
+
 class _Fault(NamedTuple):
     """A structural fault: its column's inputs, its entry's outputs (None if
     the column's sum is the fault) and its value."""
@@ -313,10 +328,13 @@ def _structure_problem(r: "NonsignalingResource") -> _Fault | None:
     """The first structural fault of r's numerators, columns in input order: a
     column whose sum is not the denominator (first; this is where every table's
     normalization is asserted), else an entry outside [0, denominator]; located
-    only if one whole-array test (sums, range) fails."""
+    only if one whole-array test (sums, range) fails.  The sums are one axis sum
+    of the rows of a table of at most ``_SMALL`` entries (copied if not in C order)."""
     den, nums, n = r.denominator, r.numerators, len(r.parties)
     width = prod(len(a) for a in r.output_alphabets)
-    sums = _sum_out(nums if den * width < _INT64 else nums.astype(object), n, n)
+    fits = den * width < _INT64
+    sums = (nums.reshape(-1, width).sum(axis=1) if fits and nums.size <= _SMALL
+            else _sum_out(nums if fits else nums.astype(object), n, n))
     # Read as uint64, an int64 entry below 0 is at least 2**63 > den: one pass.
     in_range = (nums.view(np.uint64).max() <= np.uint64(den) if nums.dtype == np.int64
                 else nums.min() >= 0 and nums.max() <= den)
@@ -583,10 +601,18 @@ class NonsignalingResource(ProbabilityTable):
         For each party j: the distribution of the *other* parties' outputs
         (party j's output summed out) must be identical across all of
         party j's input choices, for every fixed input context.
+
+        An int64 table of at most ``_SMALL`` entries (copied if not in C order) times
+        ``_signal_rows`` is all 0 exactly when it has none.  The product is exact: the
+        structural check has passed, so each half of a row is a partial column sum in
+        [0, denominator] and the row lies in (-2**63, 2**63).
         """
-        den = self.denominator
+        den, nums = self.denominator, self.numerators
+        if (nums.size <= _SMALL and nums.dtype == np.int64
+                and not (_signal_rows(nums.shape) @ nums.reshape(-1)).any()):
+            return None
         return _one_party_witness(self.parties, self.input_alphabets, self.output_alphabets,
-                                  self.numerators, lambda v: Fraction(int(v), den))
+                                  nums, lambda v: Fraction(int(v), den))
 
     # -- serialization --------------------------------------------------------
 

@@ -326,6 +326,12 @@ CASES = {
     "ghz-bytes-angles": (
         lambda: QuantumStrategy.from_angles({"A": [0.0, 1.0], "B": b"12", "C": [0.0, 1.0]}),
         ValueError, "party 'B': expected a sequence of angles, got b'12'"),
+    "ghz-mapping-angles": (
+        lambda: QuantumStrategy.from_angles({"A": {0.5: 1.0}, "B": [0.0], "C": [0.0]}),
+        ValueError, "party 'A': expected a sequence of angles, got {0.5: 1.0}"),
+    "ghz-number-angles": (
+        lambda: QuantumStrategy.from_angles({"A": [0.0], "B": 0.5, "C": [0.0]}),
+        ValueError, "party 'B': expected a sequence of angles, got 0.5"),
     # the GHZ search: an integer grid, a numeric step floor
     "ghz-search-fractional-grid": (lambda: search_max_violation(mao_inequality(), grid=2.5),
                                    ValueError, "grid must be an integer, got 2.5"),
@@ -334,6 +340,9 @@ CASES = {
     "ghz-search-bool-step-floor": (
         lambda: search_max_violation(mao_inequality(), step_floor=True),
         ValueError, "step_floor must be a number, got True"),
+    "ghz-search-string-step-floor": (
+        lambda: search_max_violation(mao_inequality(), step_floor="0.1"),
+        ValueError, "step_floor must be a number, got '0.1'"),
     # network operations
     "marginal-without-unknown-party": (lambda: marginal_without_party(lone(), "Z"),
                                        NetworkError, "no party 'Z' in network"),
