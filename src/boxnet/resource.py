@@ -31,7 +31,8 @@ Symbol = int
 Party = str
 
 _INT64 = 2 ** 63
-_SMALL = 64   # most entries checked by one sum and one product (cached rows grow as size**2)
+_SMALL = 64   # most entries checked by one product (cached rows grow as size**2)
+_ROW_SUM = 4096   # most entries summed as rows; copying a larger view costs more than slice adds
 _JSON_KINDS = {list: "list", dict: "object", bool: "boolean"}
 _INT_TYPE, _TUPLE_TYPE = {int}, {tuple}
 _EXACT_TYPES = {int, Fraction}
@@ -329,11 +330,11 @@ def _structure_problem(r: "NonsignalingResource") -> _Fault | None:
     column whose sum is not the denominator (first; this is where every table's
     normalization is asserted), else an entry outside [0, denominator]; located
     only if one whole-array test (sums, range) fails.  The sums are one axis sum
-    of the rows of a table of at most ``_SMALL`` entries (copied if not in C order)."""
+    of the rows of a table of at most ``_ROW_SUM`` entries (copied if not in C order)."""
     den, nums, n = r.denominator, r.numerators, len(r.parties)
     width = prod(len(a) for a in r.output_alphabets)
     fits = den * width < _INT64
-    sums = (nums.reshape(-1, width).sum(axis=1) if fits and nums.size <= _SMALL
+    sums = (nums.reshape(-1, width).sum(axis=1) if fits and nums.size <= _ROW_SUM
             else _sum_out(nums if fits else nums.astype(object), n, n))
     # Read as uint64, an int64 entry below 0 is at least 2**63 > den: one pass.
     in_range = (nums.view(np.uint64).max() <= np.uint64(den) if nums.dtype == np.int64

@@ -1,13 +1,14 @@
 """Differential property of the small-table verdicts against the scans.
 
-A table of at most ``_SMALL`` entries gets its structural verdict from one
-axis sum of its rows and its nonsignaling verdict from one product with
-``_signal_rows``; a larger one, or any table when ``_SMALL`` is 0, only
-from ``_sum_out`` and the slice scan ``_one_party_witness``.  On generated
-exact tables of 1-3 parties with alphabets of 1-3 symbols, at or below
-``_SMALL`` entries and just above it, stored in C order or as a transposed
-view, over small denominators and ones near 2**62, the two must agree:
-the same ``TableError`` text and fault, else the same first witness.
+A table of at most ``_ROW_SUM`` entries gets its column sums from one axis
+sum of its rows, and one of at most ``_SMALL`` entries its nonsignaling
+verdict from one product with ``_signal_rows``; a larger one, or any table
+when both are 0, only from ``_sum_out`` and the slice scan
+``_one_party_witness``.  On generated exact tables of 1-3 parties with
+alphabets of 1-3 symbols, at or below ``_SMALL`` entries and just above
+it, stored in C order or as a transposed view, over small denominators
+and ones near 2**62, the two must agree: the same ``TableError`` text and
+fault, else the same first witness.
 The tables are mixtures of deterministic boxes (nonsignaling), the same
 with mass moved inside one column (mostly signaling), with one entry off
 by one (a column that does not sum to 1) or with one entry set outside
@@ -99,7 +100,7 @@ def test_small_verdicts_match_the_scans(shape, den, kind, transposed, seed):
         axes = rng.sample(range(nums.ndim), nums.ndim)
         nums = np.ascontiguousarray(nums.transpose(axes)).transpose(np.argsort(axes))
     got = verdict(ins, outs, nums, den)
-    with mock.patch.object(resource, "_SMALL", 0):
+    with mock.patch.object(resource, "_SMALL", 0), mock.patch.object(resource, "_ROW_SUM", 0):
         scanned = verdict(ins, outs, nums, den)
     if isinstance(got, tuple) or isinstance(scanned, tuple):
         assert got == scanned
