@@ -9,8 +9,9 @@ to the fixtures shipped with the package.
 
 Exit codes: 0 success; 1 domain failure (validation failed, LP
 infeasible, inequality violated); 2 input error (missing file,
-malformed JSON, bad flags, a ``NONSIG_VERTEX_CAP`` that is not a
-non-negative integer, a behavior that does not fit the inequality).
+malformed JSON, bad flags, a ``NONSIG_VERTEX_CAP`` or ``BOXNET_TENSOR_CAP``
+that is not a non-negative integer, a GHZ grid past its cap, a behavior
+that does not fit the inequality).
 
 Each process loads only what its command uses: ``validate``, ``joint``
 and ``behavior`` import ``resource``, ``network`` and ``wiring``; ``ineq
@@ -371,6 +372,8 @@ def cmd_ghz(args) -> int:
         try:
             res = search_max_violation(_named_inequality(args.ineq), grid=args.grid,
                                        step_floor=parse_float(args.refine))
+        except CapSettingError:
+            raise
         except ValueError as e:
             raise InputError(f"--grid/--refine: {e}") from e
         payload = {"inequality": args.ineq,

@@ -18,7 +18,6 @@ deterministic resources) end in one exact behavior assertion.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -32,11 +31,11 @@ from boxnet.linprog import Columns, Feasible, column_sum, integers, solve_column
 from boxnet.network import Network, freeze_outcomes, induced_behavior
 from boxnet.resource import (
     Alphabet,
-    CapSettingError,
     NonsignalingResource,
     Party,
     Symbol,
     _align,
+    _env_cap,
     _Tensor,
     make_pr_box,
 )
@@ -132,21 +131,11 @@ class LocalityResult(NamedTuple):
         return self.local
 
 
-def _vertex_cap() -> int:
-    """The cap from its variable: ASCII digits only, as symbols are spelled."""
-    raw = os.environ.get(VERTEX_CAP_ENV)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    if not (raw.isascii() and raw.isdigit()):
-        raise CapSettingError(f"{VERTEX_CAP_ENV}={raw!r} is not a non-negative integer")
-    return int(raw)
-
-
 def _refuse_past_cap(in_alphas: Sequence[Alphabet], out_alphas: Sequence[Alphabet]) -> None:
     """Refuse a signature with more deterministic vertices than the cap
     (env NONSIG_VERTEX_CAP, default 10^6), read afresh on every call."""
     count = prod(len(o) ** len(i) for i, o in zip(in_alphas, out_alphas))
-    cap = _vertex_cap()
+    cap = _env_cap(VERTEX_CAP_ENV, DEFAULT_VERTEX_CAP)
     if count > cap:
         raise ValueError(
             f"{count} deterministic vertices exceed the cap {cap} "

@@ -28,6 +28,7 @@ from .resource import (
     ProbabilityTable,
     SignalingWitness,
     TableError,
+    _env_cap,
     _json_parts,
     _one_party_witness,
 )
@@ -39,6 +40,15 @@ ATOL_NORM = 1e-12
 #: Largest difference of two marginals a float behavior may show and
 #: still count as nonsignaling.
 ATOL_NS = 1e-10
+
+#: The variable that caps the search's grid memory in bytes, and its default
+#: (1 GiB: grids of up to 36 points at six angles; the default grid of 16
+#: needs 16 MiB).
+TENSOR_CAP_ENV = "BOXNET_TENSOR_CAP"
+DEFAULT_TENSOR_CAP = 2 ** 30
+#: Slabs alive at once while the grid is scored: the one being summed and
+#: the previous one, until it is replaced (each term's product is smaller).
+_LIVE_SLABS = 2
 
 _GHZ = np.zeros(8)
 _GHZ[0] = _GHZ[7] = 1 / math.sqrt(2)
@@ -241,7 +251,10 @@ def search_max_violation(ineq: LinearInequality, *, grid: int = 16,
     never stop.  The descent finds a local maximum only.  Measured for
     ``mao``: from grids of 1 to 4 points it stops at the stationary value
     4.0; grids of 5 to 13 and of 16 points reach 2 + 2*sqrt(2), and on 5
-    points the descent climbs there from the grid's best."""
+    points the descent climbs there from the grid's best.
+    A grid whose slabs need more bytes than the cap (env BOXNET_TENSOR_CAP,
+    default 2**30, read afresh on every call) is refused before any is
+    allocated."""
     if isinstance(grid, bool) or not hasattr(grid, "__index__"):
         raise ValueError(f"grid must be an integer, got {grid!r}")
     grid = operator.index(grid)
@@ -258,6 +271,12 @@ def search_max_violation(ineq: LinearInequality, *, grid: int = 16,
     if len(axes) > 6:
         raise InequalityError(
             f"GHZ search handles at most 6 angles, scenario needs {len(axes)}")
+    estimate = _LIVE_SLABS * 8 * grid ** (len(axes) - 1)
+    cap = _env_cap(TENSOR_CAP_ENV, DEFAULT_TENSOR_CAP)
+    if estimate > cap:
+        raise ValueError(f"grid {grid} needs about {estimate} bytes for its slabs of "
+                         f"{grid}**{len(axes) - 1} float64 values, over the cap {cap} "
+                         f"(raise {TENSOR_CAP_ENV} to override)")
 
     thetas = np.arange(grid) * (2 * math.pi / grid)
     rest = dict(zip(axes[1:], np.ix_(*[thetas] * (len(axes) - 1))))

@@ -9,6 +9,19 @@ outcome-relabeling and party-swap transforms that connect them, and
 ``verify_derivation_chain``, which re-derives each inequality from the
 previous one and checks the results agree as linear functionals on the
 deterministic spanning set.
+
+An inequality is evaluated as a linear functional on a behavior's
+entries (Collins & Gisin, J. Phys. A 37, 1775, 2004).  The first time an
+inequality meets a behavior signature (parties, input and output
+alphabets) it checks the scenario and compiles its terms into one integer
+coefficient tensor ``w`` in the layout of the behavior's numerators, over
+``scale``, the lcm of the coefficients' denominators; both are cached on
+the inequality.  An exact value is then ``sum(w * numerators)`` over
+``scale * denominator``, summed in int64 while ``weight * denominator <
+2**63`` (``weight`` is the sum of the integer coefficients' absolute
+values, a bound on every partial sum), else in Python ints.  Float
+behaviors keep one correlator per term, added left to right as the
+built-in ``sum`` adds floats.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .resource import Alphabet, NonsignalingResource, ProbabilityTable, _symbol, frac
+from .resource import _INT64, Alphabet, NonsignalingResource, ProbabilityTable, _symbol, frac
 
 #: Either behavior kind: an exact ``NonsignalingResource`` or a ``FloatBehavior``.
 Behavior = ProbabilityTable
@@ -104,6 +117,9 @@ class LinearInequality:
                     raise InequalityError(
                         f"setting {s} out of range for party {p!r} "
                         f"(has {self.settings_counts[p]} settings)")
+        # Behavior signature -> _Compiled, filled by ``_compiled``; at most
+        # one entry per signature that passes the scenario check.
+        object.__setattr__(self, "_compiled", {})
 
     def coefficient_of(self, **setting_by_party: int) -> Fraction:
         """Coefficient of the term with exactly this support (0 if absent)."""
@@ -196,18 +212,78 @@ def _dots(behaviors: Sequence[Behavior], rows: Sequence[int], vectors: np.ndarra
     return _running_sum(vectors * cols)
 
 
+class _Compiled(NamedTuple):
+    """Correlator terms on one behavior signature: ``w``, their integer
+    coefficients in the layout of the numerators, over ``scale``; ``weight``,
+    the sum of those coefficients' absolute values."""
+
+    w: np.ndarray
+    scale: int
+    weight: int
+
+
+def _compile(signature: tuple, supports: tuple[tuple[tuple, tuple], ...],
+             coefficients: Sequence[Fraction]) -> _Compiled:
+    """The correlators ``supports``, times ``coefficients``, for the
+    signature (parties, input alphabets, output alphabets): each term adds
+    its integer coefficient times its +/-1 signs to the row of its input
+    tuple.  ``w`` is int64 when ``weight`` is below 2**63 (no entry is
+    larger), else Python ints; it is read-only."""
+    rows, signs = _compiled_rows(supports, *signature)
+    scale = lcm(*(c.denominator for c in coefficients))
+    ks = [c.numerator * (scale // c.denominator) for c in coefficients]
+    weight = sum(map(abs, ks))
+    dtype = np.int64 if weight < _INT64 else object
+    w = np.zeros((prod(map(len, signature[1])), signs.shape[1]), dtype)
+    for row, k, sign in zip(rows.tolist(), ks, signs.astype(dtype)):
+        w[row] += k * sign
+    w = w.reshape([len(a) for a in signature[1] + signature[2]])
+    w.flags.writeable = False
+    return _Compiled(w, scale, weight)
+
+
+def _compiled(ineq: LinearInequality, b: Behavior) -> _Compiled:
+    """``ineq`` compiled for b's signature, on the first meeting of the two
+    after ``_check_scenario`` passes: a cached entry stands for a passed
+    check, and the scenario bounds how many entries there can be."""
+    signature = (b.parties, b.input_alphabets, b.output_alphabets)
+    entry = ineq._compiled.get(signature)
+    if entry is None:
+        _check_scenario(b, ineq.settings_counts)
+        entry = ineq._compiled[signature] = _compile(
+            signature, tuple(t.support for t in ineq.terms), [t.coefficient for t in ineq.terms])
+    return entry
+
+
+@lru_cache(maxsize=256)
+def _correlator_tensor(support: tuple[tuple, tuple], *signature) -> _Compiled:
+    """One correlator as a one-term tensor, cached per signature."""
+    return _compile(signature, (support,), (1,))
+
+
+def _exact(entry: _Compiled, b: NonsignalingResource) -> Fraction:
+    """The compiled terms' value on one exact behavior: one integer sum of
+    ``w`` times its numerators, in int64 while ``weight * denominator <
+    2**63``, which bounds every partial sum (each input row's numerators
+    sum to the denominator), else in Python ints."""
+    w, scale, weight = entry
+    den = b.denominator
+    if weight * den < _INT64:
+        total = int(np.vdot(w, b.numerators))
+    else:
+        total = sum(map(mul, w.reshape(-1).tolist(), b.numerators.reshape(-1).tolist()))
+    return Fraction(total, scale * den)
+
+
 def _values(ineq: LinearInequality, behaviors: Sequence[Behavior]) -> list:
-    """The left side on behaviors of one kind and signature: all terms'
-    correlators in one array, then one product with the coefficients.  On
-    exact behaviors the correlators stay integers over each denominator and
-    the coefficients are taken over their lcm, so the product is in
-    integers and each value one ``Fraction``."""
-    corrs = _dots(behaviors, *_term_rows(behaviors[0], [t.support for t in ineq.terms]))
+    """The left side on behaviors of one kind and signature.  Each exact
+    behavior is one ``_exact`` sum of the compiled tensor; on float ones,
+    all terms' correlators in one array, then one product with the
+    coefficients, added left to right."""
     if isinstance(behaviors[0], NonsignalingResource):
-        scale = lcm(*(t.coefficient.denominator for t in ineq.terms))
-        ks = [t.coefficient.numerator * (scale // t.coefficient.denominator) for t in ineq.terms]
-        return [Fraction(sum(map(mul, ks, row)), scale * b.denominator)
-                for row, b in zip(corrs.tolist(), behaviors)]
+        entry = _compiled(ineq, behaviors[0])
+        return [_exact(entry, b) for b in behaviors]
+    corrs = _dots(behaviors, *_term_rows(behaviors[0], [t.support for t in ineq.terms]))
     return _running_sum(corrs * [float(t.coefficient) for t in ineq.terms]).tolist()
 
 
@@ -232,8 +308,10 @@ def correlator(b: Behavior, parties: Sequence[str],
         if s not in b.input_alphabet(p):
             raise KeyError(f"party {p!r} has no setting {s}")
         _require_binary(b, p)
-    value = _dots([b], *_term_rows(b, [(parties, settings)])).tolist()[0][0]
-    return Fraction(value, b.denominator) if isinstance(b, NonsignalingResource) else value
+    if isinstance(b, NonsignalingResource):
+        return _exact(_correlator_tensor((tuple(parties), settings), b.parties,
+                                         b.input_alphabets, b.output_alphabets), b)
+    return _dots([b], *_term_rows(b, [(parties, settings)])).tolist()[0][0]
 
 
 def evaluate(ineq: LinearInequality, b: Behavior, *,
@@ -241,9 +319,9 @@ def evaluate(ineq: LinearInequality, b: Behavior, *,
     """Value of the inequality's left side on ``b`` and whether the bound
     holds.  ``atol`` loosens the satisfaction test (``value <= bound +
     atol``) for floating-point behaviors; leave it 0 for exact ones."""
-    _check_scenario(b, ineq.settings_counts)
+    entry = _compiled(ineq, b)   # checks b's scenario on the first meeting
     b.require_nonsignaling("correlator")
-    value = _values(ineq, [b])[0]
+    value = _exact(entry, b) if isinstance(b, NonsignalingResource) else _values(ineq, [b])[0]
     return Evaluation(value=value, bound=ineq.bound, direction="<=",
                       satisfied=value <= ineq.bound + atol)
 

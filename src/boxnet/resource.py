@@ -18,6 +18,7 @@ a signaling table.
 from __future__ import annotations
 
 import operator
+import os
 from collections import abc
 from fractions import Fraction
 from functools import lru_cache
@@ -58,9 +59,21 @@ class ZeroConditioningError(ValueError):
 
 
 class CapSettingError(ValueError):
-    """The vertex cap variable (read by ``decompose``) is set to something
-    other than a non-negative integer.  It lives here so that the CLI can
-    catch it without loading ``decompose``."""
+    """A cap variable (``NONSIG_VERTEX_CAP``, read by ``decompose``, or
+    ``BOXNET_TENSOR_CAP``, read by ``ghz``) is set to something other than
+    a non-negative integer.  It lives here so that the CLI can catch it
+    without loading either module."""
+
+
+def _env_cap(variable: str, default: int) -> int:
+    """A cap from its environment variable, read afresh on every call:
+    ASCII digits only, as symbols are spelled; ``default`` when unset."""
+    raw = os.environ.get(variable)
+    if raw is None:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise CapSettingError(f"{variable}={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 def frac(value: int | str | Fraction) -> Fraction:
@@ -302,12 +315,16 @@ def _one_party_witness(parties, input_alphabets, output_alphabets, arr, value,
 def _signal_rows(shape: tuple[int, ...]) -> np.ndarray:
     """The one-party marginal differences of a table of this ``shape`` as rows
     over its flat entries: for each party j, input k > 0 of j, context of the
-    other inputs and tuple of the other outputs, +1 on the entries at x_j = k
-    and -1 on those at x_j = 0, every a_j.  Shared, read only."""
+    other inputs and tuple of the other outputs but the last, +1 on the
+    entries at x_j = k and -1 on those at x_j = 0, every a_j.  The last
+    tuple's row is left out: once the structural check has passed, every
+    column sums to the denominator, so each block's rows sum to 0 and the
+    others imply it.  Shared, read only."""
     n, size = len(shape) // 2, prod(shape)
     basis = np.eye(size, dtype=np.int64).reshape(*shape, size)
     margs = (np.moveaxis(basis.sum(axis=n + j), j, 0) for j in range(n))
-    rows = np.concatenate([(m[1:] - m[:1]).reshape(-1, size) for m in margs])
+    rows = np.concatenate([(m[1:] - m[:1]).reshape(-1, prod(shape[n:]) // shape[n + j], size)
+                           [:, :-1].reshape(-1, size) for j, m in enumerate(margs)])
     rows.flags.writeable = False
     return rows
 
@@ -604,9 +621,10 @@ class NonsignalingResource(ProbabilityTable):
         party j's input choices, for every fixed input context.
 
         An int64 table of at most ``_SMALL`` entries (copied if not in C order) times
-        ``_signal_rows`` is all 0 exactly when it has none.  The product is exact: the
-        structural check has passed, so each half of a row is a partial column sum in
-        [0, denominator] and the row lies in (-2**63, 2**63).
+        ``_signal_rows`` is all 0 exactly when it has none: the structural check has
+        passed, so the rows left out there are implied.  The product is exact: each half
+        of a row is a partial column sum in [0, denominator] and the row lies in
+        (-2**63, 2**63).
         """
         den, nums = self.denominator, self.numerators
         if (nums.size <= _SMALL and nums.dtype == np.int64

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -544,6 +545,27 @@ def test_ghz_search_refuses_a_step_floor_that_never_stops(refine):
     proc = _cli_process("ghz", "search", "--refine", refine)
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("grid", ["64", "1000000000"])
+def test_ghz_search_refuses_a_grid_past_the_tensor_cap_at_once(monkeypatch, grid):
+    """Slabs of 64**5 values would need 17 GB, and 10**9 points 8 GB for
+    the angles alone: each is refused with exit 2 before any is allocated."""
+    monkeypatch.delenv("BOXNET_TENSOR_CAP", raising=False)
+    start = time.perf_counter()
+    proc = _cli_process("ghz", "search", "--grid", grid)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: --grid/--refine: grid {grid} needs about ")
+    assert proc.stderr.endswith("(raise BOXNET_TENSOR_CAP to override)\n")
+
+
+@pytest.mark.parametrize("cap", ["lots", "-1", "1e9", " 16 "])
+def test_bad_tensor_cap_exits_two(monkeypatch, capsys, cap):
+    monkeypatch.setenv("BOXNET_TENSOR_CAP", cap)
+    assert main(["ghz", "search", "--grid", "2"]) == 2
+    assert capsys.readouterr().err == (f"input error: BOXNET_TENSOR_CAP={cap!r} is not a "
+                                       f"non-negative integer\n")
 
 
 @pytest.mark.parametrize("argv", [

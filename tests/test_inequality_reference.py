@@ -25,9 +25,12 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from boxnet.decompose import local_deterministic_vertices, ns_vertices_222
 from boxnet.ghz import ATOL_NORM, FloatBehavior, QuantumStrategy, _GHZ, _observable, ghz_behavior
@@ -503,7 +506,7 @@ def test_cached_term_rows_match_the_uncached_build():
 def ref_values(ineq, behaviors):
     """``_values`` on exact behaviors as it was: one ``Fraction`` per
     correlator, then an object-dtype product with the coefficients."""
-    rows, vectors = _term_rows(behaviors[0], [t.support for t in ineq.terms])
+    rows, vectors = ref_term_rows(behaviors[0], [t.support for t in ineq.terms])
     width = vectors.shape[-1]
     cols = np.stack([b.numerators.reshape(-1, width)[rows] for b in behaviors])
     sums = (vectors * cols).sum(axis=-1).tolist()
@@ -544,3 +547,73 @@ def test_derivation_chain_is_unchanged_by_integer_values(monkeypatch):
     monkeypatch.setattr(inequality, "_values", ref_values)
     assert report == inequality.verify_derivation_chain()
     assert report.all_passed and len(report.steps) == 6
+
+
+# -- the compiled coefficient tensor, property-based ---------------------------------------
+
+#: Denominators of each branch of ``_exact``: int64 sums, and Python-int sums
+#: of int64 numerators (2**62 - 57 is prime, so mixtures keep it) or of
+#: Python-int ones.  A coefficient of magnitude 2**70 makes ``w`` Python ints.
+DENOMINATORS = {"int64": (1, 2, 12, 97), "python-int": (2 ** 62 - 57, BIG_DEN)}
+MAGNITUDES = {"int64": (1, 2 ** 40), "python-int": (1, 2 ** 70)}
+
+
+def local_mixture(rng, parties, ins, outs, den):
+    """A mixture over ``den`` of 1-4 deterministic boxes, built as numerators."""
+    nums = np.zeros([len(a) for a in ins + outs], dtype=object)
+    cuts = sorted(rng.randint(0, den) for _ in range(rng.randint(0, 3)))
+    for w in (hi - lo for lo, hi in zip([0, *cuts], [*cuts, den])):
+        f = [[rng.randrange(len(o)) for _ in i] for i, o in zip(ins, outs)]
+        for x in product(*(range(len(i)) for i in ins)):
+            nums[x + tuple(fp[xp] for fp, xp in zip(f, x))] += w
+    return NonsignalingResource.make("h", parties, ins, outs, _Tensor(nums, den))
+
+
+@st.composite
+def compiled_cases(draw, branch):
+    """1-3 exact behaviors of one signature (2-3 parties in shuffled order,
+    1-3 settings each, output alphabets (0, 1), (1, 0) or one symbol) and
+    an inequality with random supports and ``Fraction`` coefficients."""
+    parties = tuple(draw(st.permutations(("A", "B", "C")[:draw(st.integers(2, 3))])))
+    counts = {p: draw(st.integers(1, 3)) for p in parties}
+    ins = [Alphabet.of_size(counts[p]) for p in parties]
+    outs = [Alphabet(draw(st.sampled_from(OUTPUT_ALPHABETS))) for _ in parties]
+    rng = draw(st.randoms(use_true_random=False))
+    behaviors = [local_mixture(rng, parties, ins, outs, draw(st.sampled_from(DENOMINATORS[branch])))
+                 for _ in range(draw(st.integers(1, 3)))]
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        support = draw(st.lists(st.sampled_from(parties), min_size=1, max_size=len(parties),
+                                unique=True))
+        coefficient = Fraction(draw(st.integers(-9, 9)) * draw(st.sampled_from(MAGNITUDES[branch])),
+                               draw(st.sampled_from((1, 2, 3, 7))))
+        terms.append(_term(coefficient, **{p: draw(st.integers(0, counts[p] - 1)) for p in support}))
+    return behaviors, LinearInequality("h", tuple(terms), frac(1), counts)
+
+
+@pytest.mark.parametrize("branch", ["int64", "python-int"])
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_compiled_tensor_matches_the_references(branch, data):
+    """``_values``, ``evaluate`` and ``correlator`` read one compiled tensor
+    per signature; each value is ``==`` to the references'.  Every case
+    takes the branch that its bound names, and each branch is reached:
+    int64 while the coefficients' absolute sum times the denominator is
+    below 2**63, else Python ints."""
+    behaviors, ineq = data.draw(compiled_cases(branch))
+    scale = lcm(*(t.coefficient.denominator for t in ineq.terms))
+    weight = sum(abs(t.coefficient.numerator) * (scale // t.coefficient.denominator)
+                 for t in ineq.terms)
+    taken = ["int64" if weight * b.denominator < 2 ** 63 else "python-int" for b in behaviors]
+    assume(branch in taken)
+    with mock.patch.object(np, "vdot", wraps=np.vdot) as int64_sums:
+        got = _values(ineq, behaviors)
+    assert int64_sums.call_count == taken.count("int64")
+    assert all(same(g, w) for g, w in zip(got, ref_values(ineq, behaviors)))
+    for b in behaviors:
+        assert same(evaluate(ineq, b).value, ref_evaluate(ineq, b))
+        for t in ineq.terms:
+            want = ref_correlator(b, t.parties, t.settings)
+            assert same(correlator(b, t.parties, t.settings), want)
+            assert same(correlator(b, t.parties[::-1], t.settings[::-1]), want)

@@ -8,7 +8,9 @@ exception type and its whole message.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -36,6 +38,7 @@ from boxnet.network import (
 )
 from boxnet.resource import (
     Alphabet,
+    CapSettingError,
     NonsignalingResource,
     TableError,
     check_subset_nonsignaling,
@@ -60,6 +63,14 @@ from netgen import worked_network
 F = Fraction
 BITS, ONE = Alphabet((0, 1)), Alphabet((0,))
 PR = make_pr_box()
+
+
+def with_env(variable, value, call):
+    """``call()`` with one environment variable set (or, at None, unset)."""
+    env = {k: v for k, v in os.environ.items() if k != variable}
+    with mock.patch.dict(os.environ, env if value is None else {**env, variable: value},
+                         clear=True):
+        return call()
 
 
 def bare(party="A"):
@@ -343,6 +354,31 @@ CASES = {
     "ghz-search-string-step-floor": (
         lambda: search_max_violation(mao_inequality(), step_floor="0.1"),
         ValueError, "step_floor must be a number, got '0.1'"),
+    # the GHZ search's slabs: at most BOXNET_TENSOR_CAP bytes (default 2**30)
+    "ghz-search-grid-past-the-cap": (
+        lambda: with_env("BOXNET_TENSOR_CAP", None,
+                         lambda: search_max_violation(mao_inequality(), grid=64)),
+        ValueError, "grid 64 needs about 17179869184 bytes for its slabs of 64**5 float64 "
+                    "values, over the cap 1073741824 (raise BOXNET_TENSOR_CAP to override)"),
+    "ghz-search-huge-grid": (
+        lambda: with_env("BOXNET_TENSOR_CAP", None,
+                         lambda: search_max_violation(mao_inequality(), grid=10 ** 9)),
+        ValueError, f"grid 1000000000 needs about {16 * 10 ** 45} bytes for its slabs of "
+                    f"1000000000**5 float64 values, over the cap 1073741824 "
+                    f"(raise BOXNET_TENSOR_CAP to override)"),
+    "ghz-search-default-grid-past-a-lowered-cap": (
+        lambda: with_env("BOXNET_TENSOR_CAP", str(2 * 8 * 16 ** 5 - 1),
+                         lambda: search_max_violation(mao_inequality())),
+        ValueError, "grid 16 needs about 16777216 bytes for its slabs of 16**5 float64 "
+                    "values, over the cap 16777215 (raise BOXNET_TENSOR_CAP to override)"),
+    "ghz-search-signed-tensor-cap": (
+        lambda: with_env("BOXNET_TENSOR_CAP", "+16",
+                         lambda: search_max_violation(mao_inequality(), grid=1)),
+        CapSettingError, "BOXNET_TENSOR_CAP='+16' is not a non-negative integer"),
+    "ghz-search-float-tensor-cap": (
+        lambda: with_env("BOXNET_TENSOR_CAP", "1e9",
+                         lambda: search_max_violation(mao_inequality(), grid=1)),
+        CapSettingError, "BOXNET_TENSOR_CAP='1e9' is not a non-negative integer"),
     # network operations
     "marginal-without-unknown-party": (lambda: marginal_without_party(lone(), "Z"),
                                        NetworkError, "no party 'Z' in network"),

@@ -458,3 +458,28 @@ def test_parse_fault_is_reported_before_an_earlier_column_sum():
     table[(1,)] = {(0,): 1}
     with pytest.raises(TableError, match=re.escape("column at input (0,) sums to 1/2, not 1")):
         NonsignalingResource.make("t", ("A",), [BITS], [BITS], table)
+
+
+
+@pytest.mark.parametrize("shape, count", [((2,) * 6, 36), ((2,) * 4, 4), ((3, 2, 2, 3), 11),
+                                          ((3, 2, 1, 2), 4), ((2, 2), 0)])
+def test_signal_rows_leave_out_one_implied_row_per_block(shape, count):
+    """Per (party, input k > 0, context) block, the row of the last tuple
+    of the other outputs is left out: the kept rows are the full rows
+    without it, 36 of 48 for a binary three-party table and 4 of 8 for a
+    binary pair.  On a table whose columns all sum to one denominator,
+    each full block's rows sum to 0, so the left-out row is implied."""
+    n, size = len(shape) // 2, int(np.prod(shape))
+    basis = np.eye(size, dtype=np.int64).reshape(*shape, size)
+    margs = [np.moveaxis(basis.sum(axis=n + j), j, 0) for j in range(n)]
+    blocks = [(m[1:] - m[:1]).reshape(-1, int(np.prod(shape[n:])) // shape[n + j], size)
+              for j, m in enumerate(margs)]
+    rows = resource._signal_rows(shape)
+    assert rows.shape == (count, size) and not rows.flags.writeable
+    assert np.array_equal(rows, np.concatenate([b[:, :-1].reshape(-1, size) for b in blocks]))
+    rng = np.random.default_rng(0)
+    width = int(np.prod(shape[n:]))
+    for _ in range(20):   # columns of random entries, each summing to 12
+        cuts = np.sort(rng.integers(0, 13, (size // width, width - 1)), axis=1)
+        nums = np.diff(cuts, axis=1, prepend=0, append=12).reshape(-1)
+        assert all(not (b.sum(axis=1) @ nums).any() for b in blocks)
